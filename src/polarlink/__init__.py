@@ -2,12 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .channel import (ChannelMatrix, channel_matrix, element_gain, matching_efficiency,
+from .channel import (ChannelMatrix, LinkTerms, channel_matrix, element_gain, link_terms,
                       radiation_factor, reflection_coefficients)
-from .geometry import (AntennaPose, SphericalAngles, cartesian_to_spherical,
-                       emission_angle, incident_angle, polarization_direction,
-                       polarization_matching_angle, receiver_normal,
-                       spherical_to_cartesian, transmitted_angle)
+from .geometry import AntennaPose, SphericalAngles, cartesian_to_spherical
 from .harness import (RunRecord, Scenario, make_scenario, monte_carlo_half_energy,
                       run_configuration, sweep)
 from .medium import MediumParams
@@ -19,14 +16,12 @@ from .optimizer import (Constraints, ConvergenceTrace, LayoutVariables, Optimize
 
 __all__ = [
     "AntennaPose", "BeamformingSolution", "ChannelMatrix", "Constraints",
-    "ConvergenceTrace", "LayoutVariables", "LinkMetrics", "MediumParams",
+    "ConvergenceTrace", "LayoutVariables", "LinkMetrics", "LinkTerms", "MediumParams",
     "OptimizeResult", "OptimizerConfig", "PowerAllocation", "Precoder",
     "RunRecord", "Scenario", "SphericalAngles", "cartesian_to_spherical",
-    "channel_matrix", "element_gain", "emission_angle", "incident_angle",
-    "link_metrics", "make_scenario", "matching_efficiency", "monte_carlo_half_energy",
-    "objective", "optimize", "polarization_direction", "polarization_matching_angle",
-    "quantize_angles", "radiation_factor", "receiver_normal", "reflection_coefficients",
-    "run_configuration", "separation_projection", "solve_beamforming",
-    "spherical_to_cartesian", "sweep", "transmitted_angle", "water_filling",
+    "channel_matrix", "element_gain", "link_metrics", "link_terms", "make_scenario",
+    "monte_carlo_half_energy", "objective", "optimize", "quantize_angles",
+    "radiation_factor", "reflection_coefficients", "run_configuration",
+    "separation_projection", "solve_beamforming", "sweep", "water_filling",
     "zf_precoder",
 ]

@@ -11,7 +11,7 @@ position alone, and the transmit position contributes only to the phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -80,30 +80,36 @@ def reflection_coefficients(theta_i, medium: MediumParams) -> Tuple[np.ndarray, 
     return gamma_par, gamma_perp
 
 
-def matching_efficiency(theta_i, alpha, medium: MediumParams) -> np.ndarray:
-    """Amplitude fraction captured after reflection loss and polarization mismatch.
+class LinkTerms(NamedTuple):
+    """The channel kernel's terms for K users and L transmit antennas.
 
-    sqrt(1 - |G_par|^2 cos^2 a - |G_perp|^2 sin^2 a), in [0, 1].
+    cos_emission, cos_matching, matching, degenerate and gains are (K, L);
+    sin_incidence, gamma_par and gamma_perp are per user, (K,). matching is
+    the amplitude fraction captured after reflection loss and polarization
+    mismatch, sqrt(1 - G_par^2 cos^2 a - G_perp^2 sin^2 a), with cos a the
+    clipped cos_matching. Where degenerate is set the transmit axis points
+    along the path: the gain is exactly 0 and the matching terms carry no
+    meaning.
     """
-    gamma_par, gamma_perp = reflection_coefficients(theta_i, medium)
-    cos_a = np.cos(np.asarray(alpha, dtype=float))
-    cos2 = cos_a**2
-    radicand = 1.0 - np.asarray(gamma_par)**2 * cos2 - np.asarray(gamma_perp)**2 * (1.0 - cos2)
-    if np.any(radicand < -_RADICAND_TOL):
-        raise NumericalError(f"matching-efficiency radicand fell below 0: min {np.min(radicand)}")
-    out = np.sqrt(np.maximum(radicand, 0.0))
-    if np.ndim(theta_i) == 0 and np.ndim(alpha) == 0:
-        return float(out)
-    return out
+
+    cos_emission: np.ndarray
+    sin_incidence: np.ndarray
+    gamma_par: np.ndarray
+    gamma_perp: np.ndarray
+    cos_matching: np.ndarray
+    matching: np.ndarray
+    degenerate: np.ndarray
+    gains: np.ndarray
 
 
-def gain_matrix(tx_positions, tx_orientations, rx_positions, rx_orientations,
-                medium: MediumParams) -> np.ndarray:
-    """Vectorized K x L complex gains for stacked poses.
+def link_terms(tx_positions, tx_orientations, rx_positions, rx_orientations,
+               medium: MediumParams) -> LinkTerms:
+    """Vectorized channel kernel: the K x L complex gains and the terms they
+    are built from.
 
     tx_positions, tx_orientations: (L, 3); rx_positions, rx_orientations: (K, 3).
     Orientations must be unit vectors. Degenerate transmit-axis/propagation
-    alignments yield exactly zero entries.
+    alignments yield exactly zero gains.
     """
     tx_p = np.atleast_2d(np.asarray(tx_positions, dtype=float))
     tx_n = np.atleast_2d(np.asarray(tx_orientations, dtype=float))
@@ -129,8 +135,8 @@ def gain_matrix(tx_positions, tx_orientations, rx_positions, rx_orientations,
     theta_i = np.arcsin(sin_i)
     gamma_par, gamma_perp = reflection_coefficients(theta_i, medium)
 
-    cos_a = np.einsum("kli,ki->kl", field_dir, rx_n)
-    cos2 = np.clip(cos_a, -1.0, 1.0) ** 2
+    cos_a = np.clip(np.einsum("kli,ki->kl", field_dir, rx_n), -1.0, 1.0)
+    cos2 = cos_a ** 2
     radicand = 1.0 - (np.asarray(gamma_par)**2)[:, None] * cos2 \
         - (np.asarray(gamma_perp)**2)[:, None] * (1.0 - cos2)
     if np.any(radicand < -_RADICAND_TOL):
@@ -144,7 +150,14 @@ def gain_matrix(tx_positions, tx_orientations, rx_positions, rx_orientations,
 
     gains = prefactor[:, None] * rad * match * phase
     gains[degenerate] = 0.0
-    return gains
+    return LinkTerms(cos_e, sin_i, gamma_par, gamma_perp, cos_a, match, degenerate, gains)
+
+
+def gain_matrix(tx_positions, tx_orientations, rx_positions, rx_orientations,
+                medium: MediumParams) -> np.ndarray:
+    """K x L complex gains for stacked poses: the gains of link_terms."""
+    return link_terms(tx_positions, tx_orientations, rx_positions, rx_orientations,
+                      medium).gains
 
 
 def element_gain(tx: AntennaPose, rx: AntennaPose, medium: MediumParams) -> complex:

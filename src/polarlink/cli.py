@@ -18,13 +18,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .channel import element_gain, matching_efficiency, reflection_coefficients
+from .channel import link_terms
 from .config import RunConfig
-from .errors import (ConfigurationError, DegeneratePolarizationError, GeometryError,
-                     InfeasibleLayoutError, NumericalError, PolarlinkError,
-                     SingularChannelError, UnsupportedConfigurationError)
-from .geometry import (AntennaPose, emission_angle, incident_angle,
-                       polarization_matching_angle)
+from .errors import (ConfigurationError, GeometryError, InfeasibleLayoutError,
+                     NumericalError, PolarlinkError, SingularChannelError,
+                     UnsupportedConfigurationError)
+from .geometry import AntennaPose
 from .harness import (RunRecord, make_scenario, monte_carlo_half_energy,
                       random_initial_layout, reference_link_peak, run_configuration,
                       sweep, _half_energy_magnitudes, _rng)
@@ -91,28 +90,25 @@ def cmd_channel_eval(args) -> int:
                          orientation=_parse_triple(args.tx_dir, "--tx-dir"))
         rx = AntennaPose(position=_parse_triple(args.rx_pos, "--rx-pos"),
                          orientation=_parse_triple(args.rx_dir, "--rx-dir"))
-        theta_e = emission_angle(rx.position, tx, far_field=True)
-        theta_i = incident_angle(rx)
-        gamma_par, gamma_perp = reflection_coefficients(theta_i, medium)
-        try:
-            alpha = polarization_matching_angle(tx, rx)
-            match = matching_efficiency(theta_i, alpha, medium)
-        except DegeneratePolarizationError:
-            alpha = math.nan
-            match = 0.0
-        gain = element_gain(tx, rx, medium)
+        terms = link_terms(tx.position[None, :], tx.orientation[None, :],
+                           rx.position[None, :], rx.orientation[None, :], medium)
     except GeometryError as exc:
         print(f"error: invalid geometry: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
+    gain = complex(terms.gains[0, 0])
+    if terms.degenerate[0, 0]:
+        alpha, match = math.nan, 0.0
+    else:
+        alpha, match = np.arccos(terms.cos_matching[0, 0]), terms.matching[0, 0]
     fields = [
         ("gain_magnitude", abs(gain)),
         ("gain_phase_rad", math.atan2(gain.imag, gain.real)),
-        ("emission_angle_rad", theta_e),
-        ("incident_angle_rad", theta_i),
+        ("emission_angle_rad", np.arccos(np.clip(terms.cos_emission[0, 0], -1.0, 1.0))),
+        ("incident_angle_rad", np.arcsin(terms.sin_incidence[0])),
         ("matching_angle_rad", alpha),
-        ("gamma_parallel", gamma_par),
-        ("gamma_perpendicular", gamma_perp),
+        ("gamma_parallel", terms.gamma_par[0]),
+        ("gamma_perpendicular", terms.gamma_perp[0]),
         ("matching_efficiency", match),
     ]
     width = max(len(name) for name, _ in fields)

@@ -98,5 +98,4 @@ class RunConfig:
             convergence_tol=self.convergence_tol,
             initial_step_angle=self.initial_step_angle,
             block_order=tuple(self.block_order),
-            seed=self.seed,
         )

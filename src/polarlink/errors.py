@@ -9,14 +9,6 @@ class GeometryError(PolarlinkError, ValueError):
     """Invalid or degenerate geometric input (coincident points, zero vectors)."""
 
 
-class DegeneratePolarizationError(GeometryError):
-    """Antenna axis parallel to the propagation direction: polarization undefined.
-
-    The channel layer maps this case to an exactly-zero gain, since the
-    radiated amplitude vanishes along the dipole axis.
-    """
-
-
 class ConfigurationError(PolarlinkError, ValueError):
     """Physically or structurally invalid configuration parameters."""
 

@@ -1,10 +1,9 @@
 """Vector geometry of dipole antennas.
 
 Positions and directions live in a shared Cartesian frame; orientations are
-unit vectors along the dipole axis. This module provides the coordinate
-conversions and the four angles the link gain depends on: the orientation
-polar/azimuthal pair, the emission angle at the transmitter, the incident
-angle at the receiver, and the polarization matching angle between them.
+unit vectors along the dipole axis. This module provides the poses and the
+conversions between orientations and their polar/azimuthal angles; the
+angles the link gain depends on are terms of channel.link_terms.
 """
 
 from __future__ import annotations
@@ -13,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePolarizationError, GeometryError
-from .medium import MediumParams
+from .errors import GeometryError
 
 _TWO_PI = 2.0 * np.pi
 _PARALLEL_TOL = 1e-12
@@ -65,14 +63,9 @@ class AntennaPose:
         object.__setattr__(self, "orientation", unit(self.orientation))
 
 
-def spherical_to_cartesian(angles: SphericalAngles) -> np.ndarray:
-    """Unit vector (sin t cos p, sin t sin p, cos t) for polar t, azimuth p."""
-    st, ct = np.sin(angles.polar), np.cos(angles.polar)
-    return np.array([st * np.cos(angles.azimuthal), st * np.sin(angles.azimuthal), ct])
-
-
 def cartesian_to_spherical(v) -> SphericalAngles:
-    """Inverse of spherical_to_cartesian; azimuth is 0 by convention at the poles."""
+    """Polar/azimuthal angles of a direction, the inverse of angles_to_unit;
+    azimuth is 0 by convention at the poles."""
     n = unit(v)
     polar = float(np.arccos(np.clip(n[2], -1.0, 1.0)))
     if abs(n[2]) >= 1.0 - _PARALLEL_TOL:
@@ -93,75 +86,3 @@ def angles_to_unit(polar, azimuthal) -> np.ndarray:
         [st * np.cos(azimuthal), st * np.sin(azimuthal), np.cos(polar) * np.ones_like(azimuthal)],
         axis=-1,
     )
-
-
-def emission_angle(observation, tx: AntennaPose, far_field: bool = False) -> float:
-    """Angle between the transmit dipole axis and the propagation direction.
-
-    Exact mode measures toward (observation - tx.position); far-field mode
-    treats the transmitter as sitting at the origin and uses the observation
-    point alone.
-    """
-    p = _as_vec3(observation)
-    ref = p if far_field else p - tx.position
-    norm = np.linalg.norm(ref)
-    if norm < _PARALLEL_TOL:
-        raise GeometryError("observation point coincides with the reference point")
-    cos_e = np.clip(np.dot(ref, tx.orientation) / norm, -1.0, 1.0)
-    return float(np.arccos(cos_e))
-
-
-def receiver_normal(rx: AntennaPose) -> np.ndarray:
-    """Surface normal of the receive dipole: incoming direction minus its
-    component along the dipole axis, normalized."""
-    p = rx.position
-    norm_p = np.linalg.norm(p)
-    if norm_p < _PARALLEL_TOL:
-        raise GeometryError("receiver at the origin has no incoming direction")
-    stripped = p - np.dot(p, rx.orientation) * rx.orientation
-    norm_s = np.linalg.norm(stripped)
-    if norm_s < _PARALLEL_TOL * norm_p:
-        raise GeometryError("receiver orientation parallel to the incoming direction")
-    return stripped / norm_s
-
-
-def incident_angle(rx: AntennaPose) -> float:
-    """Grazing-free incident angle arcsin(|p.n| / |p|) in [0, pi/2]."""
-    p = rx.position
-    norm_p = np.linalg.norm(p)
-    if norm_p < _PARALLEL_TOL:
-        raise GeometryError("receiver at the origin has no incoming direction")
-    sin_i = np.clip(abs(np.dot(p, rx.orientation)) / norm_p, 0.0, 1.0)
-    return float(np.arcsin(sin_i))
-
-
-def transmitted_angle(theta_i: float, medium: MediumParams) -> float:
-    """Refraction angle inside the antenna from Snell's law.
-
-    Always defined because the relative permittivity exceeds 1.
-    """
-    if not 0.0 <= theta_i <= np.pi / 2:
-        raise GeometryError(f"incident angle {theta_i} outside [0, pi/2]")
-    return float(np.arcsin(np.sin(theta_i) / np.sqrt(medium.relative_permittivity)))
-
-
-def polarization_direction(tx: AntennaPose, observation) -> np.ndarray:
-    """Electric-field direction at the observation point.
-
-    The dipole axis minus its component along the propagation direction,
-    normalized: perpendicular to propagation, in the (axis, propagation) plane.
-    """
-    prop = unit(observation)
-    stripped = tx.orientation - np.dot(tx.orientation, prop) * prop
-    norm_s = np.linalg.norm(stripped)
-    if norm_s < _PARALLEL_TOL:
-        raise DegeneratePolarizationError(
-            "transmit orientation parallel to the propagation direction")
-    return stripped / norm_s
-
-
-def polarization_matching_angle(tx: AntennaPose, rx: AntennaPose) -> float:
-    """Angle in [0, pi] between the incident field direction and the receive axis."""
-    n_e = polarization_direction(tx, rx.position)
-    cos_a = np.clip(np.dot(n_e, rx.orientation), -1.0, 1.0)
-    return float(np.arccos(cos_a))

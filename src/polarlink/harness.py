@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .channel import ChannelMatrix, gain_matrix
-from .errors import ConfigurationError, UnsupportedConfigurationError
+from .errors import ConfigurationError, PolarlinkError, UnsupportedConfigurationError
 from .geometry import AntennaPose, angles_to_unit, cartesian_to_spherical
 from .medium import MediumParams
 from .mimo import solve_beamforming
@@ -269,7 +269,7 @@ def run_configuration(scenario: Scenario, config_id: int,
     try:
         result = optimize(layout, scenario.user_poses, scenario.medium,
                           scenario.total_power, scenario.constraints, optimizer_config)
-    except Exception as exc:  # recorded as a failed run, not raised
+    except (PolarlinkError, np.linalg.LinAlgError) as exc:  # anything else is a bug: raise
         return RunRecord(
             scenario_hash=scenario.fingerprint(), configuration=config_id,
             user_count=scenario.user_count, antenna_count=scenario.antenna_count,

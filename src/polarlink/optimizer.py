@@ -8,12 +8,13 @@ feasible by cyclic projection onto the movement box and the half-space
 linearization of the pairwise separation constraint.
 
 Under the plane-wave model a translation changes only the phase of an
-antenna's channel entries, and a phase pattern is something the precoding
-stage can realize directly, so moving an antenna buys nothing that the
-precoder does not already provide. The objective therefore evaluates the
-channel at the layout's phase anchor (the placement captured when
-optimization starts): position updates never change the objective, only the
-feasibility bookkeeping.
+antenna's channel entries. With one user the precoder absorbs that phase
+exactly; with K >= 2 users the phase exp(j k u_k . p_l) differs per user, so
+a move does change the channel. The model nonetheless evaluates the objective
+at the layout's phase anchor (the placement captured when optimization
+starts). This anchored objective is a modelling choice, the one acceptance
+criterion 3 encodes (translation alone matches the fixed layout): position
+updates never change the objective, only the feasibility bookkeeping.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class LayoutVariables:
     tx_angles is (L, 2) of (polar, azimuthal); rx_angles is (K, 2);
     tx_positions is (L, 3) in meters. phase_anchor, when set, is the placement
     whose translation phases the objective uses; it stays fixed while
-    tx_positions move (plane-wave translations are precoder-equivalent).
+    tx_positions move (the anchored model described in the module docstring).
     """
 
     tx_angles: np.ndarray
@@ -143,7 +144,6 @@ class OptimizerConfig:
     shrink_factor: float = 0.5
     max_backtracks: int = 30
     convergence_tol: float = 1e-4
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_outer_iterations <= 0 or self.inner_steps <= 0:
@@ -188,7 +188,9 @@ def objective(layout: LayoutVariables, users: Sequence[AntennaPose],
     """Equivalent total SINR of the layout under zero forcing + water filling.
 
     Translation phases are taken from the layout's phase anchor, so the value
-    is invariant under moves of tx_positions once the anchor is pinned.
+    is invariant under moves of tx_positions once the anchor is pinned. That
+    invariance is the model's choice; only for one user is it also what the
+    precoder would achieve with live phases.
     """
     rx_positions = np.array([u.position for u in users])
     gains = gain_matrix(layout.anchor_positions(), layout.tx_orientations(),

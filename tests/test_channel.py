@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarlink import (AntennaPose, ChannelMatrix, channel_matrix, element_gain,
-                       matching_efficiency, radiation_factor,
-                       reflection_coefficients)
+                       link_terms, radiation_factor, reflection_coefficients)
 from polarlink.channel import gain_matrix
 from polarlink.errors import UnsupportedConfigurationError
 from polarlink.medium import MediumParams
@@ -102,26 +101,47 @@ def test_reflection_magnitudes_bounded(medium):
     assert np.all(np.abs(g_perp) <= 1.0 + 1e-12)
 
 
+def _links_to(rx_dirs, medium):
+    """link_terms of a vertical transmitter at the origin to users at RX, one
+    per receive axis."""
+    rx_dirs = np.atleast_2d(rx_dirs)
+    return link_terms(np.zeros((1, 3)), VERTICAL[None, :],
+                      np.tile(RX, (rx_dirs.shape[0], 1)), rx_dirs, medium)
+
+
 def test_matching_efficiency_bounds_and_normal_incidence(medium):
-    # At normal incidence the efficiency is independent of alpha since
+    # At normal incidence (receive axis across the path) the efficiency does
+    # not depend on how the axis is rotated about the path, since
     # |G_par| = |G_perp|.
-    vals = [matching_efficiency(0.0, a, medium) for a in np.linspace(0, math.pi, 7)]
+    path = RX / RX_NORM
+    e1 = np.cross(path, VERTICAL)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(path, e1)
+    phi = np.linspace(0.0, math.pi, 7)
+    terms = _links_to(np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2, medium)
+    assert np.all(terms.sin_incidence < 1e-15)
+    vals = terms.matching[:, 0]
     assert np.ptp(vals) < 1e-12
     g = (math.sqrt(2.0) - 1.0) / (math.sqrt(2.0) + 1.0)
     assert vals[0] == pytest.approx(math.sqrt(1.0 - g * g), abs=1e-12)
 
 
 def test_matching_efficiency_zero_at_grazing(medium):
+    # Receive axis along the path: grazing incidence, both coefficients 1.
     # cos(pi/2) rounds to ~6e-17, so the efficiency is the square root of a
     # float residual rather than an exact zero.
-    assert matching_efficiency(math.pi / 2, 0.3, medium) == pytest.approx(0.0, abs=1e-7)
+    terms = _links_to(RX / RX_NORM, medium)
+    assert terms.sin_incidence[0] == pytest.approx(1.0, abs=1e-15)
+    assert terms.matching[0, 0] == pytest.approx(0.0, abs=1e-7)
 
 
 @settings(max_examples=150, deadline=None)
-@given(theta_i=st.floats(0.0, math.pi / 2), alpha=st.floats(0.0, math.pi))
-def test_matching_efficiency_in_unit_interval(theta_i, alpha):
-    m = matching_efficiency(theta_i, alpha, MediumParams())
-    assert 0.0 <= m <= 1.0 + 1e-12
+@given(st.integers(0, 2**32 - 1))
+def test_matching_efficiency_in_unit_interval(seed):
+    rx_dirs = np.random.default_rng(seed).standard_normal((8, 3))
+    rx_dirs /= np.linalg.norm(rx_dirs, axis=1, keepdims=True)
+    m = _links_to(rx_dirs, MediumParams()).matching
+    assert np.all((m >= 0.0) & (m <= 1.0))
 
 
 def test_element_gain_reference_link_magnitude(medium):
@@ -235,3 +255,34 @@ def test_gain_magnitude_matches_scalar_oracle(seed):
                     rx_dir[None, :], medium)[0, 0]
     assert abs(h) == pytest.approx(
         _oracle_gain_magnitude(tx_dir, rx_pos, rx_dir, medium), rel=1e-9, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_link_terms_recompose_gain(seed, force_degenerate):
+    # |h| = C / r * |F(theta_e)| * matching on every link, with the terms
+    # bounded and degenerate links carrying exactly zero gain.
+    medium = MediumParams()
+    rng = np.random.default_rng(seed)
+    tx_p = rng.uniform(-1.0, 1.0, (4, 3))
+    tx_n = rng.standard_normal((4, 3))
+    rx_p = rng.uniform(-100.0, 100.0, (3, 3))
+    rx_p[np.linalg.norm(rx_p, axis=1) < 2.0] = [20.0, -30.0, 40.0]
+    rx_n = rng.standard_normal((3, 3))
+    if force_degenerate:
+        tx_n[1] = rx_p[2]                     # axis along the path to user 2
+    tx_n /= np.linalg.norm(tx_n, axis=1, keepdims=True)
+    rx_n /= np.linalg.norm(rx_n, axis=1, keepdims=True)
+    terms = link_terms(tx_p, tx_n, rx_p, rx_n, medium)
+
+    assert np.all((terms.matching >= 0.0) & (terms.matching <= 1.0))
+    assert np.all(np.abs(terms.cos_matching) <= 1.0)
+    assert np.all(terms.gains[terms.degenerate] == 0.0)
+    if force_degenerate:
+        assert terms.degenerate[2, 1]
+    const = 2.0 * medium.speed_of_light * medium.permeability \
+        / (medium.antenna_factor * 4.0 * np.pi * np.linalg.norm(rx_p, axis=1))
+    rad = radiation_factor(np.arccos(np.clip(terms.cos_emission, -1.0, 1.0)))
+    expected = np.where(terms.degenerate, 0.0,
+                        const[:, None] * np.abs(rad) * terms.matching)
+    assert np.allclose(np.abs(terms.gains), expected, rtol=1e-12, atol=0.0)

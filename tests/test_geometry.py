@@ -5,18 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarlink import (AntennaPose, SphericalAngles, cartesian_to_spherical,
-                       emission_angle, incident_angle, polarization_direction,
-                       polarization_matching_angle, receiver_normal,
-                       spherical_to_cartesian, transmitted_angle)
-from polarlink.errors import DegeneratePolarizationError, GeometryError
+from polarlink import AntennaPose, SphericalAngles, cartesian_to_spherical, link_terms
+from polarlink.errors import GeometryError
 from polarlink.geometry import angles_to_unit, unit
 from polarlink.medium import MediumParams
 
 # Fixed reference link used throughout: tx at the origin, user at
-# (75, -40, 50) m, both antennas vertical unless stated otherwise.
+# (75, -40, 50) m, both antennas vertical unless stated otherwise. The link
+# angles are terms of the channel kernel, channel.link_terms.
 RX = np.array([75.0, -40.0, 50.0])
 RX_NORM = math.sqrt(75.0**2 + 40.0**2 + 50.0**2)   # sqrt(9725)
+VERTICAL = np.array([0.0, 0.0, 1.0])
+MEDIUM = MediumParams()
+
+
+def _terms(tx_dir=VERTICAL, rx_pos=RX, rx_dir=VERTICAL):
+    """link_terms of one link from a transmitter at the origin."""
+    tx = AntennaPose(position=np.zeros(3), orientation=tx_dir)
+    rx = AntennaPose(position=rx_pos, orientation=rx_dir)
+    return link_terms(tx.position[None, :], tx.orientation[None, :],
+                      rx.position[None, :], rx.orientation[None, :], MEDIUM)
 
 
 def test_unit_rejects_zero_vector():
@@ -43,9 +51,9 @@ def test_spherical_angles_reduce_azimuth():
 
 
 def test_spherical_to_cartesian_axes():
-    north = spherical_to_cartesian(SphericalAngles(polar=0.0, azimuthal=0.3))
+    north = angles_to_unit(0.0, 0.3)
     assert np.allclose(north, [0.0, 0.0, 1.0])
-    x_axis = spherical_to_cartesian(SphericalAngles(polar=math.pi / 2, azimuthal=0.0))
+    x_axis = angles_to_unit(math.pi / 2, 0.0)
     assert np.allclose(x_axis, [1.0, 0.0, 0.0], atol=1e-15)
 
 
@@ -59,10 +67,10 @@ def test_cartesian_to_spherical_pole_convention():
 @given(polar=st.floats(0.0, math.pi),
        azimuthal=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
 def test_spherical_roundtrip(polar, azimuthal):
-    v = spherical_to_cartesian(SphericalAngles(polar=polar, azimuthal=azimuthal))
+    v = angles_to_unit(polar, azimuthal)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     back = cartesian_to_spherical(v)
-    v2 = spherical_to_cartesian(back)
+    v2 = angles_to_unit(back.polar, back.azimuthal)
     # The pole convention snaps azimuth to 0 when |cos(polar)| is within
     # 1e-12 of 1, which can move the vector by up to sqrt(2e-12).
     assert np.allclose(v, v2, atol=2e-6)
@@ -87,88 +95,52 @@ def test_angles_to_unit_broadcasts():
 def test_emission_angle_reference_link():
     # Oracle: vertical dipole at the origin, observation (75, -40, 50):
     # cos(theta_e) = 50 / sqrt(9725).
-    tx = AntennaPose(position=np.zeros(3), orientation=[0.0, 0.0, 1.0])
-    expected = math.acos(50.0 / RX_NORM)
-    assert emission_angle(RX, tx) == pytest.approx(expected, abs=1e-12)
-    assert emission_angle(RX, tx, far_field=True) == pytest.approx(expected, abs=1e-12)
-
-
-def test_emission_angle_exact_mode_uses_tx_position():
-    tx = AntennaPose(position=[0.0, 0.0, 50.0], orientation=[0.0, 0.0, 1.0])
-    # From (0,0,50) the path to RX is horizontal: emission angle pi/2.
-    assert emission_angle(RX, tx) == pytest.approx(math.pi / 2, abs=1e-12)
+    assert _terms().cos_emission[0, 0] == pytest.approx(50.0 / RX_NORM, abs=1e-15)
 
 
 def test_emission_angle_coincident_point_raises():
-    tx = AntennaPose(position=RX, orientation=[0.0, 0.0, 1.0])
+    # Far-field angles are measured from the origin; a receiver there has no
+    # incoming direction.
     with pytest.raises(GeometryError):
-        emission_angle(RX, tx)
+        _terms(rx_pos=np.zeros(3))
 
 
 def test_incident_angle_reference_link():
     # Oracle: sin(theta_i) = |p . n| / |p| = 50 / sqrt(9725) = 0.50697...
-    rx = AntennaPose(position=RX, orientation=[0.0, 0.0, 1.0])
-    expected = math.asin(50.0 / RX_NORM)
-    assert incident_angle(rx) == pytest.approx(expected, abs=1e-12)
-    assert incident_angle(rx) == pytest.approx(0.5317240672, abs=1e-9)
+    theta_i = math.asin(_terms().sin_incidence[0])
+    assert theta_i == pytest.approx(math.asin(50.0 / RX_NORM), abs=1e-12)
+    assert theta_i == pytest.approx(0.5317240672, abs=1e-9)
 
 
 def test_incident_angle_sign_invariance():
-    up = AntennaPose(position=RX, orientation=[0.0, 0.0, 1.0])
-    down = AntennaPose(position=RX, orientation=[0.0, 0.0, -1.0])
-    assert incident_angle(up) == incident_angle(down)
+    up = _terms(rx_dir=[0.0, 0.0, 1.0])
+    down = _terms(rx_dir=[0.0, 0.0, -1.0])
+    assert up.sin_incidence[0] == down.sin_incidence[0]
+    assert math.asin(down.sin_incidence[0]) == pytest.approx(0.5317240672, abs=1e-9)
 
 
 def test_incident_angle_broadside_is_zero():
-    rx = AntennaPose(position=[10.0, 0.0, 0.0], orientation=[0.0, 0.0, 1.0])
-    assert incident_angle(rx) == 0.0
-
-
-def test_receiver_normal_is_unit_and_coplanar():
-    rx = AntennaPose(position=RX, orientation=[0.0, 0.0, 1.0])
-    n = receiver_normal(rx)
-    assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
-    assert np.dot(n, rx.orientation) == pytest.approx(0.0, abs=1e-12)
-    # normal lies in the (position, orientation) plane
-    cross = np.cross(rx.position, rx.orientation)
-    assert np.dot(n, cross) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_receiver_normal_degenerate_raises():
-    rx = AntennaPose(position=[0.0, 0.0, 10.0], orientation=[0.0, 0.0, 1.0])
-    with pytest.raises(GeometryError):
-        receiver_normal(rx)
-
-
-def test_transmitted_angle_snell():
-    medium = MediumParams()
-    theta_i = 0.7
-    expected = math.asin(math.sin(theta_i) / math.sqrt(2.0))
-    assert transmitted_angle(theta_i, medium) == pytest.approx(expected, abs=1e-12)
-    with pytest.raises(GeometryError):
-        transmitted_angle(2.0, medium)
+    assert _terms(rx_pos=[10.0, 0.0, 0.0]).sin_incidence[0] == 0.0
 
 
 def test_polarization_direction_perpendicular_to_propagation():
-    tx = AntennaPose(position=np.zeros(3), orientation=[0.0, 0.0, 1.0])
-    n_e = polarization_direction(tx, RX)
-    assert np.linalg.norm(n_e) == pytest.approx(1.0, abs=1e-12)
-    assert np.dot(n_e, RX / RX_NORM) == pytest.approx(0.0, abs=1e-12)
+    # The incident field is transverse, so a receive axis along the path
+    # sees none of it.
+    assert _terms(rx_dir=RX).cos_matching[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_polarization_direction_degenerate():
-    tx = AntennaPose(position=np.zeros(3), orientation=RX / RX_NORM)
-    with pytest.raises(DegeneratePolarizationError):
-        polarization_direction(tx, RX)
+    terms = _terms(tx_dir=RX)
+    assert terms.degenerate[0, 0]
+    assert terms.gains[0, 0] == 0.0
 
 
 def test_matching_angle_equals_incident_angle_when_coplanar():
     # Vertical tx, vertical rx, any receiver position: the field direction,
     # the receive axis, and the path share a plane, so alpha = theta_i.
-    tx = AntennaPose(position=np.zeros(3), orientation=[0.0, 0.0, 1.0])
-    rx = AntennaPose(position=RX, orientation=[0.0, 0.0, 1.0])
-    alpha = polarization_matching_angle(tx, rx)
-    assert alpha == pytest.approx(incident_angle(rx), abs=1e-9)
+    terms = _terms()
+    alpha = math.acos(terms.cos_matching[0, 0])
+    assert alpha == pytest.approx(math.asin(terms.sin_incidence[0]), abs=1e-9)
 
 
 @settings(max_examples=100, deadline=None)
@@ -182,10 +154,7 @@ def test_matching_angle_range(seed):
     n_r = rng.standard_normal(3)
     if np.linalg.norm(n_t) < 1e-6 or np.linalg.norm(n_r) < 1e-6:
         return
-    tx = AntennaPose(position=np.zeros(3), orientation=n_t)
-    rx = AntennaPose(position=pos, orientation=n_r)
-    try:
-        alpha = polarization_matching_angle(tx, rx)
-    except DegeneratePolarizationError:
+    terms = _terms(tx_dir=n_t, rx_pos=pos, rx_dir=n_r)
+    if terms.degenerate[0, 0]:
         return
-    assert 0.0 <= alpha <= math.pi
+    assert 0.0 <= math.acos(terms.cos_matching[0, 0]) <= math.pi

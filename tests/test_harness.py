@@ -7,6 +7,7 @@ import pytest
 from polarlink import (MediumParams, OptimizerConfig, Scenario,
                        make_scenario, monte_carlo_half_energy,
                        run_configuration, sweep)
+from polarlink import harness
 from polarlink.errors import ConfigurationError, UnsupportedConfigurationError
 from polarlink.harness import (generate_users, quantized_record,
                                random_initial_layout, random_tx_positions,
@@ -120,6 +121,17 @@ def test_run_records_failure_instead_of_raising():
     rec = run_configuration(sc, 5, FAST, layout)
     assert rec.failure is not None
     assert math.isnan(rec.gamma_total)
+
+
+def test_run_raises_programming_errors(monkeypatch):
+    # Only package errors become failure rows; a bug must surface.
+    def broken(*args, **kwargs):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(harness, "optimize", broken)
+    sc = make_scenario(2, seed=0)
+    with pytest.raises(TypeError, match="injected"):
+        run_configuration(sc, 5, FAST)
 
 
 def test_users_sweep_shape_and_grid_values():

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from polarlink import (AntennaPose, Constraints, LayoutVariables, MediumParams,
                        OptimizerConfig, objective, optimize, quantize_angles,
                        separation_projection)
-from polarlink.channel import ChannelMatrix, gain_matrix
+from polarlink.channel import ChannelMatrix, gain_matrix, link_terms
 from polarlink.errors import (ConfigurationError, InfeasibleLayoutError,
                               ProjectionError)
-from polarlink.geometry import (angles_to_unit, incident_angle,
-                                polarization_matching_angle)
+from polarlink.geometry import angles_to_unit
 from polarlink.mimo import solve_beamforming
 from polarlink.optimizer import (check_feasible, default_initial_layout,
                                  finite_difference_gradient, wrap_angles)
@@ -208,12 +207,10 @@ def test_optimize_single_link_is_coplanar_at_convergence():
                              rx_angles=np.array([[0.7, 2.0]]))
     result = optimize(layout, [USER_A], MEDIUM, 0.5, _constraints(),
                       OptimizerConfig())
-    tx_pose = AntennaPose(position=np.zeros(3),
-                          orientation=result.layout.tx_orientations()[0])
-    rx_pose = AntennaPose(position=USER_A.position,
-                          orientation=result.layout.rx_orientations()[0])
-    alpha = polarization_matching_angle(tx_pose, rx_pose)
-    theta_i = incident_angle(rx_pose)
+    terms = link_terms(np.zeros((1, 3)), result.layout.tx_orientations(),
+                       USER_A.position[None, :], result.layout.rx_orientations(), MEDIUM)
+    alpha = math.acos(terms.cos_matching[0, 0])
+    theta_i = math.asin(terms.sin_incidence[0])
     residual = min(abs(alpha - theta_i), abs(math.pi - alpha - theta_i))
     assert residual < 1e-3
 
