@@ -9,7 +9,6 @@ geometry or scenario, 5 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -123,11 +122,10 @@ def _record_rows(records: Sequence[RunRecord]):
               "scenario_hash", "seed", "failure", "trace_db"]
     rows = []
     for rec in records:
-        avg_rate = 0.5 * math.log2(1.0 + rec.gamma_total) if rec.gamma_total == rec.gamma_total else math.nan
         rows.append([
             rec.grid_value if rec.grid_value is not None else "",
             rec.configuration, rec.user_count, rec.antenna_count, rec.total_power,
-            rec.gamma_total, rec.gamma_total_db, avg_rate, rec.iterations,
+            rec.gamma_total, rec.gamma_total_db, rec.average_rate, rec.iterations,
             rec.scenario_hash, rec.seed, rec.failure or "",
             ";".join(_fmt(v) for v in rec.trace_db),
         ])

@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from .errors import ConfigurationError
 from .medium import SPEED_OF_LIGHT, VACUUM_PERMEABILITY, MediumParams
-from .optimizer import DEFAULT_BLOCK_ORDER, OptimizerConfig
+from .optimizer import OptimizerConfig
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -50,7 +50,6 @@ class RunConfig:
     inner_steps: int = 3
     convergence_tol: float = 1e-4
     initial_step_angle: float = 0.1
-    block_order: List[str] = field(default_factory=lambda: list(DEFAULT_BLOCK_ORDER))
 
     def __post_init__(self):
         if self.frequency_hz is not None:
@@ -97,5 +96,4 @@ class RunConfig:
             inner_steps=self.inner_steps,
             convergence_tol=self.convergence_tol,
             initial_step_angle=self.initial_step_angle,
-            block_order=tuple(self.block_order),
         )

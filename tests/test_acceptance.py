@@ -54,7 +54,6 @@ def k8_campaign():
         layout, records = _run_bundle(scenario, (1, 2, 3))
         full = layout.copy()
         full.optimize_tx_orientation = True
-        full.optimize_tx_position = True
         full.optimize_rx_orientation = True
         result = optimize(full, scenario.user_poses, scenario.medium,
                           scenario.total_power, scenario.constraints,
