@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import platform
 import sys
 from typing import List, Optional, Sequence
 
@@ -64,6 +66,11 @@ def write_sidecar(out_path, config: RunConfig, subcommand: str, seed: int,
         "repetitions": reps,
         "config_hash": config.config_hash(),
         "config": config.to_dict(),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+        },
     }
     if extra:
         meta.update(extra)

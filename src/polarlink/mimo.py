@@ -1,9 +1,20 @@
-"""Downlink MU-MISO processing: zero forcing, water filling, link metrics."""
+"""Downlink MU-MISO processing: zero forcing, water filling, link metrics.
+
+Every function takes a single K x L channel or a stack of them, (..., K, L),
+and treats each channel of a stack exactly as it would treat that channel
+alone: batched SVD, inverse and cumulative sums run the same LAPACK routine
+and the same summation order per matrix, so a stacked result equals the
+per-channel results bit for bit. A single channel that fails the condition
+check raises SingularChannelError. In a stack such a channel is flagged
+instead (Precoder.singular): its gram matrix is swapped for the identity
+before the inverse, so it cannot stop the other channels, and its total SINR
+is -inf.
+"""
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -16,19 +27,22 @@ _WATERFILL_MAX_ITER = 200
 
 @dataclass(frozen=True)
 class Precoder:
-    """Unit-norm precoding columns (L x K) plus the post-precoding diagonal gains.
+    """Unit-norm precoding columns (..., L, K) plus the post-precoding diagonal gains.
 
-    diag_gains[k] is |H W| on the diagonal for user k, equal to the reciprocal
-    norm of the unnormalized zero-forcing column.
+    diag_gains[..., k] is |H W| on the diagonal for user k, equal to the
+    reciprocal norm of the unnormalized zero-forcing column. singular flags the
+    channels of a stack that failed the condition check; their columns and
+    gains are placeholders (the conjugate channel, gains 1).
     """
 
     columns: np.ndarray
     diag_gains: np.ndarray
+    singular: Union[bool, np.ndarray] = False
 
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Per-user transmit powers in watts, summing to the total budget."""
+    """Per-user transmit powers in watts, (..., K), each row summing to the budget."""
 
     powers: np.ndarray
     total_power: float
@@ -36,12 +50,16 @@ class PowerAllocation:
 
 @dataclass(frozen=True)
 class LinkMetrics:
-    """Per-user SINR/rate plus the equivalent total SINR and average rate."""
+    """Per-user SINR/rate (..., K) plus the equivalent total SINR and average rate.
+
+    total_sinr and average_rate are floats for a single channel and (...)
+    arrays for a stack, where a singular channel reads -inf and nan.
+    """
 
     sinr: np.ndarray
     rates: np.ndarray
-    total_sinr: float
-    average_rate: float
+    total_sinr: Union[float, np.ndarray]
+    average_rate: Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -54,20 +72,28 @@ class BeamformingSolution:
 def zf_precoder(H: ChannelMatrix) -> Precoder:
     """Zero-forcing precoder W = H^H (H H^H)^{-1}, columns normalized.
 
-    Raises SingularChannelError when the channel is rank deficient or has a
-    condition number above 1e12; ill conditioning is reported, never silently
-    regularized.
+    A channel that is rank deficient or has a condition number above 1e12 is
+    ill conditioned; it is reported, never silently regularized. A single
+    K x L channel raises SingularChannelError; in a (..., K, L) stack the
+    channel is flagged in Precoder.singular and the others are solved as usual.
     """
     entries = H.entries
     singular_values = np.linalg.svd(entries, compute_uv=False)
-    if singular_values[-1] <= 0.0 or singular_values[0] / singular_values[-1] > CONDITION_LIMIT:
+    smallest, largest = singular_values[..., -1], singular_values[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        singular = (smallest <= 0.0) | (largest / smallest > CONDITION_LIMIT)
+    if entries.ndim == 2 and singular:
         raise SingularChannelError(
-            f"channel condition number {singular_values[0] / max(singular_values[-1], 1e-300):.3e} "
+            f"channel condition number {largest / max(smallest, 1e-300):.3e} "
             f"exceeds {CONDITION_LIMIT:.0e}")
-    gram = entries @ entries.conj().T
-    unnormalized = entries.conj().T @ np.linalg.inv(gram)
-    column_norms = np.linalg.norm(unnormalized, axis=0)
-    return Precoder(columns=unnormalized / column_norms, diag_gains=1.0 / column_norms)
+    hermitian = np.swapaxes(entries.conj(), -1, -2)
+    gram = entries @ hermitian
+    gram[singular] = np.eye(entries.shape[-2])
+    unnormalized = hermitian @ np.linalg.inv(gram)
+    column_norms = np.linalg.norm(unnormalized, axis=-2)
+    column_norms[singular] = 1.0
+    return Precoder(columns=unnormalized / column_norms[..., None, :],
+                    diag_gains=1.0 / column_norms, singular=singular)
 
 
 def water_filling(diag_gains, total_power: float, noise_power: float) -> PowerAllocation:
@@ -75,7 +101,8 @@ def water_filling(diag_gains, total_power: float, noise_power: float) -> PowerAl
 
     P_k = max(level - 1/snr_k, 0) with snr_k = g_k^2 / sigma^2 the per-unit-power
     SNR; the common water level is found by bisection so the powers sum to the
-    budget within 1e-9 of it.
+    budget within 1e-9 of it. diag_gains is (K,) or a stack (..., K); every
+    row bisects on its own and stops when it alone has converged.
     """
     gains = np.asarray(diag_gains, dtype=float)
     if np.any(gains <= 0):
@@ -85,28 +112,33 @@ def water_filling(diag_gains, total_power: float, noise_power: float) -> PowerAl
     inv_snr = noise_power / gains**2
 
     # used(level) = sum_k max(level - inv_snr_k, 0) is piecewise linear; with
-    # the thresholds sorted and prefix-summed each bisection probe is O(log K).
-    thresholds = np.sort(inv_snr).tolist()
-    prefix = [0.0]
-    for t in thresholds:
-        prefix.append(prefix[-1] + t)
+    # the thresholds sorted and prefix-summed, a probe counts the thresholds
+    # at or below the level. Rows are bisected side by side under a running
+    # mask, each stopping where the one-row bisection would.
+    thresholds = np.sort(inv_snr, axis=-1).reshape(-1, inv_snr.shape[-1])
+    rows, count = thresholds.shape
+    prefix = np.zeros((rows, count + 1))
+    np.cumsum(thresholds, axis=1, out=prefix[:, 1:])
+    prefix_flat, row_start = prefix.ravel(), np.arange(rows) * (count + 1)
 
-    low, high = 0.0, total_power + prefix[-1]
-    level = high
+    low = np.zeros(rows)
+    high = total_power + prefix[:, -1]
+    running = np.ones(rows, dtype=bool)
     for _ in range(_WATERFILL_MAX_ITER):
+        # A stopped row keeps its bounds, so its level stays where it stopped:
+        # on the budget test the bounds are those it was computed from, on the
+        # interval test they have met at it.
         level = 0.5 * (low + high)
-        active = bisect.bisect_right(thresholds, level)
-        used = active * level - prefix[active]
-        if abs(used - total_power) <= 1e-12 * total_power:
+        active = (thresholds <= level[:, None]).sum(axis=1)
+        used = active * level - prefix_flat.take(row_start + active)
+        running &= ~(np.abs(used - total_power) <= 1e-12 * total_power)
+        over = used > total_power
+        np.copyto(high, level, where=running & over)
+        np.copyto(low, level, where=running & ~over)
+        running &= ~(high - low <= 1e-16 * high)
+        if not running.any():
             break
-        if used > total_power:
-            high = level
-        else:
-            low = level
-        if high - low <= 1e-16 * high:
-            level = 0.5 * (low + high)
-            break
-    powers = np.maximum(level - inv_snr, 0.0)
+    powers = np.maximum(level.reshape(inv_snr.shape[:-1])[..., None] - inv_snr, 0.0)
     return PowerAllocation(powers=powers, total_power=float(total_power))
 
 
@@ -115,22 +147,28 @@ def link_metrics(H: ChannelMatrix, W: Precoder, allocation: PowerAllocation,
     """SINR, per-user rate, equivalent total SINR, and average rate.
 
     SINR uses the general interference expression, so residual leakage of any
-    precoder shows up rather than being assumed away.
+    precoder shows up rather than being assumed away. Channels that W flags
+    as singular get total SINR -inf and average rate nan.
     """
-    effective = H.entries @ W.columns                      # (K, K), entry (k, j)
+    effective = H.entries @ W.columns                      # (..., K, K), entry (k, j)
     powers = allocation.powers
-    signal = powers * np.abs(np.diag(effective))**2
-    cross = powers[None, :] * np.abs(effective)**2
-    interference = np.sum(cross, axis=1) - np.diag(cross).real
+    signal = powers * np.abs(np.diagonal(effective, axis1=-2, axis2=-1))**2
+    cross = powers[..., None, :] * np.abs(effective)**2
+    interference = np.sum(cross, axis=-1) - np.diagonal(cross, axis1=-2, axis2=-1)
     sinr = signal / (noise_power + interference)
     rates = 0.5 * np.log2(1.0 + sinr)
-    total_sinr = float(np.exp(np.mean(np.log1p(sinr))) - 1.0)
-    average_rate = 0.5 * float(np.log2(1.0 + total_sinr))
+    total_sinr = np.exp(np.mean(np.log1p(sinr), axis=-1)) - 1.0
+    average_rate = 0.5 * np.log2(1.0 + total_sinr)
+    if np.ndim(total_sinr) == 0:
+        return LinkMetrics(sinr=sinr, rates=rates, total_sinr=float(total_sinr),
+                           average_rate=float(average_rate))
+    total_sinr[W.singular] = -np.inf
+    average_rate[W.singular] = np.nan
     return LinkMetrics(sinr=sinr, rates=rates, total_sinr=total_sinr, average_rate=average_rate)
 
 
 def solve_beamforming(H: ChannelMatrix, total_power: float, noise_power: float) -> BeamformingSolution:
-    """Zero forcing + water filling + metrics for one channel realization."""
+    """Zero forcing + water filling + metrics for one channel realization or a stack."""
     precoder = zf_precoder(H)
     allocation = water_filling(precoder.diag_gains, total_power, noise_power)
     metrics = link_metrics(H, precoder, allocation, noise_power)

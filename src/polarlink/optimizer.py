@@ -21,13 +21,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence
+from typing import Callable, List, Sequence, Union
 
 import numpy as np
 
 from .channel import ChannelMatrix, gain_matrix
-from .errors import (ConfigurationError, InfeasibleLayoutError, ProjectionError,
-                     SingularChannelError)
+from .errors import ConfigurationError, InfeasibleLayoutError, ProjectionError
 from .geometry import AntennaPose, angles_to_unit
 from .medium import MediumParams
 from .mimo import BeamformingSolution, solve_beamforming
@@ -66,7 +65,9 @@ class LayoutVariables:
 
     tx_angles is (L, 2) of (polar, azimuthal); rx_angles is (K, 2);
     tx_positions is (L, 3) in meters, used as given and never moved by the
-    optimizer (see the module docstring).
+    optimizer (see the module docstring). Either angle array may carry a
+    leading batch axis, (B, L, 2) or (B, K, 2): a stack of B layouts that
+    objective evaluates in one call.
     """
 
     tx_angles: np.ndarray
@@ -90,10 +91,10 @@ class LayoutVariables:
         )
 
     def tx_orientations(self) -> np.ndarray:
-        return angles_to_unit(self.tx_angles[:, 0], self.tx_angles[:, 1])
+        return angles_to_unit(self.tx_angles[..., 0], self.tx_angles[..., 1])
 
     def rx_orientations(self) -> np.ndarray:
-        return angles_to_unit(self.rx_angles[:, 0], self.rx_angles[:, 1])
+        return angles_to_unit(self.rx_angles[..., 0], self.rx_angles[..., 1])
 
     def canonicalize_angles(self) -> None:
         """Wrap both angle arrays back to polar in [0, pi], azimuth in [0, 2*pi)."""
@@ -165,10 +166,16 @@ class OptimizeResult:
 
 
 def objective(layout: LayoutVariables, users: Sequence[AntennaPose],
-              medium: MediumParams, total_power: float) -> float:
+              medium: MediumParams, total_power: float) -> Union[float, np.ndarray]:
     """Equivalent total SINR of the layout under zero forcing + water filling.
 
     The channel is built from the layout's positions and orientations as given.
+    A single layout gives a float and raises SingularChannelError when its
+    channel fails the condition check. A stacked layout (an angle array with a
+    leading batch axis of B rows) gives B values in one channel build and one
+    beamforming call; the unbatched side is built once for all rows, each row
+    equals the value of its layout alone bit for bit, and a row whose channel
+    is singular reads -inf instead of raising.
     """
     rx_positions = np.array([u.position for u in users])
     gains = gain_matrix(layout.tx_positions, layout.tx_orientations(),
@@ -186,35 +193,37 @@ def _block_vector(layout: LayoutVariables, block: str) -> np.ndarray:
 
 
 def _with_block_vector(layout: LayoutVariables, block: str, vec: np.ndarray) -> LayoutVariables:
+    """layout with the block set from vec, (n,) or a stack of B vectors, (B, n)."""
     out = layout.copy()
     if block == BLOCK_TX_ANGLES:
-        out.tx_angles = vec.reshape(out.tx_angles.shape)
+        out.tx_angles = vec.reshape(vec.shape[:-1] + out.tx_angles.shape)
     elif block == BLOCK_RX_ANGLES:
-        out.rx_angles = vec.reshape(out.rx_angles.shape)
+        out.rx_angles = vec.reshape(vec.shape[:-1] + out.rx_angles.shape)
     else:
         raise ConfigurationError(f"unknown block {block!r}")
     return out
 
 
 def finite_difference_gradient(layout: LayoutVariables, block: str,
-                               func: Callable[[LayoutVariables], float],
+                               func: Callable[[LayoutVariables], np.ndarray],
                                fd_step: float) -> np.ndarray:
-    """Central-difference gradient of func over one variable block.
+    """Central-difference gradient of func over one variable block of n coordinates.
 
+    func is called once, on a stacked layout whose block holds the 2n probes
+    (rows 2i and 2i + 1 bump coordinate i up and down), and returns one value
+    per row. A probe that reads -inf makes its coordinate non-finite.
     Angle coordinates may momentarily leave their canonical ranges during the
     probe; the orientation parameterization is periodic, so no wrapping is
     needed for the evaluation itself.
     """
     base = _block_vector(layout, block)
-    grad = np.zeros_like(base)
-    for i in range(base.size):
-        bumped = base.copy()
-        bumped[i] = base[i] + fd_step
-        high = func(_with_block_vector(layout, block, bumped))
-        bumped[i] = base[i] - fd_step
-        low = func(_with_block_vector(layout, block, bumped))
-        grad[i] = (high - low) / (2.0 * fd_step)
-    return grad
+    coordinate = np.arange(base.size)
+    probes = np.repeat(base[None, :], 2 * base.size, axis=0)
+    probes[2 * coordinate, coordinate] = base + fd_step
+    probes[2 * coordinate + 1, coordinate] = base - fd_step
+    values = np.asarray(func(_with_block_vector(layout, block, probes)), dtype=float)
+    with np.errstate(invalid="ignore"):
+        return (values[0::2] - values[1::2]) / (2.0 * fd_step)
 
 
 def _pair_halfspace_violations(positions: np.ndarray, previous: np.ndarray,
@@ -308,20 +317,21 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
 
     Blocks run in BLOCK_ORDER, skipping those whose optimize_* flag is off; an
     outer sweep with no active block still records one iteration. Each
-    accepted step passes an Armijo test, so the recorded trace is
-    non-decreasing. Stops when one full outer sweep improves the objective by
-    less than the relative convergence tolerance.
+    gradient is one stacked objective call over all its probes; the
+    backtracking line search then tries one step at a time, each a stack of
+    one row, so a singular trial reads -inf and is rejected. Each accepted
+    step passes an Armijo test, so the recorded trace is non-decreasing.
+    Stops when one full outer sweep improves the objective by less than the
+    relative convergence tolerance. The starting layout's channel must be
+    regular: a singular one raises SingularChannelError.
     """
     layout = initial_layout.copy()
     layout.canonicalize_angles()
     if not check_feasible(layout.tx_positions, constraints):
         raise InfeasibleLayoutError("initial transmit positions violate the constraints")
 
-    def safe_objective(candidate: LayoutVariables) -> float:
-        try:
-            return objective(candidate, users, medium, total_power)
-        except SingularChannelError:
-            return -math.inf
+    def stacked_objective(candidate: LayoutVariables) -> np.ndarray:
+        return objective(candidate, users, medium, total_power)
 
     start_time = time.perf_counter()
     current = objective(layout, users, medium, total_power)
@@ -340,7 +350,7 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
                 continue
             block_start = current
             for _ in range(config.inner_steps):
-                grad = finite_difference_gradient(layout, block, safe_objective,
+                grad = finite_difference_gradient(layout, block, stacked_objective,
                                                   config.fd_step_angle)
                 grad_sq = float(grad @ grad)
                 if not np.isfinite(grad_sq) or grad_sq == 0.0:
@@ -349,11 +359,13 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
                 step = config.initial_step_angle / math.sqrt(grad_sq)
                 accepted = False
                 for _ in range(config.max_backtracks):
-                    candidate = _with_block_vector(layout, block, base + step * grad)
-                    value = safe_objective(candidate)
+                    trial = base + step * grad
+                    # A stack of one row, so a singular channel reads -inf.
+                    value = float(stacked_objective(
+                        _with_block_vector(layout, block, trial[None, :]))[0])
                     if value >= current + config.armijo_c * step * grad_sq:
-                        candidate.canonicalize_angles()
-                        layout = candidate
+                        layout = _with_block_vector(layout, block, trial)
+                        layout.canonicalize_angles()
                         current = value
                         accepted = True
                         break

@@ -2,7 +2,9 @@ import csv
 import json
 import math
 import os
+import platform
 
+import numpy as np
 import pytest
 
 from polarlink.cli import main
@@ -107,6 +109,8 @@ def test_run_montecarlo_sidecar(tmp_path):
     assert meta["subcommand"] == "montecarlo"
     assert meta["config_hash"] == RunConfig.from_file(cfg).config_hash()
     assert meta["config"]["monte_carlo_samples"] == 20000
+    assert meta["environment"] == {"python": platform.python_version(),
+                                   "numpy": np.__version__, "cpu_count": os.cpu_count()}
 
 
 def test_run_optimize_trace_monotone(tmp_path):

@@ -1,4 +1,6 @@
+import bisect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +48,30 @@ def test_zf_singular_channel_raises():
         zf_precoder(ChannelMatrix(entries=entries))
 
 
+def test_stacked_beamforming_equals_single_channels():
+    # With all four users funded the bisection of the first channel stops at
+    # its second step; the weak fourth user of the last channel goes unfunded
+    # and its bisection runs on for about 50 steps. The zero user row of the
+    # middle channel is flagged, not raised, and the other channels are unchanged.
+    channels = [_random_channel(seed, users=4, antennas=5).entries for seed in (20, 21, 22)]
+    channels[1][0] = 0.0
+    channels[2][3] *= 1e-3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = solve_beamforming(ChannelMatrix(entries=np.stack(channels)), 0.5, 1e-5)
+    assert stacked.precoder.singular.tolist() == [False, True, False]
+    assert stacked.metrics.total_sinr[1] == -math.inf
+    for b in (0, 2):
+        single = solve_beamforming(ChannelMatrix(entries=channels[b]), 0.5, 1e-5)
+        assert np.array_equal(stacked.precoder.columns[b], single.precoder.columns)
+        assert np.array_equal(stacked.allocation.powers[b], single.allocation.powers)
+        assert np.array_equal(stacked.metrics.sinr[b], single.metrics.sinr)
+        assert stacked.metrics.total_sinr[b] == single.metrics.total_sinr
+        assert stacked.metrics.average_rate[b] == single.metrics.average_rate
+    with pytest.raises(SingularChannelError):
+        zf_precoder(ChannelMatrix(entries=channels[1]))
+
+
 def test_water_filling_hand_case():
     # noise 1, inverse SNRs (0.1, 0.3), budget 1: level (1 + 0.4)/2 = 0.7,
     # powers (0.6, 0.4).
@@ -90,6 +116,50 @@ def test_water_filling_budget_and_level_properties(seed):
     assert np.ptp(levels) <= 1e-6 * levels.mean()
     if np.any(~funded):
         assert inv_snr[~funded].min() >= levels.mean() * (1.0 - 1e-6)
+
+
+def _scalar_water_level(gains, total, noise):
+    """Reference: the one-row bisection in plain Python floats."""
+    thresholds = sorted((noise / np.asarray(gains) ** 2).tolist())
+    prefix = [0.0]
+    for t in thresholds:
+        prefix.append(prefix[-1] + t)
+    low, high = 0.0, total + prefix[-1]
+    level = high
+    for _ in range(200):
+        level = 0.5 * (low + high)
+        active = bisect.bisect_right(thresholds, level)
+        used = active * level - prefix[active]
+        if abs(used - total) <= 1e-12 * total:
+            break
+        if used > total:
+            high = level
+        else:
+            low = level
+        if high - low <= 1e-16 * high:
+            level = 0.5 * (low + high)
+            break
+    return level
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_stacked_water_filling_matches_scalar_bisection(seed):
+    # Rows stop after different numbers of steps: equal strong gains meet the
+    # budget test within a few, equal weak ones (thresholds far above a small
+    # budget) can run all 200. Each must end where it would alone.
+    rng = np.random.default_rng(seed)
+    rows, count = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+    gains = rng.uniform(1e-6, 1e-2, (rows, count))
+    equal = rng.uniform(size=rows)
+    gains[equal < 0.2] = 0.05
+    gains[equal > 0.8] = 1e-4
+    total = float(rng.uniform(0.01, 2.0))
+    noise = float(rng.uniform(1e-6, 1e-4))
+    powers = water_filling(gains, total, noise).powers
+    for gain_row, power_row in zip(gains, powers):
+        level = _scalar_water_level(gain_row, total, noise)
+        assert np.array_equal(power_row, np.maximum(level - noise / gain_row**2, 0.0))
 
 
 def test_link_metrics_single_user():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarlink import (AntennaPose, Constraints, LayoutVariables, MediumParams,
-                       OptimizerConfig, objective, optimize, quantize_angles,
-                       separation_projection)
+                       OptimizerConfig, cartesian_to_spherical, objective, optimize,
+                       quantize_angles, separation_projection)
+from polarlink import optimizer as optimizer_module
 from polarlink.channel import ChannelMatrix, gain_matrix, link_terms
 from polarlink.errors import (ConfigurationError, InfeasibleLayoutError,
-                              ProjectionError)
+                              ProjectionError, SingularChannelError)
 from polarlink.geometry import angles_to_unit
 from polarlink.mimo import solve_beamforming
 from polarlink.optimizer import (check_feasible, default_initial_layout,
@@ -73,10 +75,10 @@ def test_finite_difference_gradient_on_quadratic():
     layout = _layout()
     center = layout.tx_angles.ravel().copy()
 
-    def quad(candidate):
-        x = candidate.tx_angles.ravel() - center
-        weights = np.arange(1.0, x.size + 1.0)
-        return float(-np.sum(weights * x * x) + 3.0 * x[0])
+    def quad(stack):
+        x = stack.tx_angles.reshape(len(stack.tx_angles), -1) - center
+        weights = np.arange(1.0, center.size + 1.0)
+        return -np.sum(weights * x * x, axis=1) + 3.0 * x[:, 0]
 
     grad = finite_difference_gradient(layout, "tx_angles", quad, 1e-5)
     expected = np.zeros(center.size)
@@ -86,13 +88,86 @@ def test_finite_difference_gradient_on_quadratic():
 
 def test_finite_difference_gradient_constant_objective():
     layout = _layout()
-    grad = finite_difference_gradient(layout, "rx_angles", lambda c: 1.23, 1e-5)
+    grad = finite_difference_gradient(
+        layout, "rx_angles", lambda stack: np.full(len(stack.rx_angles), 1.23), 1e-5)
     assert np.all(grad == 0.0)
 
 
 def test_finite_difference_gradient_unknown_block():
     with pytest.raises(ConfigurationError):
-        finite_difference_gradient(_layout(), "nonsense", lambda c: 0.0, 1e-5)
+        finite_difference_gradient(_layout(), "nonsense",
+                                   lambda stack: np.zeros(len(stack.tx_angles)), 1e-5)
+
+
+def test_finite_difference_gradient_builds_one_channel(monkeypatch):
+    # All 32 probes of an 8-antenna block go through one channel build.
+    calls = []
+
+    def counting_gain_matrix(*args):
+        calls.append(args)
+        return gain_matrix(*args)
+
+    monkeypatch.setattr(optimizer_module, "gain_matrix", counting_gain_matrix)
+    layout = _layout(antennas=8, users=2, seed=3)
+    grad = finite_difference_gradient(
+        layout, "tx_angles", lambda stack: objective(stack, [USER_A, USER_B], MEDIUM, 0.5),
+        1e-5)
+    assert len(calls) == 1
+    assert grad.shape == (16,) and np.all(np.isfinite(grad))
+
+
+def _users(rng, count):
+    return [AntennaPose(position=p, orientation=n) for p, n in
+            zip(rng.uniform(-100.0, 100.0, (count, 3)) + [0.0, 0.0, 150.0],
+                rng.standard_normal((count, 3)))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), antennas=st.sampled_from([1, 2, 4, 8]),
+       user_share=st.integers(0, 3), batch=st.integers(1, 6),
+       block=st.sampled_from(["tx_angles", "rx_angles"]))
+def test_stacked_objective_equals_single_layouts(seed, antennas, user_share, batch, block):
+    # K <= L in {1, 2, 4, 8}; the stack varies one block, as a gradient does.
+    users = max(antennas >> user_share, 1)
+    rng = np.random.default_rng(seed)
+    layout = _layout(antennas, users, seed)
+    people = _users(rng, users)
+    rows = rng.uniform(-4.0, 8.0, (batch,) + getattr(layout, block).shape)
+    stack = layout.copy()
+    setattr(stack, block, rows)
+    values = objective(stack, people, MEDIUM, 0.5)
+    assert values.shape == (batch,)
+    for b in range(batch):
+        single = layout.copy()
+        setattr(single, block, rows[b])
+        try:
+            expected = objective(single, people, MEDIUM, 0.5)
+        except SingularChannelError:
+            expected = -math.inf
+        assert values[b] == expected
+
+
+def test_stacked_objective_singular_row_reads_minus_inf():
+    # Pointing every transmit axis at user A zeroes A's channel row.
+    layout = _layout(antennas=4, users=2, seed=7)
+    towards_a = cartesian_to_spherical(USER_A.position)
+    singular = np.tile([towards_a.polar, towards_a.azimuthal], (4, 1))
+    rows = np.stack([layout.tx_angles, singular, layout.tx_angles + 0.3])
+    stack = layout.copy()
+    stack.tx_angles = rows
+    users = [USER_A, USER_B]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = objective(stack, users, MEDIUM, 0.5)
+    assert values[1] == -math.inf
+    for b in (0, 2):
+        single = layout.copy()
+        single.tx_angles = rows[b]
+        assert values[b] == objective(single, users, MEDIUM, 0.5)
+    lone = layout.copy()
+    lone.tx_angles = singular
+    with pytest.raises(SingularChannelError):
+        objective(lone, users, MEDIUM, 0.5)
 
 
 def test_separation_projection_feasible_unchanged():
