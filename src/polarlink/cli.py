@@ -9,6 +9,7 @@ geometry or scenario, 5 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -88,8 +89,20 @@ def _parse_triple(text: str, flag: str) -> np.ndarray:
         raise ConfigurationError(f"{flag}: {exc}") from None
 
 
+def _load_config(path: Optional[str]) -> Optional[RunConfig]:
+    """The configuration in the file at `path` (defaults without one), or None
+    after reporting a file that cannot be read."""
+    try:
+        return RunConfig.from_file(path) if path else RunConfig()
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_channel_eval(args) -> int:
-    config = RunConfig.from_file(args.config) if args.config else RunConfig()
+    config = _load_config(args.config)
+    if config is None:
+        return EXIT_IO
     medium = config.medium()
     try:
         tx = AntennaPose(position=_parse_triple(args.tx_pos, "--tx-pos"),
@@ -140,15 +153,12 @@ def _record_rows(records: Sequence[RunRecord]):
 
 
 def cmd_run(args) -> int:
-    try:
-        config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
+    config = _load_config(args.config)
+    if config is None:
         return EXIT_IO
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.reps is not None:
-        config.repetitions = args.reps
+    overrides = {"seed": args.seed, "repetitions": args.reps}
+    config = dataclasses.replace(
+        config, **{name: value for name, value in overrides.items() if value is not None})
 
     medium = config.medium()
     optimizer_config = config.optimizer()

@@ -2,13 +2,16 @@
 
 Every function takes a single K x L channel or a stack of them, (..., K, L),
 and treats each channel of a stack exactly as it would treat that channel
-alone: batched SVD, inverse and cumulative sums run the same LAPACK routine
-and the same summation order per matrix, so a stacked result equals the
-per-channel results bit for bit. A single channel that fails the condition
-check raises SingularChannelError. In a stack such a channel is flagged
-instead (Precoder.singular): its gram matrix is swapped for the identity
-before the inverse, so it cannot stop the other channels, and its total SINR
-is -inf.
+alone: batched SVD and inverse run the same LAPACK routine per matrix, and
+sorts and cumulative sums the same order per row, so a stacked result equals
+the per-channel results bit for bit. Water filling has no iteration: the
+water level is the closed form over the sorted, prefix-summed thresholds,
+which are shifted to their minimum so the powers spend the budget to
+rounding (within about 1e-15 of it). A single channel that fails the
+condition check raises SingularChannelError. In a stack such a channel is
+flagged instead (Precoder.singular): its gram matrix is swapped for the
+identity before the inverse, so it cannot stop the other channels, and its
+total SINR is -inf.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .channel import ChannelMatrix
 from .errors import ConfigurationError, SingularChannelError
 
 CONDITION_LIMIT = 1e12
-_WATERFILL_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,13 @@ def water_filling(diag_gains, total_power: float, noise_power: float) -> PowerAl
     """Water-filling power allocation over interference-free per-user channels.
 
     P_k = max(level - 1/snr_k, 0) with snr_k = g_k^2 / sigma^2 the per-unit-power
-    SNR; the common water level is found by bisection so the powers sum to the
-    budget within 1e-9 of it. diag_gains is (K,) or a stack (..., K); every
-    row bisects on its own and stops when it alone has converged.
+    SNR, and the common water level in closed form: with the thresholds 1/snr_k
+    sorted, funding the m cheapest users sets the level to (P + their sum) / m,
+    and m is the largest count whose m-th threshold lies below that level.
+    The thresholds are taken relative to their minimum first, so every funded
+    quantity is below the budget and rounds relative to it, not to 1/snr: the
+    powers sum to the budget within about 1e-15 of it. diag_gains is (K,) or a
+    stack (..., K); every row is solved on its own.
     """
     gains = np.asarray(diag_gains, dtype=float)
     if np.any(gains <= 0):
@@ -110,35 +116,16 @@ def water_filling(diag_gains, total_power: float, noise_power: float) -> PowerAl
     if not total_power > 0:
         raise ConfigurationError(f"total power must be positive, got {total_power}")
     inv_snr = noise_power / gains**2
+    excess = inv_snr - inv_snr.min(axis=-1, keepdims=True)
 
-    # used(level) = sum_k max(level - inv_snr_k, 0) is piecewise linear; with
-    # the thresholds sorted and prefix-summed, a probe counts the thresholds
-    # at or below the level. Rows are bisected side by side under a running
-    # mask, each stopping where the one-row bisection would.
-    thresholds = np.sort(inv_snr, axis=-1).reshape(-1, inv_snr.shape[-1])
-    rows, count = thresholds.shape
-    prefix = np.zeros((rows, count + 1))
-    np.cumsum(thresholds, axis=1, out=prefix[:, 1:])
-    prefix_flat, row_start = prefix.ravel(), np.arange(rows) * (count + 1)
-
-    low = np.zeros(rows)
-    high = total_power + prefix[:, -1]
-    running = np.ones(rows, dtype=bool)
-    for _ in range(_WATERFILL_MAX_ITER):
-        # A stopped row keeps its bounds, so its level stays where it stopped:
-        # on the budget test the bounds are those it was computed from, on the
-        # interval test they have met at it.
-        level = 0.5 * (low + high)
-        active = (thresholds <= level[:, None]).sum(axis=1)
-        used = active * level - prefix_flat.take(row_start + active)
-        running &= ~(np.abs(used - total_power) <= 1e-12 * total_power)
-        over = used > total_power
-        np.copyto(high, level, where=running & over)
-        np.copyto(low, level, where=running & ~over)
-        running &= ~(high - low <= 1e-16 * high)
-        if not running.any():
-            break
-    powers = np.maximum(level.reshape(inv_snr.shape[:-1])[..., None] - inv_snr, 0.0)
+    # The counts m whose m-th sorted threshold lies below levels[m-1] form a
+    # prefix: m = 1 always does (its threshold is 0), and once t_m >= level_m,
+    # level_{m+1} = (m level_m + t_{m+1}) / (m+1) <= t_{m+1}.
+    thresholds = np.sort(excess, axis=-1)
+    levels = (total_power + np.cumsum(thresholds, axis=-1)) / np.arange(1, gains.shape[-1] + 1)
+    active = np.sum(thresholds < levels, axis=-1, keepdims=True)
+    level = np.take_along_axis(levels, active - 1, axis=-1)
+    powers = np.maximum(level - excess, 0.0)
     return PowerAllocation(powers=powers, total_power=float(total_power))
 
 

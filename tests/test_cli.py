@@ -178,6 +178,28 @@ def test_run_missing_config_exits_3(tmp_path, capsys):
                  "--out", str(out)]) == 3
 
 
+@pytest.mark.parametrize("payload", [None, "{not json"])
+def test_channel_eval_unreadable_config_exits_3(tmp_path, capsys, payload):
+    path = tmp_path / "config.json"
+    if payload is not None:
+        path.write_text(payload)
+    code = main(["channel-eval", "--tx-pos", "0,0,0", "--tx-dir", "0,0,1",
+                 "--rx-pos", RX, "--rx-dir", "0,0,1", "--config", str(path)])
+    assert code == 3
+    assert "error: cannot read config:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reps", ["0", "-3"])
+def test_run_nonpositive_reps_override_exits_2(tmp_path, capsys, reps):
+    cfg = _fast_config(tmp_path)
+    out = tmp_path / "users.csv"
+    assert main(["run", "sweep-users", "--config", cfg, "--out", str(out),
+                 "--reps", reps]) == 2
+    assert "repetitions must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "users.csv.meta.json").exists()
+
+
 def test_run_invalid_config_key_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"not_a_key": 1}))

@@ -49,10 +49,10 @@ def test_zf_singular_channel_raises():
 
 
 def test_stacked_beamforming_equals_single_channels():
-    # With all four users funded the bisection of the first channel stops at
-    # its second step; the weak fourth user of the last channel goes unfunded
-    # and its bisection runs on for about 50 steps. The zero user row of the
-    # middle channel is flagged, not raised, and the other channels are unchanged.
+    # All four users of the first channel are funded; the weak fourth user of
+    # the last channel goes unfunded, so its water level comes from a shorter
+    # prefix. The zero user row of the middle channel is flagged, not raised,
+    # and the other channels are unchanged.
     channels = [_random_channel(seed, users=4, antennas=5).entries for seed in (20, 21, 22)]
     channels[1][0] = 0.0
     channels[2][3] *= 1e-3
@@ -109,13 +109,21 @@ def test_water_filling_budget_and_level_properties(seed):
     noise = float(rng.uniform(1e-6, 1e-4))
     alloc = water_filling(gains, total, noise)
     assert np.all(alloc.powers >= 0.0)
-    assert abs(float(alloc.powers.sum()) - total) <= 1e-9 * total
+    assert abs(float(alloc.powers.sum()) - total) <= 1e-12 * total
     inv_snr = noise / gains**2
     funded = alloc.powers > 0
     levels = (alloc.powers + inv_snr)[funded]
-    assert np.ptp(levels) <= 1e-6 * levels.mean()
+    assert np.ptp(levels) <= 1e-12 * levels.mean()
     if np.any(~funded):
         assert inv_snr[~funded].min() >= levels.mean() * (1.0 - 1e-6)
+
+
+def test_water_filling_spends_budget_over_large_thresholds():
+    # Thresholds near 8e3 against a 0.019 W budget: subtracting them from an
+    # absolute water level cancels about 6 of the budget's 16 digits.
+    total = 0.01853098965730244
+    alloc = water_filling(np.full(8, 1e-4), total, 8.241683404283027e-05)
+    assert abs(float(alloc.powers.sum()) - total) <= 1e-12 * total
 
 
 def _scalar_water_level(gains, total, noise):
@@ -145,9 +153,9 @@ def _scalar_water_level(gains, total, noise):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_stacked_water_filling_matches_scalar_bisection(seed):
-    # Rows stop after different numbers of steps: equal strong gains meet the
-    # budget test within a few, equal weak ones (thresholds far above a small
-    # budget) can run all 200. Each must end where it would alone.
+    # Rows of equal strong gains, equal weak ones (thresholds far above a
+    # small budget) and mixed ones with unfunded users: each stacked row must
+    # equal its one-row call bit for bit and match the bisection's level.
     rng = np.random.default_rng(seed)
     rows, count = int(rng.integers(1, 7)), int(rng.integers(1, 9))
     gains = rng.uniform(1e-6, 1e-2, (rows, count))
@@ -158,8 +166,10 @@ def test_stacked_water_filling_matches_scalar_bisection(seed):
     noise = float(rng.uniform(1e-6, 1e-4))
     powers = water_filling(gains, total, noise).powers
     for gain_row, power_row in zip(gains, powers):
+        assert np.array_equal(power_row, water_filling(gain_row, total, noise).powers)
         level = _scalar_water_level(gain_row, total, noise)
-        assert np.array_equal(power_row, np.maximum(level - noise / gain_row**2, 0.0))
+        expected = np.maximum(level - noise / gain_row**2, 0.0)
+        assert np.max(np.abs(power_row - expected)) <= 1e-11 * level
 
 
 def test_link_metrics_single_user():
