@@ -2,16 +2,17 @@
 
 Every function takes a single K x L channel or a stack of them, (..., K, L),
 and treats each channel of a stack exactly as it would treat that channel
-alone: batched SVD and inverse run the same LAPACK routine per matrix, and
+alone: a batched SVD runs the same LAPACK routine per matrix, and
 sorts and cumulative sums the same order per row, so a stacked result equals
 the per-channel results bit for bit. Water filling has no iteration: the
 water level is the closed form over the sorted, prefix-summed thresholds,
 which are shifted to their minimum so the powers spend the budget to
 rounding (within about 1e-15 of it). A single channel that fails the
 condition check raises SingularChannelError. In a stack such a channel is
-flagged instead (Precoder.singular): its gram matrix is swapped for the
-identity before the inverse, so it cannot stop the other channels, and its
-total SINR is -inf.
+flagged instead (Precoder.singular): its singular values are set to 1 before
+the divide, so it cannot stop the other channels, and its total SINR is -inf.
+Zero forcing comes from one SVD of the channel, never from the gram matrix
+H H^H, whose inverse would square the condition number.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class Precoder:
     diag_gains[..., k] is |H W| on the diagonal for user k, equal to the
     reciprocal norm of the unnormalized zero-forcing column. singular flags the
     channels of a stack that failed the condition check; their columns and
-    gains are placeholders (the conjugate channel, gains 1).
+    gains are placeholders (V U^H from the SVD H = U S V^H, gains 1).
     """
 
     columns: np.ndarray
@@ -71,31 +72,61 @@ class BeamformingSolution:
     metrics: LinkMetrics
 
 
-def zf_precoder(H: ChannelMatrix) -> Precoder:
-    """Zero-forcing precoder W = H^H (H H^H)^{-1}, columns normalized.
+def _zf_svd(entries: np.ndarray):
+    """(U, S, Vh, singular): the thin SVD H = U S Vh behind zero forcing.
 
     A channel that is rank deficient or has a condition number above 1e12 is
-    ill conditioned; it is reported, never silently regularized. A single
-    K x L channel raises SingularChannelError; in a (..., K, L) stack the
-    channel is flagged in Precoder.singular and the others are solved as usual.
+    ill conditioned. A single K x L channel raises SingularChannelError; in a
+    (..., K, L) stack it is flagged in singular and its S is set to 1, so no
+    divide by S meets a zero.
     """
-    entries = H.entries
-    singular_values = np.linalg.svd(entries, compute_uv=False)
-    smallest, largest = singular_values[..., -1], singular_values[..., 0]
+    U, S, Vh = np.linalg.svd(entries, full_matrices=False)
+    smallest, largest = S[..., -1], S[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         singular = (smallest <= 0.0) | (largest / smallest > CONDITION_LIMIT)
     if entries.ndim == 2 and singular:
         raise SingularChannelError(
             f"channel condition number {largest / max(smallest, 1e-300):.3e} "
             f"exceeds {CONDITION_LIMIT:.0e}")
-    hermitian = np.swapaxes(entries.conj(), -1, -2)
-    gram = entries @ hermitian
-    gram[singular] = np.eye(entries.shape[-2])
-    unnormalized = hermitian @ np.linalg.inv(gram)
+    S[singular] = 1.0
+    return U, S, Vh, singular
+
+
+def zf_precoder(H: ChannelMatrix) -> Precoder:
+    """Zero-forcing precoder W = V S^-1 U^H from the SVD H = U S V^H, columns normalized.
+
+    This is the pseudo-inverse H^H (H H^H)^-1 without forming H H^H, so the
+    interference stays nulled up to the channel's own condition number, not
+    its square. A channel that is rank deficient or has a condition number
+    above 1e12 is ill conditioned; it is reported, never silently
+    regularized. A single K x L channel raises SingularChannelError; in a
+    (..., K, L) stack the channel is flagged in Precoder.singular and the
+    others are solved as usual.
+    """
+    U, S, Vh, singular = _zf_svd(H.entries)
+    unnormalized = (np.swapaxes(Vh.conj(), -1, -2) / S[..., None, :]) \
+        @ np.swapaxes(U.conj(), -1, -2)
     column_norms = np.linalg.norm(unnormalized, axis=-2)
-    column_norms[singular] = 1.0
     return Precoder(columns=unnormalized / column_norms[..., None, :],
                     diag_gains=1.0 / column_norms, singular=singular)
+
+
+def _water_level(inv_snr: np.ndarray, total_power: float):
+    """(excess, level): the thresholds inv_snr (..., K) shifted to their row
+    minimum, and the water level (..., 1) above that minimum.
+
+    The funded powers are level - excess; the unshifted level is level plus
+    the row minimum.
+    """
+    excess = inv_snr - inv_snr.min(axis=-1, keepdims=True)
+
+    # The counts m whose m-th sorted threshold lies below levels[m-1] form a
+    # prefix: m = 1 always does (its threshold is 0), and once t_m >= level_m,
+    # level_{m+1} = (m level_m + t_{m+1}) / (m+1) <= t_{m+1}.
+    thresholds = np.sort(excess, axis=-1)
+    levels = (total_power + np.cumsum(thresholds, axis=-1)) / np.arange(1, inv_snr.shape[-1] + 1)
+    active = np.sum(thresholds < levels, axis=-1, keepdims=True)
+    return excess, np.take_along_axis(levels, active - 1, axis=-1)
 
 
 def water_filling(diag_gains, total_power: float, noise_power: float) -> PowerAllocation:
@@ -115,16 +146,7 @@ def water_filling(diag_gains, total_power: float, noise_power: float) -> PowerAl
         raise ConfigurationError("post-precoding gains must be positive")
     if not total_power > 0:
         raise ConfigurationError(f"total power must be positive, got {total_power}")
-    inv_snr = noise_power / gains**2
-    excess = inv_snr - inv_snr.min(axis=-1, keepdims=True)
-
-    # The counts m whose m-th sorted threshold lies below levels[m-1] form a
-    # prefix: m = 1 always does (its threshold is 0), and once t_m >= level_m,
-    # level_{m+1} = (m level_m + t_{m+1}) / (m+1) <= t_{m+1}.
-    thresholds = np.sort(excess, axis=-1)
-    levels = (total_power + np.cumsum(thresholds, axis=-1)) / np.arange(1, gains.shape[-1] + 1)
-    active = np.sum(thresholds < levels, axis=-1, keepdims=True)
-    level = np.take_along_axis(levels, active - 1, axis=-1)
+    excess, level = _water_level(noise_power / gains**2, total_power)
     powers = np.maximum(level - excess, 0.0)
     return PowerAllocation(powers=powers, total_power=float(total_power))
 

@@ -3,7 +3,10 @@
 Maximizes the equivalent total SINR of the zero-forcing + water-filling link
 by cycling through two variable blocks (receive orientations, transmit
 orientations). Orientations are parameterized by their polar/azimuthal angles
-so ascent steps stay unconstrained.
+so ascent steps stay unconstrained. Each block's gradient is exact: the
+objective has a closed form in the channel, and _exact_gradient chains its
+derivative through the terms of one channel.link_terms call and the angle
+chart. The backtracking line search evaluates objective itself.
 
 Transmit positions are fixed inputs: the channel is built from them as given
 and no block moves them. Under the plane-wave model a translation changes only
@@ -25,11 +28,11 @@ from typing import Callable, List, Sequence, Union
 
 import numpy as np
 
-from .channel import ChannelMatrix, gain_matrix
+from .channel import ChannelMatrix, gain_matrix, link_terms
 from .errors import ConfigurationError, InfeasibleLayoutError, ProjectionError
 from .geometry import AntennaPose, angles_to_unit
 from .medium import MediumParams
-from .mimo import BeamformingSolution, solve_beamforming
+from .mimo import BeamformingSolution, _water_level, _zf_svd, solve_beamforming
 
 _TWO_PI = 2.0 * np.pi
 _FEASIBILITY_TOL = 1e-9
@@ -124,7 +127,6 @@ def wrap_angles(angles: np.ndarray) -> np.ndarray:
 class OptimizerConfig:
     max_outer_iterations: int = 100
     inner_steps: int = 3
-    fd_step_angle: float = 1e-5
     initial_step_angle: float = 0.1
     armijo_c: float = 1e-4
     shrink_factor: float = 0.5
@@ -134,7 +136,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_outer_iterations <= 0 or self.inner_steps <= 0:
             raise ConfigurationError("iteration counts must be positive")
-        for name in ("fd_step_angle", "initial_step_angle", "armijo_c", "shrink_factor"):
+        for name in ("initial_step_angle", "armijo_c", "shrink_factor"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be positive")
         if not 0.0 < self.convergence_tol < 1.0:
@@ -209,7 +211,9 @@ def finite_difference_gradient(layout: LayoutVariables, block: str,
                                fd_step: float) -> np.ndarray:
     """Central-difference gradient of func over one variable block of n coordinates.
 
-    func is called once, on a stacked layout whose block holds the 2n probes
+    The reference the tests check _exact_gradient against; optimize does not
+    call it (the benchmark's traced run still wraps it by name). func is
+    called once, on a stacked layout whose block holds the 2n probes
     (rows 2i and 2i + 1 bump coordinate i up and down), and returns one value
     per row. A probe that reads -inf makes its coordinate non-finite.
     Angle coordinates may momentarily leave their canonical ranges during the
@@ -224,6 +228,102 @@ def finite_difference_gradient(layout: LayoutVariables, block: str,
     values = np.asarray(func(_with_block_vector(layout, block, probes)), dtype=float)
     with np.errstate(invalid="ignore"):
         return (values[0::2] - values[1::2]) / (2.0 * fd_step)
+
+
+def _axes_and_tangents(angles: np.ndarray):
+    """Unit axes (n, 3) of (polar, azimuthal) rows (n, 2) and their derivatives
+    along the polar and the azimuthal angle, from one sin and cos of each.
+
+    The axes equal angles_to_unit's bit for bit.
+    """
+    sin_p, cos_p = np.sin(angles[:, 0]), np.cos(angles[:, 0])
+    sin_a, cos_a = np.sin(angles[:, 1]), np.cos(angles[:, 1])
+    axes = np.stack([sin_p * cos_a, sin_p * sin_a, cos_p], axis=-1)
+    d_polar = np.stack([cos_p * cos_a, cos_p * sin_a, -sin_p], axis=-1)
+    d_azimuthal = np.stack([-sin_p * sin_a, sin_p * cos_a, np.zeros_like(sin_p)], axis=-1)
+    return axes, d_polar, d_azimuthal
+
+
+def _exact_gradient(layout: LayoutVariables, block: str, rx_positions: np.ndarray,
+                    medium: MediumParams, total_power: float) -> np.ndarray:
+    """Exact gradient of objective over one orientation block, ordered as _block_vector.
+
+    Under zero forcing plus water filling, 1 + sinr_k = level / t_k for a
+    funded user and 1 otherwise, with t_k = sigma^2 [(H H^H)^-1]_kk, so
+    J = exp(mean log(1 + sinr)) - 1 has a closed form. Its differential is
+    dJ = sum_k c_k d[G^-1]_kk with G = H H^H and
+    c_k = (J + 1) sigma^2 (1/level - 1/t_k) / K, zero for unfunded users (the
+    level's own change cancels). In H that is dJ = 2 Re sum conj(Gamma_kl) dH_kl
+    with Gamma = -G^-1 diag(c) G^-1 H (Wirtinger calculus; Hjorungnes,
+    Complex-Valued Matrix Derivatives, 2011), where G^-1 = U S^-2 U^H comes
+    from zero forcing's SVD H = U S V^H.
+
+    Each gain is h_kl = A_kl rad(cos_e) m(cos_a, cos_i) with A_kl fixed by
+    the positions, so dH_kl = h_kl d log(rad m). A transmit axis n_l moves
+    cos_e and cos_a; a receive axis r_k moves cos_a and, through the Fresnel
+    coefficients, cos_i = sqrt(1 - sin_i^2). Where the gain is exactly 0
+    (a degenerate entry, or m = 0 at grazing incidence) the objective has a
+    cone point and the entry contributes 0; so does the Fresnel term at
+    grazing incidence, cos_i = 0, where it has no direction. Raises
+    SingularChannelError if the layout's channel fails the condition check.
+    """
+    tx_axes, tx_d_polar, tx_d_azimuthal = _axes_and_tangents(layout.tx_angles)
+    rx_axes, rx_d_polar, rx_d_azimuthal = _axes_and_tangents(layout.rx_angles)
+    terms = link_terms(layout.tx_positions, tx_axes, rx_positions, rx_axes, medium)
+    gains = terms.gains
+    users = gains.shape[0]
+
+    U, S, Vh, _ = _zf_svd(gains)
+    noise = medium.noise_power
+    inv_snr = noise * np.sum(np.abs(U)**2 / S**2, axis=-1)
+    excess, level = _water_level(inv_snr, total_power)
+    sinr = np.maximum(level - excess, 0.0) / inv_snr
+    # 1/level - 1/t_k = -sinr_k / level for funded users, with the unshifted level.
+    dj_dq = -np.exp(np.mean(np.log1p(sinr))) * noise * sinr / (users * (level + inv_snr.min()))
+    inner = (U.conj().T * dj_dq) @ U / (S[:, None]**2 * S[None, :])
+    gamma = -(U @ inner @ Vh)
+    # dJ = sum_kl weight_kl d log(rad_kl m_kl), a zero gain weighing 0.
+    weight = 2.0 * np.real(np.conj(gamma) * gains)
+
+    rx_hat = rx_positions / np.linalg.norm(rx_positions, axis=1)[:, None]
+    cos_e, cos_m, matching = terms.cos_emission, terms.cos_matching, terms.matching
+    g_par, g_perp = terms.gamma_par[:, None], terms.gamma_perp[:, None]
+    stripped = tx_axes[None, :, :] - cos_e[..., None] * rx_hat[:, None, :]
+    stripped_norm = np.where(terms.degenerate, 1.0, np.linalg.norm(stripped, axis=-1))
+    field_dir = stripped / stripped_norm[..., None]
+    # m^2 = 1 - g_perp^2 - (g_par^2 - g_perp^2) cos_a^2, so weight * d log m is
+    # weight / m^2 times d(m^2) / 2.
+    per_m2 = np.divide(weight, matching**2, out=np.zeros_like(weight), where=matching > 0)
+    d_cos_m = -(g_par**2 - g_perp**2) * cos_m * per_m2
+
+    if block == BLOCK_TX_ANGLES:
+        # log rad = log cos(pi c / 2) - log(1 - c^2) / 2, with 1 - c^2 = |stripped|^2.
+        d_cos_e = np.where(terms.degenerate, 0.0, weight * (
+            -0.5 * np.pi * np.tan(0.5 * np.pi * cos_e) + cos_e / stripped_norm**2))
+        # d cos_a / d n = (P r - cos_a f) / |stripped|, P the projector off the path.
+        projected_rx = rx_axes - np.sum(rx_hat * rx_axes, axis=-1)[:, None] * rx_hat
+        along = d_cos_m / stripped_norm
+        grad_axes = (d_cos_e.T @ rx_hat + along.T @ projected_rx
+                     - np.einsum("kl,kli->li", along * cos_m, field_dir))
+        d_polar, d_azimuthal = tx_d_polar, tx_d_azimuthal
+    elif block == BLOCK_RX_ANGLES:
+        cos_i = np.sqrt((1.0 - terms.sin_incidence) * (1.0 + terms.sin_incidence))
+        eps = medium.relative_permittivity
+        root = np.sqrt(eps - 1.0 + cos_i**2)
+        d_par = (-2.0 * eps * (eps - 1.0) / (root * (root + eps * cos_i)**2))[:, None]
+        d_perp = (-2.0 * (eps - 1.0) / (root * (root + cos_i)**2))[:, None]
+        d_cos_i = np.sum(-(g_par * d_par * cos_m**2 + g_perp * d_perp * (1.0 - cos_m**2))
+                         * per_m2, axis=-1)
+        # d cos_i / d r = -(u . r) u / cos_i, without a direction at cos_i = 0.
+        along_path = np.divide(-np.sum(rx_hat * rx_axes, axis=-1) * d_cos_i, cos_i,
+                               out=np.zeros_like(cos_i), where=cos_i > 0)
+        grad_axes = (np.einsum("kl,kli->ki", d_cos_m, field_dir)
+                     + along_path[:, None] * rx_hat)
+        d_polar, d_azimuthal = rx_d_polar, rx_d_azimuthal
+    else:
+        raise ConfigurationError(f"unknown block {block!r}")
+    return np.stack([np.sum(grad_axes * d_polar, axis=-1),
+                     np.sum(grad_axes * d_azimuthal, axis=-1)], axis=-1).ravel()
 
 
 def _pair_halfspace_violations(positions: np.ndarray, previous: np.ndarray,
@@ -295,21 +395,6 @@ def check_feasible(positions: np.ndarray, constraints: Constraints) -> bool:
     return True
 
 
-def default_initial_layout(antenna_count: int, user_count: int,
-                           constraints: Constraints, medium: MediumParams) -> LayoutVariables:
-    """Vertical orientations and a half-wavelength grid centered in the box."""
-    spacing = medium.wavelength / 2.0
-    center = 0.5 * (constraints.box_min + constraints.box_max)
-    offsets = (np.arange(antenna_count) - 0.5 * (antenna_count - 1)) * spacing
-    positions = np.tile(center, (antenna_count, 1))
-    positions[:, 0] += offsets
-    return LayoutVariables(
-        tx_angles=np.zeros((antenna_count, 2)),
-        tx_positions=positions,
-        rx_angles=np.zeros((user_count, 2)),
-    )
-
-
 def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
              medium: MediumParams, total_power: float, constraints: Constraints,
              config: OptimizerConfig) -> OptimizeResult:
@@ -317,9 +402,10 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
 
     Blocks run in BLOCK_ORDER, skipping those whose optimize_* flag is off; an
     outer sweep with no active block still records one iteration. Each
-    gradient is one stacked objective call over all its probes; the
-    backtracking line search then tries one step at a time, each a stack of
-    one row, so a singular trial reads -inf and is rejected. Each accepted
+    gradient is exact (_exact_gradient: one channel build through link_terms
+    and one SVD, no objective call); the backtracking line search then tries
+    one step at a time, each an objective call on a stack of one row, so a
+    singular trial reads -inf and is rejected. Each accepted
     step passes an Armijo test, so the recorded trace is non-decreasing.
     Stops when one full outer sweep improves the objective by less than the
     relative convergence tolerance. The starting layout's channel must be
@@ -330,9 +416,7 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
     if not check_feasible(layout.tx_positions, constraints):
         raise InfeasibleLayoutError("initial transmit positions violate the constraints")
 
-    def stacked_objective(candidate: LayoutVariables) -> np.ndarray:
-        return objective(candidate, users, medium, total_power)
-
+    rx_positions = np.array([u.position for u in users])
     start_time = time.perf_counter()
     current = objective(layout, users, medium, total_power)
     trace = ConvergenceTrace(total_sinr=[current])
@@ -350,8 +434,7 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
                 continue
             block_start = current
             for _ in range(config.inner_steps):
-                grad = finite_difference_gradient(layout, block, stacked_objective,
-                                                  config.fd_step_angle)
+                grad = _exact_gradient(layout, block, rx_positions, medium, total_power)
                 grad_sq = float(grad @ grad)
                 if not np.isfinite(grad_sq) or grad_sq == 0.0:
                     break
@@ -361,8 +444,8 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
                 for _ in range(config.max_backtracks):
                     trial = base + step * grad
                     # A stack of one row, so a singular channel reads -inf.
-                    value = float(stacked_objective(
-                        _with_block_vector(layout, block, trial[None, :]))[0])
+                    value = float(objective(_with_block_vector(layout, block, trial[None, :]),
+                                            users, medium, total_power)[0])
                     if value >= current + config.armijo_c * step * grad_sq:
                         layout = _with_block_vector(layout, block, trial)
                         layout.canonicalize_angles()
@@ -379,7 +462,6 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
             break
 
     trace.wall_time = time.perf_counter() - start_time
-    rx_positions = np.array([u.position for u in users])
     gains = gain_matrix(layout.tx_positions, layout.tx_orientations(),
                         rx_positions, layout.rx_orientations(), medium)
     beamforming = solve_beamforming(ChannelMatrix(entries=gains), total_power,

@@ -42,6 +42,38 @@ def test_zf_nulls_interference():
     assert np.allclose(diag, pre.diag_gains, rtol=1e-12)
 
 
+def _conditioned_channel(cond, seed, size=8):
+    """size x size channel U diag(s) V^H with s log-spaced from 1 down to 1/cond."""
+    rng = np.random.default_rng(seed)
+
+    def unitary():
+        q, r = np.linalg.qr(rng.standard_normal((size, size))
+                            + 1j * rng.standard_normal((size, size)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+    return (unitary() * np.logspace(0.0, -math.log10(cond), size)) @ unitary()
+
+
+@pytest.mark.parametrize("cond", [1e8, 1e10])
+def test_zf_leakage_stays_at_the_condition_number(cond):
+    # Zero forcing from the SVD leaks about eps * cond; inverting H H^H would
+    # square the condition number (leakage 0.3 at 1e8, 20 at 1e10).
+    for seed in range(10):
+        H = ChannelMatrix(entries=_conditioned_channel(cond, seed))
+        effective = H.entries @ zf_precoder(H).columns
+        diag = np.abs(np.diag(effective))
+        off = np.abs(effective - np.diag(np.diag(effective)))
+        assert off.max() <= 10.0 * np.finfo(float).eps * cond * diag.min()
+
+
+@pytest.mark.parametrize("cond", [1e8, 1e10])
+def test_zf_gains_match_pseudo_inverse(cond):
+    for seed in range(10):
+        entries = _conditioned_channel(cond, seed)
+        expected = 1.0 / np.linalg.norm(np.linalg.pinv(entries), axis=0)
+        gains = zf_precoder(ChannelMatrix(entries=entries)).diag_gains
+        assert np.allclose(gains, expected, rtol=1e-9, atol=0.0)
+
+
 def test_zf_singular_channel_raises():
     entries = np.ones((2, 3), dtype=complex)   # identical rows
     with pytest.raises(SingularChannelError):

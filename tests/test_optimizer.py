@@ -3,11 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polarlink import (AntennaPose, Constraints, LayoutVariables, MediumParams,
-                       OptimizerConfig, cartesian_to_spherical, objective, optimize,
+                       OptimizerConfig, cartesian_to_spherical, harness, objective, optimize,
                        quantize_angles, separation_projection)
 from polarlink import optimizer as optimizer_module
 from polarlink.channel import ChannelMatrix, gain_matrix, link_terms
@@ -15,12 +15,14 @@ from polarlink.errors import (ConfigurationError, InfeasibleLayoutError,
                               ProjectionError, SingularChannelError)
 from polarlink.geometry import angles_to_unit
 from polarlink.mimo import solve_beamforming
-from polarlink.optimizer import (check_feasible, default_initial_layout,
+from polarlink.optimizer import (BLOCK_ORDER, _exact_gradient, check_feasible,
                                  finite_difference_gradient, wrap_angles)
 
 MEDIUM = MediumParams()
 USER_A = AntennaPose(position=[75.0, -40.0, 50.0], orientation=[0.0, 0.0, 1.0])
 USER_B = AntennaPose(position=[-30.0, 55.0, -20.0], orientation=[1.0, 0.0, 0.0])
+USER_ZENITH = AntennaPose(position=[0.0, 0.0, 100.0], orientation=[0.0, 0.0, 1.0])
+USER_LEVEL = AntennaPose(position=[60.0, 80.0, 0.0], orientation=[0.0, 0.0, 1.0])
 
 
 def _constraints(half_side=1.0):
@@ -70,6 +72,9 @@ def test_objective_matches_staged_recomputation():
                                MEDIUM.noise_power).metrics.total_sinr
     assert value == pytest.approx(staged, rel=1e-12)
 
+
+# finite_difference_gradient is the reference the exact gradient is tested
+# against; optimize does not call it.
 
 def test_finite_difference_gradient_on_quadratic():
     layout = _layout()
@@ -170,6 +175,136 @@ def test_stacked_objective_singular_row_reads_minus_inf():
         objective(lone, users, MEDIUM, 0.5)
 
 
+def _rx_positions(users):
+    return np.array([u.position for u in users])
+
+
+def _reference_gradient(layout, block, users, total_power=0.5):
+    """finite_difference_gradient at step 1e-4 with its own h^2 error removed.
+
+    Central differences at step h carry an error c h^2; the run at 2h
+    estimates it (Richardson extrapolation). Near a degenerate entry or a
+    stationary point that error alone reaches 2.7e-5 relative at h = 1e-4,
+    and it falls 100x per decade of h, so it is the reference's, not the
+    exact gradient's.
+    """
+    def func(stack):
+        return objective(stack, users, MEDIUM, total_power)
+
+    fine = finite_difference_gradient(layout, block, func, 1e-4)
+    coarse = finite_difference_gradient(layout, block, func, 2e-4)
+    return fine + (fine - coarse) / 3.0
+
+
+def _assert_close_to_reference(layout, block, users, total_power=0.5):
+    exact = _exact_gradient(layout, block, _rx_positions(users), MEDIUM, total_power)
+    reference = _reference_gradient(layout, block, users, total_power)
+    assert np.linalg.norm(exact - reference) <= 1e-5 * np.linalg.norm(reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), antennas=st.sampled_from([1, 2, 4, 8]),
+       user_share=st.integers(0, 3), block=st.sampled_from(list(BLOCK_ORDER)))
+def test_exact_gradient_matches_central_differences(seed, antennas, user_share, block):
+    users = max(antennas >> user_share, 1)
+    layout = _layout(antennas, users, seed)
+    people = _users(np.random.default_rng(seed), users)
+    try:
+        objective(layout, people, MEDIUM, 0.5)
+    except SingularChannelError:
+        assume(False)
+    _assert_close_to_reference(layout, block, people)
+
+
+def _assert_finite_gradient_and_ascent(layout, users, total_power=0.5):
+    for block in BLOCK_ORDER:
+        grad = _exact_gradient(layout, block, _rx_positions(users), MEDIUM, total_power)
+        assert np.all(np.isfinite(grad))
+    result = optimize(layout, users, MEDIUM, total_power, _constraints(),
+                      OptimizerConfig(max_outer_iterations=20))
+    trace = result.trace.total_sinr
+    assert all(b >= a for a, b in zip(trace, trace[1:]))
+    assert trace[-1] > trace[0]
+    return result
+
+
+def _terms(layout, users):
+    return link_terms(layout.tx_positions, layout.tx_orientations(), _rx_positions(users),
+                      layout.rx_orientations(), MEDIUM)
+
+
+def test_exact_gradient_degenerate_entry():
+    # Transmit axis 0 points at user A: that entry is exactly 0, a cone point.
+    layout = _layout(antennas=4, users=2, seed=1)
+    towards_a = cartesian_to_spherical(USER_A.position)
+    layout.tx_angles[0] = [towards_a.polar, towards_a.azimuthal]
+    terms = _terms(layout, [USER_A, USER_B])
+    assert terms.degenerate[0, 0] and terms.gains[0, 0] == 0.0
+    _assert_finite_gradient_and_ascent(layout, [USER_A, USER_B])
+
+
+def test_exact_gradient_grazing_incidence():
+    # The receive axis lies along the path: sin_incidence is 1, cos_i is 0 and
+    # the Fresnel term has no direction; the row's gains are a rounding residue.
+    layout = _layout(antennas=4, users=2, seed=1)
+    layout.rx_angles[0] = [0.0, 0.0]
+    assert _terms(layout, [USER_ZENITH, USER_B]).sin_incidence[0] == 1.0
+    _assert_finite_gradient_and_ascent(layout, [USER_ZENITH, USER_B])
+
+
+def test_exact_gradient_broadside_kink():
+    # |rx_hat . r| has a kink at 0, but cos_i = sqrt(1 - sin_i^2) is smooth there.
+    layout = _layout(antennas=4, users=2, seed=1)
+    layout.rx_angles[0] = [0.0, 0.0]
+    assert _terms(layout, [USER_LEVEL, USER_B]).sin_incidence[0] == 0.0
+    for block in BLOCK_ORDER:
+        _assert_close_to_reference(layout, block, [USER_LEVEL, USER_B])
+    _assert_finite_gradient_and_ascent(layout, [USER_LEVEL, USER_B])
+
+
+def test_exact_gradient_across_a_funded_set_change():
+    # A 50 mW budget leaves user 0 unfunded at the start; the ascent funds it.
+    power = 0.05
+    scenario = harness.make_scenario(4, 2, antenna_count=4, total_power=power)
+    layout = harness.random_initial_layout(scenario, np.random.default_rng([2, 2]))
+    users = scenario.user_poses
+    start = harness.evaluate_layout(layout, scenario).allocation.powers > 0
+    for block in BLOCK_ORDER:
+        _assert_close_to_reference(layout, block, users, power)
+    result = _assert_finite_gradient_and_ascent(layout, users, power)
+    assert not np.array_equal(start, result.beamforming.allocation.powers > 0)
+
+
+def test_optimize_layer_call_counts(monkeypatch):
+    # A traced benchmark run checks these identities (perfbench/layers.py
+    # self_check): the gradient builds no channel through gain_matrix and
+    # calls no objective, so every channel build is one objective call or the
+    # final evaluation, and each build makes two orientation arrays.
+    counts = {}
+
+    def counting(name):
+        original = getattr(optimizer_module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(optimizer_module, name, wrapper)
+
+    for name in ("gain_matrix", "solve_beamforming", "objective", "angles_to_unit",
+                 "finite_difference_gradient"):
+        counting(name)
+    scenario = harness.make_scenario(4, 3, antenna_count=4)
+    layout = harness.random_initial_layout(scenario, np.random.default_rng([3, 2]))
+    layout.optimize_tx_orientation, layout.optimize_rx_orientation = \
+        harness.CONFIGURATION_FLAGS[5]
+    optimize(layout, scenario.user_poses, scenario.medium, scenario.total_power,
+             scenario.constraints, OptimizerConfig())
+    assert counts["objective"] > 1
+    assert counts["gain_matrix"] == counts["solve_beamforming"] == counts["objective"] + 1
+    assert counts["angles_to_unit"] == 2 * counts["gain_matrix"]
+    assert "finite_difference_gradient" not in counts
+
+
 def test_separation_projection_feasible_unchanged():
     cons = _constraints()
     positions = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]])
@@ -210,17 +345,6 @@ def test_check_feasible():
     assert check_feasible(good, cons)
     assert not check_feasible(close, cons)
     assert not check_feasible(outside, cons)
-
-
-def test_default_initial_layout_vertical_grid():
-    cons = _constraints()
-    layout = default_initial_layout(8, 4, cons, MEDIUM)
-    assert layout.tx_angles.shape == (8, 2)
-    assert np.all(layout.tx_angles == 0.0)          # vertical
-    assert layout.rx_angles.shape == (4, 2)
-    assert check_feasible(layout.tx_positions, cons)
-    gaps = np.diff(layout.tx_positions[:, 0])
-    assert np.allclose(gaps, MEDIUM.wavelength / 2.0)
 
 
 def test_optimize_all_blocks_disabled_returns_initial():
