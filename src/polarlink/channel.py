@@ -25,31 +25,27 @@ _RADICAND_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """K x L complex gains between base-station antennas and single-antenna users.
-
-    entries may carry leading batch axes, (..., K, L): a stack of channels
-    that the mimo functions process in one call.
-    """
+    """K x L complex gains between base-station antennas and single-antenna users."""
 
     entries: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=complex)
-        if arr.ndim < 2:
+        if arr.ndim != 2:
             raise UnsupportedConfigurationError(
-                f"channel matrix must be at least 2-D, got {arr.ndim}-D")
-        if arr.shape[-2] > arr.shape[-1]:
+                f"channel matrix must be 2-D, got {arr.ndim}-D")
+        if arr.shape[0] > arr.shape[1]:
             raise UnsupportedConfigurationError(
-                f"more users ({arr.shape[-2]}) than antennas ({arr.shape[-1]}) is unsupported")
+                f"more users ({arr.shape[0]}) than antennas ({arr.shape[1]}) is unsupported")
         object.__setattr__(self, "entries", arr)
 
     @property
     def user_count(self) -> int:
-        return self.entries.shape[-2]
+        return self.entries.shape[0]
 
     @property
     def antenna_count(self) -> int:
-        return self.entries.shape[-1]
+        return self.entries.shape[1]
 
 
 def radiation_factor(theta_e) -> np.ndarray:
@@ -88,13 +84,10 @@ def reflection_coefficients(theta_i, medium: MediumParams) -> Tuple[np.ndarray, 
 class LinkTerms(NamedTuple):
     """The channel kernel's terms for K users and L transmit antennas.
 
-    cos_emission, cos_matching, matching, degenerate and gains are (..., K, L);
-    sin_incidence, gamma_par and gamma_perp are per user, (..., K). The
-    leading axes are the batch axes of the orientations a term depends on:
-    the receive-side terms carry those of rx_orientations, cos_emission and
-    degenerate those of tx_orientations, and matching and gains their
-    broadcast. matching is the amplitude fraction captured after reflection
-    loss and polarization mismatch, sqrt(1 - G_par^2 cos^2 a - G_perp^2 sin^2 a),
+    cos_emission, cos_matching, matching, degenerate and gains are (K, L);
+    sin_incidence, gamma_par and gamma_perp are per user, (K,). matching is
+    the amplitude fraction captured after reflection loss and polarization
+    mismatch, sqrt(1 - G_par^2 cos^2 a - G_perp^2 sin^2 a),
     with cos a the clipped cos_matching. Where degenerate is set the transmit
     axis points along the path: the gain is exactly 0 and the matching terms
     carry no meaning.
@@ -115,12 +108,9 @@ def link_terms(tx_positions, tx_orientations, rx_positions, rx_orientations,
     """Vectorized channel kernel: the K x L complex gains and the terms they
     are built from.
 
-    tx_positions: (L, 3); rx_positions: (K, 3). tx_orientations: (..., L, 3)
-    and rx_orientations: (..., K, 3), whose leading batch axes broadcast
-    against each other, so a stack of layouts that share positions is one
-    call; each channel of the stack equals the one its layout alone gives, bit
-    for bit. Orientations must be unit vectors. Degenerate transmit-axis/
-    propagation alignments yield exactly zero gains.
+    tx_positions and tx_orientations: (L, 3); rx_positions and
+    rx_orientations: (K, 3). Orientations must be unit vectors. Degenerate
+    transmit-axis/propagation alignments yield exactly zero gains.
     """
     tx_p = np.atleast_2d(np.asarray(tx_positions, dtype=float))
     tx_n = np.atleast_2d(np.asarray(tx_orientations, dtype=float))
@@ -133,23 +123,22 @@ def link_terms(tx_positions, tx_orientations, rx_positions, rx_orientations,
     rx_hat = rx_p / rx_dist[:, None]
 
     # Emission angle and field direction, far-field: receiver direction only.
-    cos_e = rx_hat @ np.swapaxes(tx_n, -1, -2)                  # (..., K, L)
+    cos_e = rx_hat @ tx_n.T                                      # (K, L)
     rad = radiation_factor(np.arccos(np.clip(cos_e, -1.0, 1.0)))
 
-    stripped = tx_n[..., None, :, :] - cos_e[..., None] * rx_hat[:, None, :]
+    stripped = tx_n[None, :, :] - cos_e[:, :, None] * rx_hat[:, None, :]
     stripped_norm = np.linalg.norm(stripped, axis=-1)
     degenerate = stripped_norm < _DEGENERATE_TOL
-    field_dir = stripped / np.where(degenerate, 1.0, stripped_norm)[..., None]
+    field_dir = stripped / np.where(degenerate, 1.0, stripped_norm)[:, :, None]
 
     # Incident angle and reflection coefficients are per-user quantities.
-    sin_i = np.clip(np.abs(np.einsum("ki,...ki->...k", rx_hat, rx_n)), 0.0, 1.0)
+    sin_i = np.clip(np.abs(np.einsum("ki,ki->k", rx_hat, rx_n)), 0.0, 1.0)
     theta_i = np.arcsin(sin_i)
     gamma_par, gamma_perp = reflection_coefficients(theta_i, medium)
 
-    cos_a = np.clip(np.einsum("...kli,...ki->...kl", field_dir, rx_n), -1.0, 1.0)
+    cos_a = np.clip(np.einsum("kli,ki->kl", field_dir, rx_n), -1.0, 1.0)
     cos2 = cos_a ** 2
-    radicand = 1.0 - (np.asarray(gamma_par)**2)[..., None] * cos2 \
-        - (np.asarray(gamma_perp)**2)[..., None] * (1.0 - cos2)
+    radicand = 1.0 - (gamma_par**2)[:, None] * cos2 - (gamma_perp**2)[:, None] * (1.0 - cos2)
     if np.any(radicand < -_RADICAND_TOL):
         raise NumericalError(f"matching-efficiency radicand fell below 0: min {np.min(radicand)}")
     match = np.sqrt(np.maximum(radicand, 0.0))
@@ -160,14 +149,13 @@ def link_terms(tx_positions, tx_orientations, rx_positions, rx_orientations,
     phase = np.exp(1j * wavenumber * (rx_p @ tx_p.T) / rx_dist[:, None])
 
     gains = prefactor[:, None] * rad * match * phase
-    # A view, not a copy: the 1M-row Monte Carlo call allocates no extra mask.
-    gains[np.broadcast_to(degenerate, gains.shape)] = 0.0
+    gains[degenerate] = 0.0
     return LinkTerms(cos_e, sin_i, gamma_par, gamma_perp, cos_a, match, degenerate, gains)
 
 
 def gain_matrix(tx_positions, tx_orientations, rx_positions, rx_orientations,
                 medium: MediumParams) -> np.ndarray:
-    """(..., K, L) complex gains for stacked poses: the gains of link_terms."""
+    """(K, L) complex gains: the gains of link_terms."""
     return link_terms(tx_positions, tx_orientations, rx_positions, rx_orientations,
                       medium).gains
 

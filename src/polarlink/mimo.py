@@ -1,24 +1,17 @@
 """Downlink MU-MISO processing: zero forcing, water filling, link metrics.
 
-Every function takes a single K x L channel or a stack of them, (..., K, L),
-and treats each channel of a stack exactly as it would treat that channel
-alone: a batched SVD runs the same LAPACK routine per matrix, and
-sorts and cumulative sums the same order per row, so a stacked result equals
-the per-channel results bit for bit. Water filling has no iteration: the
-water level is the closed form over the sorted, prefix-summed thresholds,
-which are shifted to their minimum so the powers spend the budget to
-rounding (within about 1e-15 of it). A single channel that fails the
-condition check raises SingularChannelError. In a stack such a channel is
-flagged instead (Precoder.singular): its singular values are set to 1 before
-the divide, so it cannot stop the other channels, and its total SINR is -inf.
-Zero forcing comes from one SVD of the channel, never from the gram matrix
-H H^H, whose inverse would square the condition number.
+Every function takes one K x L channel. Zero forcing comes from one SVD of
+the channel, never from the gram matrix H H^H, whose inverse would square
+the condition number; a channel that fails the condition check raises
+SingularChannelError. Water filling has no iteration: the water level is the
+closed form over the sorted, prefix-summed thresholds, which are shifted to
+their minimum so the powers spend the budget to rounding (within about 1e-15
+of it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -30,22 +23,19 @@ CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class Precoder:
-    """Unit-norm precoding columns (..., L, K) plus the post-precoding diagonal gains.
+    """Unit-norm precoding columns (L, K) plus the post-precoding diagonal gains.
 
-    diag_gains[..., k] is |H W| on the diagonal for user k, equal to the
-    reciprocal norm of the unnormalized zero-forcing column. singular flags the
-    channels of a stack that failed the condition check; their columns and
-    gains are placeholders (V U^H from the SVD H = U S V^H, gains 1).
+    diag_gains[k] is |H W| on the diagonal for user k, equal to the
+    reciprocal norm of the unnormalized zero-forcing column.
     """
 
     columns: np.ndarray
     diag_gains: np.ndarray
-    singular: Union[bool, np.ndarray] = False
 
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Per-user transmit powers in watts, (..., K), each row summing to the budget."""
+    """Per-user transmit powers in watts, (K,), summing to the budget."""
 
     powers: np.ndarray
     total_power: float
@@ -53,16 +43,12 @@ class PowerAllocation:
 
 @dataclass(frozen=True)
 class LinkMetrics:
-    """Per-user SINR/rate (..., K) plus the equivalent total SINR and average rate.
-
-    total_sinr and average_rate are floats for a single channel and (...)
-    arrays for a stack, where a singular channel reads -inf and nan.
-    """
+    """Per-user SINR and rate (K,) plus the equivalent total SINR and average rate."""
 
     sinr: np.ndarray
     rates: np.ndarray
-    total_sinr: Union[float, np.ndarray]
-    average_rate: Union[float, np.ndarray]
+    total_sinr: float
+    average_rate: float
 
 
 @dataclass(frozen=True)
@@ -73,23 +59,18 @@ class BeamformingSolution:
 
 
 def _zf_svd(entries: np.ndarray):
-    """(U, S, Vh, singular): the thin SVD H = U S Vh behind zero forcing.
+    """(U, S, Vh): the thin SVD H = U S Vh behind zero forcing.
 
-    A channel that is rank deficient or has a condition number above 1e12 is
-    ill conditioned. A single K x L channel raises SingularChannelError; in a
-    (..., K, L) stack it is flagged in singular and its S is set to 1, so no
-    divide by S meets a zero.
+    Raises SingularChannelError when the K x L channel is rank deficient or
+    its condition number exceeds 1e12.
     """
     U, S, Vh = np.linalg.svd(entries, full_matrices=False)
-    smallest, largest = S[..., -1], S[..., 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        singular = (smallest <= 0.0) | (largest / smallest > CONDITION_LIMIT)
-    if entries.ndim == 2 and singular:
+    smallest, largest = S[-1], S[0]
+    if smallest <= 0.0 or largest / smallest > CONDITION_LIMIT:
         raise SingularChannelError(
             f"channel condition number {largest / max(smallest, 1e-300):.3e} "
             f"exceeds {CONDITION_LIMIT:.0e}")
-    S[singular] = 1.0
-    return U, S, Vh, singular
+    return U, S, Vh
 
 
 def zf_precoder(H: ChannelMatrix) -> Precoder:
@@ -98,35 +79,29 @@ def zf_precoder(H: ChannelMatrix) -> Precoder:
     This is the pseudo-inverse H^H (H H^H)^-1 without forming H H^H, so the
     interference stays nulled up to the channel's own condition number, not
     its square. A channel that is rank deficient or has a condition number
-    above 1e12 is ill conditioned; it is reported, never silently
-    regularized. A single K x L channel raises SingularChannelError; in a
-    (..., K, L) stack the channel is flagged in Precoder.singular and the
-    others are solved as usual.
+    above 1e12 raises SingularChannelError; it is never silently regularized.
     """
-    U, S, Vh, singular = _zf_svd(H.entries)
-    unnormalized = (np.swapaxes(Vh.conj(), -1, -2) / S[..., None, :]) \
-        @ np.swapaxes(U.conj(), -1, -2)
-    column_norms = np.linalg.norm(unnormalized, axis=-2)
-    return Precoder(columns=unnormalized / column_norms[..., None, :],
-                    diag_gains=1.0 / column_norms, singular=singular)
+    U, S, Vh = _zf_svd(H.entries)
+    unnormalized = (Vh.conj().T / S) @ U.conj().T
+    column_norms = np.linalg.norm(unnormalized, axis=0)
+    return Precoder(columns=unnormalized / column_norms, diag_gains=1.0 / column_norms)
 
 
 def _water_level(inv_snr: np.ndarray, total_power: float):
-    """(excess, level): the thresholds inv_snr (..., K) shifted to their row
-    minimum, and the water level (..., 1) above that minimum.
+    """(excess, level): the thresholds inv_snr (K,) shifted to their minimum,
+    and the water level above that minimum.
 
     The funded powers are level - excess; the unshifted level is level plus
-    the row minimum.
+    the minimum.
     """
-    excess = inv_snr - inv_snr.min(axis=-1, keepdims=True)
+    excess = inv_snr - inv_snr.min()
 
     # The counts m whose m-th sorted threshold lies below levels[m-1] form a
     # prefix: m = 1 always does (its threshold is 0), and once t_m >= level_m,
     # level_{m+1} = (m level_m + t_{m+1}) / (m+1) <= t_{m+1}.
-    thresholds = np.sort(excess, axis=-1)
-    levels = (total_power + np.cumsum(thresholds, axis=-1)) / np.arange(1, inv_snr.shape[-1] + 1)
-    active = np.sum(thresholds < levels, axis=-1, keepdims=True)
-    return excess, np.take_along_axis(levels, active - 1, axis=-1)
+    thresholds = np.sort(excess)
+    levels = (total_power + np.cumsum(thresholds)) / np.arange(1, inv_snr.size + 1)
+    return excess, levels[np.sum(thresholds < levels) - 1]
 
 
 def water_filling(diag_gains, total_power: float, noise_power: float) -> PowerAllocation:
@@ -138,10 +113,11 @@ def water_filling(diag_gains, total_power: float, noise_power: float) -> PowerAl
     and m is the largest count whose m-th threshold lies below that level.
     The thresholds are taken relative to their minimum first, so every funded
     quantity is below the budget and rounds relative to it, not to 1/snr: the
-    powers sum to the budget within about 1e-15 of it. diag_gains is (K,) or a
-    stack (..., K); every row is solved on its own.
+    powers sum to the budget within about 1e-15 of it. diag_gains is (K,).
     """
     gains = np.asarray(diag_gains, dtype=float)
+    if gains.ndim != 1:
+        raise ConfigurationError(f"post-precoding gains must be a (K,) vector, got {gains.shape}")
     if np.any(gains <= 0):
         raise ConfigurationError("post-precoding gains must be positive")
     if not total_power > 0:
@@ -156,28 +132,22 @@ def link_metrics(H: ChannelMatrix, W: Precoder, allocation: PowerAllocation,
     """SINR, per-user rate, equivalent total SINR, and average rate.
 
     SINR uses the general interference expression, so residual leakage of any
-    precoder shows up rather than being assumed away. Channels that W flags
-    as singular get total SINR -inf and average rate nan.
+    precoder shows up rather than being assumed away.
     """
-    effective = H.entries @ W.columns                      # (..., K, K), entry (k, j)
+    effective = H.entries @ W.columns                      # (K, K), entry (k, j)
     powers = allocation.powers
-    signal = powers * np.abs(np.diagonal(effective, axis1=-2, axis2=-1))**2
-    cross = powers[..., None, :] * np.abs(effective)**2
-    interference = np.sum(cross, axis=-1) - np.diagonal(cross, axis1=-2, axis2=-1)
+    signal = powers * np.abs(np.diagonal(effective))**2
+    cross = powers * np.abs(effective)**2
+    interference = np.sum(cross, axis=1) - np.diagonal(cross)
     sinr = signal / (noise_power + interference)
     rates = 0.5 * np.log2(1.0 + sinr)
-    total_sinr = np.exp(np.mean(np.log1p(sinr), axis=-1)) - 1.0
-    average_rate = 0.5 * np.log2(1.0 + total_sinr)
-    if np.ndim(total_sinr) == 0:
-        return LinkMetrics(sinr=sinr, rates=rates, total_sinr=float(total_sinr),
-                           average_rate=float(average_rate))
-    total_sinr[W.singular] = -np.inf
-    average_rate[W.singular] = np.nan
-    return LinkMetrics(sinr=sinr, rates=rates, total_sinr=total_sinr, average_rate=average_rate)
+    total_sinr = np.exp(np.mean(np.log1p(sinr))) - 1.0
+    return LinkMetrics(sinr=sinr, rates=rates, total_sinr=float(total_sinr),
+                       average_rate=float(0.5 * np.log2(1.0 + total_sinr)))
 
 
 def solve_beamforming(H: ChannelMatrix, total_power: float, noise_power: float) -> BeamformingSolution:
-    """Zero forcing + water filling + metrics for one channel realization or a stack."""
+    """Zero forcing + water filling + metrics for one channel realization."""
     precoder = zf_precoder(H)
     allocation = water_filling(precoder.diag_gains, total_power, noise_power)
     metrics = link_metrics(H, precoder, allocation, noise_power)

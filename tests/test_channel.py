@@ -237,6 +237,11 @@ def test_channel_matrix_rejects_more_users_than_antennas():
         ChannelMatrix(entries=np.ones((3, 2), dtype=complex))
 
 
+def test_channel_matrix_rejects_stacks():
+    with pytest.raises(UnsupportedConfigurationError):
+        ChannelMatrix(entries=np.ones((2, 2, 3), dtype=complex))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_gain_magnitude_matches_scalar_oracle(seed):

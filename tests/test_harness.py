@@ -7,7 +7,7 @@ import pytest
 from polarlink import (MediumParams, OptimizerConfig, Scenario,
                        make_scenario, monte_carlo_half_energy,
                        run_configuration, sweep)
-from polarlink import harness
+from polarlink import harness, optimizer
 from polarlink.errors import ConfigurationError, UnsupportedConfigurationError
 from polarlink.harness import (generate_users, quantized_record,
                                random_initial_layout, random_tx_positions,
@@ -126,12 +126,30 @@ def test_run_records_failure_instead_of_raising():
 
 
 def test_run_raises_programming_errors(monkeypatch):
-    # Only package errors become failure rows; a bug must surface.
+    # Only package errors become failure rows; a bug must surface, also from
+    # a line-search trial, where only a singular channel is a rejected step.
     def broken(*args, **kwargs):
         raise TypeError("injected")
 
-    monkeypatch.setattr(harness, "optimize", broken)
     sc = make_scenario(2, seed=0)
+    real_objective = optimizer.objective
+    calls = []
+
+    def broken_trial(*args):
+        calls.append(args)
+        if len(calls) % 2 == 0:         # odd calls score each run's start
+            raise TypeError("injected")
+        return real_objective(*args)
+
+    monkeypatch.setattr(optimizer, "objective", broken_trial)
+    with pytest.raises(TypeError, match="injected"):
+        optimize(random_initial_layout(sc, _rng(sc.seed, 2)), sc.user_poses, sc.medium,
+                 sc.total_power, sc.constraints, FAST)
+    with pytest.raises(TypeError, match="injected"):
+        run_configuration(sc, 5, FAST)
+    assert len(calls) == 4
+
+    monkeypatch.setattr(harness, "optimize", broken)
     with pytest.raises(TypeError, match="injected"):
         run_configuration(sc, 5, FAST)
 
