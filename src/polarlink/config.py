@@ -19,6 +19,10 @@ from .medium import SPEED_OF_LIGHT, VACUUM_PERMEABILITY, MediumParams
 from .optimizer import OptimizerConfig
 
 
+_JSON_TYPES = {list: "array", str: "string", int: "number", float: "number",
+               bool: "boolean", type(None): "null"}
+
+
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) / 1000.0
 
@@ -68,6 +72,9 @@ class RunConfig:
     def from_file(cls, path) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ConfigurationError(
+                f"configuration must be a JSON object, got a JSON {_JSON_TYPES[type(raw)]}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
         if unknown:

@@ -3,11 +3,16 @@
 Maximizes the equivalent total SINR of the zero-forcing + water-filling link
 by cycling through two variable blocks (receive orientations, transmit
 orientations). Orientations are parameterized by their polar/azimuthal angles
-so ascent steps stay unconstrained. Each block's gradient is exact: the
-objective has a closed form in the channel, and _exact_gradient chains its
-derivative through the terms of one channel.link_terms call and the angle
-chart. The backtracking line search evaluates objective itself, and a trial
-whose channel fails the condition check is a rejected step.
+so ascent steps stay unconstrained. Under ideal zero forcing the objective
+has a closed form in the channel's SVD, so one point is evaluated once:
+_evaluate builds the channel with one channel.link_terms call, takes one SVD
+and water-fills, and _gradient chains the exact derivative of that value
+through the same terms, SVD and the angle chart without building anything
+again. Each backtracking line-search trial is one _evaluate; the accepted
+trial is the point the next gradient starts from. A trial whose channel
+fails the condition check is a rejected step. The final record comes from
+the full beamforming solution, whose metrics keep the general interference
+expression.
 
 Transmit positions are fixed inputs: the channel is built from them as given
 and no block moves them. Under the plane-wave model a translation changes only
@@ -29,7 +34,7 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .channel import ChannelMatrix, gain_matrix, link_terms
+from .channel import ChannelMatrix, LinkTerms, gain_matrix, link_terms
 from .errors import (ConfigurationError, InfeasibleLayoutError, ProjectionError,
                      SingularChannelError)
 from .geometry import AntennaPose, angles_to_unit
@@ -145,11 +150,17 @@ class OptimizerConfig:
 
 @dataclass
 class ConvergenceTrace:
-    """Objective history across accepted outer iterations (non-decreasing)."""
+    """Objective history across accepted outer iterations (non-decreasing),
+    and the work behind it: objective evaluations (the start and every
+    line-search trial), block gradients, and trials rejected because their
+    channel was singular."""
 
     total_sinr: List[float] = field(default_factory=list)
     block_improvements: List[dict] = field(default_factory=list)
     wall_time: float = 0.0
+    evaluations: int = 0
+    gradients: int = 0
+    singular_trials: int = 0
 
     @property
     def total_sinr_db(self) -> List[float]:
@@ -179,11 +190,13 @@ def objective(layout: LayoutVariables, users: Sequence[AntennaPose],
               medium: MediumParams, total_power: float) -> float:
     """Equivalent total SINR of the layout under zero forcing + water filling.
 
-    The channel is built from the layout's positions and orientations as
-    given. Raises SingularChannelError when it fails the condition check.
+    The closed form of ideal zero forcing that optimize ascends and records
+    in its trace (see _evaluate): the interference is taken as exactly
+    nulled. The channel is built from the layout's positions and orientations
+    as given. Raises SingularChannelError when it fails the condition check.
     """
     rx_positions = np.array([u.position for u in users])
-    return _solve(layout, rx_positions, medium, total_power).metrics.total_sinr
+    return _evaluate(layout, rx_positions, medium, total_power).value
 
 
 def _block_vector(layout: LayoutVariables, block: str) -> np.ndarray:
@@ -195,7 +208,7 @@ def _block_vector(layout: LayoutVariables, block: str) -> np.ndarray:
 
 
 def _with_block_vector(layout: LayoutVariables, block: str, vec: np.ndarray) -> LayoutVariables:
-    """A copy of layout with the block set from the (n,) vector vec."""
+    """A copy of layout with the block set from vec, flat or in (n, 2) rows."""
     out = layout.copy()
     if block == BLOCK_TX_ANGLES:
         out.tx_angles = vec.reshape(out.tx_angles.shape)
@@ -211,7 +224,7 @@ def finite_difference_gradient(layout: LayoutVariables, block: str,
                                fd_step: float) -> np.ndarray:
     """Central-difference gradient of func over one variable block of n coordinates.
 
-    The reference the tests check _exact_gradient against; optimize does not
+    The reference the tests check _gradient against; optimize does not
     call it (the benchmark's traced run still wraps it by name). func is
     called 2n times, on one layout per probe, each bumping one coordinate up
     or down; an error func raises on a probe, such as SingularChannelError,
@@ -244,19 +257,62 @@ def _axes_and_tangents(angles: np.ndarray):
     return axes, d_polar, d_azimuthal
 
 
-def _exact_gradient(layout: LayoutVariables, block: str, rx_positions: np.ndarray,
-                    medium: MediumParams, total_power: float) -> np.ndarray:
-    """Exact gradient of objective over one orientation block, ordered as _block_vector.
+@dataclass(frozen=True)
+class _Point:
+    """One evaluated layout: the objective value and the factors its gradient
+    chains through (the kernel's terms, the angle tangents, the SVD and the
+    water-filling state)."""
+
+    layout: LayoutVariables
+    value: float
+    growth: float
+    terms: LinkTerms
+    tx_tangents: tuple
+    rx_tangents: tuple
+    svd: tuple
+    level: float               # the water level, unshifted
+    sinr: np.ndarray
+
+
+def _evaluate(layout: LayoutVariables, rx_positions: np.ndarray, medium: MediumParams,
+              total_power: float) -> _Point:
+    """The objective at layout, with what _gradient needs to differentiate it.
 
     Under zero forcing plus water filling, 1 + sinr_k = level / t_k for a
     funded user and 1 otherwise, with t_k = sigma^2 [(H H^H)^-1]_kk, so
-    J = exp(mean log(1 + sinr)) - 1 has a closed form. Its differential is
-    dJ = sum_k c_k d[G^-1]_kk with G = H H^H and
+    J = exp(mean log(1 + sinr)) - 1 has a closed form in the SVD H = U S V^H:
+    t_k = sigma^2 sum_j |U_kj|^2 / S_j^2. One link_terms call builds the
+    channel and one _zf_svd call decides its singularity: raises
+    SingularChannelError when it fails the condition check.
+    """
+    if not total_power > 0:
+        raise ConfigurationError(f"total power must be positive, got {total_power}")
+    tx_tangents = _axes_and_tangents(layout.tx_angles)
+    rx_tangents = _axes_and_tangents(layout.rx_angles)
+    terms = link_terms(layout.tx_positions, tx_tangents[0], rx_positions, rx_tangents[0],
+                       medium)
+    U, S, Vh = _zf_svd(terms.gains)
+    inv_snr = medium.noise_power * np.sum(np.abs(U)**2 / S**2, axis=-1)
+    excess, level = _water_level(inv_snr, total_power)
+    sinr = np.maximum(level - excess, 0.0) / inv_snr
+    growth = float(np.exp(np.mean(np.log1p(sinr))))
+    return _Point(layout=layout, value=growth - 1.0, growth=growth, terms=terms,
+                  tx_tangents=tx_tangents, rx_tangents=rx_tangents, svd=(U, S, Vh),
+                  level=level + inv_snr.min(), sinr=sinr)
+
+
+def _gradient(point: _Point, block: str, rx_positions: np.ndarray,
+              medium: MediumParams) -> np.ndarray:
+    """Exact gradient of the objective over one orientation block at an
+    evaluated point, ordered as _block_vector. Builds no channel and takes no
+    SVD: it reuses point's.
+
+    The differential of J is dJ = sum_k c_k d[G^-1]_kk with G = H H^H and
     c_k = (J + 1) sigma^2 (1/level - 1/t_k) / K, zero for unfunded users (the
     level's own change cancels). In H that is dJ = 2 Re sum conj(Gamma_kl) dH_kl
     with Gamma = -G^-1 diag(c) G^-1 H (Wirtinger calculus; Hjorungnes,
     Complex-Valued Matrix Derivatives, 2011), where G^-1 = U S^-2 U^H comes
-    from zero forcing's SVD H = U S V^H.
+    from the point's SVD.
 
     Each gain is h_kl = A_kl rad(cos_e) m(cos_a, cos_i) with A_kl fixed by
     the positions, so dH_kl = h_kl d log(rad m). A transmit axis n_l moves
@@ -264,27 +320,20 @@ def _exact_gradient(layout: LayoutVariables, block: str, rx_positions: np.ndarra
     coefficients, cos_i = sqrt(1 - sin_i^2). Where the gain is exactly 0
     (a degenerate entry, or m = 0 at grazing incidence) the objective has a
     cone point and the entry contributes 0; so does the Fresnel term at
-    grazing incidence, cos_i = 0, where it has no direction. Raises
-    SingularChannelError if the layout's channel fails the condition check.
+    grazing incidence, cos_i = 0, where it has no direction.
     """
-    tx_axes, tx_d_polar, tx_d_azimuthal = _axes_and_tangents(layout.tx_angles)
-    rx_axes, rx_d_polar, rx_d_azimuthal = _axes_and_tangents(layout.rx_angles)
-    terms = link_terms(layout.tx_positions, tx_axes, rx_positions, rx_axes, medium)
+    terms = point.terms
     gains = terms.gains
     users = gains.shape[0]
-
-    U, S, Vh = _zf_svd(gains)
-    noise = medium.noise_power
-    inv_snr = noise * np.sum(np.abs(U)**2 / S**2, axis=-1)
-    excess, level = _water_level(inv_snr, total_power)
-    sinr = np.maximum(level - excess, 0.0) / inv_snr
-    # 1/level - 1/t_k = -sinr_k / level for funded users, with the unshifted level.
-    dj_dq = -np.exp(np.mean(np.log1p(sinr))) * noise * sinr / (users * (level + inv_snr.min()))
+    U, S, Vh = point.svd
+    # 1/level - 1/t_k = -sinr_k / level for funded users.
+    dj_dq = -point.growth * medium.noise_power * point.sinr / (users * point.level)
     inner = (U.conj().T * dj_dq) @ U / (S[:, None]**2 * S[None, :])
     gamma = -(U @ inner @ Vh)
     # dJ = sum_kl weight_kl d log(rad_kl m_kl), a zero gain weighing 0.
     weight = 2.0 * np.real(np.conj(gamma) * gains)
 
+    tx_axes, rx_axes = point.tx_tangents[0], point.rx_tangents[0]
     rx_hat = rx_positions / np.linalg.norm(rx_positions, axis=1)[:, None]
     cos_e, cos_m, matching = terms.cos_emission, terms.cos_matching, terms.matching
     g_par, g_perp = terms.gamma_par[:, None], terms.gamma_perp[:, None]
@@ -305,7 +354,7 @@ def _exact_gradient(layout: LayoutVariables, block: str, rx_positions: np.ndarra
         along = d_cos_m / stripped_norm
         grad_axes = (d_cos_e.T @ rx_hat + along.T @ projected_rx
                      - np.einsum("kl,kli->li", along * cos_m, field_dir))
-        d_polar, d_azimuthal = tx_d_polar, tx_d_azimuthal
+        _, d_polar, d_azimuthal = point.tx_tangents
     elif block == BLOCK_RX_ANGLES:
         cos_i = np.sqrt((1.0 - terms.sin_incidence) * (1.0 + terms.sin_incidence))
         eps = medium.relative_permittivity
@@ -319,7 +368,7 @@ def _exact_gradient(layout: LayoutVariables, block: str, rx_positions: np.ndarra
                                out=np.zeros_like(cos_i), where=cos_i > 0)
         grad_axes = (np.einsum("kl,kli->ki", d_cos_m, field_dir)
                      + along_path[:, None] * rx_hat)
-        d_polar, d_azimuthal = rx_d_polar, rx_d_azimuthal
+        _, d_polar, d_azimuthal = point.rx_tangents
     else:
         raise ConfigurationError(f"unknown block {block!r}")
     return np.stack([np.sum(grad_axes * d_polar, axis=-1),
@@ -401,16 +450,23 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
     """Alternating gradient ascent on the total-SINR objective.
 
     Blocks run in BLOCK_ORDER, skipping those whose optimize_* flag is off; an
-    outer sweep with no active block still records one iteration. Each
-    gradient is exact (_exact_gradient: one channel build through link_terms
-    and one SVD, no objective call); the backtracking line search then tries
-    one step at a time, each one objective call. A trial whose channel raises
-    SingularChannelError is rejected like one that fails the Armijo test, and
-    the step shrinks; any other error propagates. Each accepted step passes
-    the Armijo test, so the recorded trace is non-decreasing. Stops when one
-    full outer sweep improves the objective by less than the relative
-    convergence tolerance. The starting layout's channel must be regular: a
-    singular one raises SingularChannelError.
+    outer sweep with no active block still records one iteration. The start
+    is evaluated once (_evaluate). Each gradient is exact and comes from the
+    current evaluated point (_gradient: no channel build, no SVD); the
+    backtracking line search then tries one step at a time, each trial
+    wrapped to the canonical angle ranges and evaluated once, and the
+    accepted trial's evaluation becomes the current point. A trial whose
+    channel raises SingularChannelError is rejected like one that fails the
+    Armijo test, and the step shrinks; any other error propagates. Each
+    accepted step passes the Armijo test, so the recorded trace, which holds
+    the values objective returns, is non-decreasing; the trace also counts
+    evaluations, gradients and singular trials. Stops when one full outer
+    sweep improves the objective by less than the relative convergence
+    tolerance. The starting layout's channel must be regular: a singular one
+    raises SingularChannelError. The returned beamforming solution is the
+    full zero-forcing + water-filling solve of the final layout, so its
+    metrics report any residual leakage; its total SINR matches the trace's
+    last value up to that leakage.
 
     A receive axis that starts at exact grazing incidence (along its user's
     path, sin_incidence == 1) stays there: the objective has a cone point in
@@ -427,8 +483,8 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
 
     rx_positions = np.array([u.position for u in users])
     start_time = time.perf_counter()
-    current = objective(layout, users, medium, total_power)
-    trace = ConvergenceTrace(total_sinr=[current])
+    point = _evaluate(layout, rx_positions, medium, total_power)
+    trace = ConvergenceTrace(total_sinr=[point.value], evaluations=1)
 
     active = {
         BLOCK_RX_ANGLES: layout.optimize_rx_orientation,
@@ -436,44 +492,48 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
     }
 
     for _ in range(config.max_outer_iterations):
-        sweep_start = current
+        sweep_start = point.value
         improvements = {}
         for block in BLOCK_ORDER:
             if not active[block]:
                 continue
-            block_start = current
+            block_start = point.value
             for _ in range(config.inner_steps):
-                grad = _exact_gradient(layout, block, rx_positions, medium, total_power)
+                grad = _gradient(point, block, rx_positions, medium)
+                trace.gradients += 1
                 grad_sq = float(grad @ grad)
                 if not np.isfinite(grad_sq) or grad_sq == 0.0:
                     break
-                base = _block_vector(layout, block)
+                base = _block_vector(point.layout, block)
                 step = config.initial_step_angle / math.sqrt(grad_sq)
                 accepted = False
                 for _ in range(config.max_backtracks):
-                    trial = _with_block_vector(layout, block, base + step * grad)
+                    # Canonical before it is evaluated, so an accepted point's
+                    # gradient is taken in the chart the next step moves in.
+                    trial = _with_block_vector(point.layout, block,
+                                               wrap_angles((base + step * grad).reshape(-1, 2)))
+                    trace.evaluations += 1
                     try:
-                        value = objective(trial, users, medium, total_power)
-                        accepted = value >= current + config.armijo_c * step * grad_sq
+                        trial_point = _evaluate(trial, rx_positions, medium, total_power)
+                        accepted = (trial_point.value
+                                    >= point.value + config.armijo_c * step * grad_sq)
                     except SingularChannelError:  # rejected like a failed Armijo test
-                        pass
+                        trace.singular_trials += 1
                     if accepted:
-                        layout = trial
-                        layout.canonicalize_angles()
-                        current = value
+                        point = trial_point
                         break
                     step *= config.shrink_factor
                 if not accepted:
                     break
-            improvements[block] = current - block_start
-        trace.total_sinr.append(current)
+            improvements[block] = point.value - block_start
+        trace.total_sinr.append(point.value)
         trace.block_improvements.append(improvements)
-        if current - sweep_start <= config.convergence_tol * max(abs(sweep_start), 1e-300):
+        if point.value - sweep_start <= config.convergence_tol * max(abs(sweep_start), 1e-300):
             break
 
     trace.wall_time = time.perf_counter() - start_time
-    return OptimizeResult(layout=layout,
-                          beamforming=_solve(layout, rx_positions, medium, total_power),
+    return OptimizeResult(layout=point.layout,
+                          beamforming=_solve(point.layout, rx_positions, medium, total_power),
                           trace=trace)
 
 

@@ -208,6 +208,17 @@ def test_run_invalid_config_key_exits_2(tmp_path, capsys):
                  "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("payload, kind", [("5", "number"), ("[]", "array"),
+                                           ('"users"', "string")])
+def test_run_config_not_an_object_exits_2(tmp_path, capsys, payload, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload)
+    out = tmp_path / "x.csv"
+    assert main(["run", "montecarlo", "--config", str(bad), "--out", str(out)]) == 2
+    assert f"must be a JSON object, got a JSON {kind}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_roundtrip_and_hash(tmp_path):
     cfg_path = _fast_config(tmp_path)
     cfg = RunConfig.from_file(cfg_path)

@@ -132,16 +132,16 @@ def test_run_raises_programming_errors(monkeypatch):
         raise TypeError("injected")
 
     sc = make_scenario(2, seed=0)
-    real_objective = optimizer.objective
+    real_evaluate = optimizer._evaluate
     calls = []
 
     def broken_trial(*args):
         calls.append(args)
         if len(calls) % 2 == 0:         # odd calls score each run's start
             raise TypeError("injected")
-        return real_objective(*args)
+        return real_evaluate(*args)
 
-    monkeypatch.setattr(optimizer, "objective", broken_trial)
+    monkeypatch.setattr(optimizer, "_evaluate", broken_trial)
     with pytest.raises(TypeError, match="injected"):
         optimize(random_initial_layout(sc, _rng(sc.seed, 2)), sc.user_poses, sc.medium,
                  sc.total_power, sc.constraints, FAST)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from polarlink import (AntennaPose, Constraints, LayoutVariables, MediumParams,
                        OptimizerConfig, cartesian_to_spherical, harness, objective, optimize,
                        quantize_angles, separation_projection)
+from polarlink import channel as channel_module
 from polarlink import mimo as mimo_module
 from polarlink import optimizer as optimizer_module
 from polarlink.channel import ChannelMatrix, gain_matrix, link_terms
@@ -15,7 +16,7 @@ from polarlink.errors import (ConfigurationError, InfeasibleLayoutError,
                               ProjectionError, SingularChannelError)
 from polarlink.geometry import angles_to_unit
 from polarlink.mimo import solve_beamforming
-from polarlink.optimizer import (BLOCK_ORDER, _exact_gradient, check_feasible,
+from polarlink.optimizer import (BLOCK_ORDER, _evaluate, _gradient, check_feasible,
                                  finite_difference_gradient, wrap_angles)
 
 MEDIUM = MediumParams()
@@ -53,6 +54,20 @@ def test_wrap_angles_preserves_orientation(polar, azimuthal):
     assert np.allclose(before, after, atol=1e-9)
 
 
+_WRAP_EDGES = (0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi,
+               1e-300, -1e-300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(angles=st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                       | st.sampled_from(_WRAP_EDGES), min_size=2, max_size=2))
+def test_wrap_angles_is_idempotent(angles):
+    # optimize wraps only the block a trial moves and relies on the other,
+    # already wrapped block staying bit for bit what it was.
+    once = wrap_angles(np.array([angles]))
+    assert wrap_angles(once).tobytes() == once.tobytes()
+
+
 def test_layout_copy_is_deep():
     layout = _layout()
     clone = layout.copy()
@@ -71,6 +86,12 @@ def test_objective_matches_staged_recomputation():
     staged = solve_beamforming(ChannelMatrix(entries=gains), 0.5,
                                MEDIUM.noise_power).metrics.total_sinr
     assert value == pytest.approx(staged, rel=1e-12)
+
+
+@pytest.mark.parametrize("power", [0.0, -0.5])
+def test_objective_rejects_nonpositive_power(power):
+    with pytest.raises(ConfigurationError):
+        objective(_layout(), [USER_A, USER_B], MEDIUM, power)
 
 
 # finite_difference_gradient is the reference the exact gradient is tested
@@ -130,8 +151,14 @@ def _reference_gradient(layout, block, users, total_power=0.5):
     return fine + (fine - coarse) / 3.0
 
 
+def _exact_gradient(layout, block, users, total_power=0.5):
+    rx_positions = _rx_positions(users)
+    point = _evaluate(layout, rx_positions, MEDIUM, total_power)
+    return _gradient(point, block, rx_positions, MEDIUM)
+
+
 def _assert_close_to_reference(layout, block, users, total_power=0.5):
-    exact = _exact_gradient(layout, block, _rx_positions(users), MEDIUM, total_power)
+    exact = _exact_gradient(layout, block, users, total_power)
     reference = _reference_gradient(layout, block, users, total_power)
     assert np.linalg.norm(exact - reference) <= 1e-5 * np.linalg.norm(reference)
 
@@ -152,7 +179,7 @@ def test_exact_gradient_matches_central_differences(seed, antennas, user_share, 
 
 def _assert_finite_gradient_and_ascent(layout, users, total_power=0.5):
     for block in BLOCK_ORDER:
-        grad = _exact_gradient(layout, block, _rx_positions(users), MEDIUM, total_power)
+        grad = _exact_gradient(layout, block, users, total_power)
         assert np.all(np.isfinite(grad))
     result = optimize(layout, users, MEDIUM, total_power, _constraints(),
                       OptimizerConfig(max_outer_iterations=20))
@@ -231,52 +258,90 @@ def _campaign_layout():
     return scenario, layout
 
 
-def test_optimize_layer_call_counts(monkeypatch):
-    # A traced benchmark run checks these identities (perfbench/layers.py
-    # self_check): the gradient builds no channel through gain_matrix and
-    # calls no objective, so every channel build is one objective call or the
-    # final evaluation, and each build makes two orientation arrays.
-    counts = {}
+def _count_evaluation_layers(monkeypatch, counts, fail_on_call=None):
+    """Count every channel build (link_terms) and every SVD (_zf_svd), through
+    the optimizer's own bindings and through gain_matrix and zf_precoder."""
+    _count_calls(monkeypatch, channel_module, ("link_terms",), counts)
+    _count_calls(monkeypatch, optimizer_module, ("link_terms",), counts)
+    _count_calls(monkeypatch, mimo_module, ("_zf_svd",), counts, fail_on_call)
+    _count_calls(monkeypatch, optimizer_module, ("_zf_svd",), counts, fail_on_call)
     _count_calls(monkeypatch, optimizer_module,
                  ("gain_matrix", "solve_beamforming", "objective", "angles_to_unit",
-                  "finite_difference_gradient"), counts)
+                  "finite_difference_gradient", "_gradient"), counts)
+    _count_calls(monkeypatch, mimo_module, ("zf_precoder", "water_filling"), counts)
+
+
+def test_optimize_layer_call_counts(monkeypatch):
+    # Each point is evaluated once: the start and every line-search trial are
+    # one _evaluate, which builds one channel and takes one SVD, and the
+    # gradient reuses them. The final record is the one full beamforming solve
+    # (gain_matrix, zf_precoder, water_filling), whose two orientation arrays
+    # are the only angles_to_unit calls.
+    counts, evaluated = {}, []
+    _count_evaluation_layers(monkeypatch, counts)
+    real_evaluate = optimizer_module._evaluate
+
+    def counting_evaluate(*args):
+        evaluated.append(args[0])
+        return real_evaluate(*args)
+    monkeypatch.setattr(optimizer_module, "_evaluate", counting_evaluate)
     scenario, layout = _campaign_layout()
-    optimize(layout, scenario.user_poses, scenario.medium, scenario.total_power,
-             scenario.constraints, OptimizerConfig())
-    assert counts["objective"] > 1
-    assert counts["gain_matrix"] == counts["solve_beamforming"] == counts["objective"] + 1
+    trace = optimize(layout, scenario.user_poses, scenario.medium, scenario.total_power,
+                     scenario.constraints, OptimizerConfig()).trace
+    assert trace.evaluations == len(evaluated) > 1
+    assert counts["link_terms"] == counts["_zf_svd"] == trace.evaluations + 1
+    assert counts["_gradient"] == trace.gradients > 0
+    assert trace.singular_trials == 0
+    assert counts["gain_matrix"] == counts["solve_beamforming"] == 1
+    assert counts["zf_precoder"] == counts["water_filling"] == 1
     assert counts["angles_to_unit"] == 2 * counts["gain_matrix"]
+    assert "objective" not in counts
     assert "finite_difference_gradient" not in counts
 
 
 def test_optimize_rejects_a_singular_trial(monkeypatch):
-    # The second zero-forcing call is the first line-search trial: the first
-    # scores the start, and the gradient takes its own SVD. Forced singular,
-    # that trial is a rejected step: the next trial takes half of it, the
-    # ascent goes on, and the traced identities hold with one raise.
+    # The second SVD is the first line-search trial's: the first scores the
+    # start, and the gradient takes none. Forced singular, that trial is a
+    # rejected step: the next trial takes half of it, the ascent goes on, and
+    # the trace counts one singular trial.
     counts, trials = {}, []
-    _count_calls(monkeypatch, optimizer_module,
-                 ("gain_matrix", "solve_beamforming", "angles_to_unit"), counts)
-    _count_calls(monkeypatch, mimo_module, ("water_filling",), counts)
-    _count_calls(monkeypatch, mimo_module, ("zf_precoder",), counts, fail_on_call=2)
-    real_objective = optimizer_module.objective
+    _count_evaluation_layers(monkeypatch, counts, fail_on_call=2)
+    real_evaluate = optimizer_module._evaluate
 
-    def recording_objective(layout, *args):
+    def recording_evaluate(layout, *args):
         trials.append(layout.rx_angles.copy())
-        return real_objective(layout, *args)
-    monkeypatch.setattr(optimizer_module, "objective", recording_objective)
+        return real_evaluate(layout, *args)
+    monkeypatch.setattr(optimizer_module, "_evaluate", recording_evaluate)
     scenario, layout = _campaign_layout()
     result = optimize(layout, scenario.user_poses, scenario.medium, scenario.total_power,
                       scenario.constraints, OptimizerConfig())
     first_step, second_step = trials[1] - trials[0], trials[2] - trials[0]
     assert np.any(first_step != 0.0)
     assert np.allclose(second_step, 0.5 * first_step, rtol=1e-9, atol=0.0)
-    trace = result.trace.total_sinr
-    assert all(b >= a for a, b in zip(trace, trace[1:]))
-    assert trace[-1] > trace[0]
-    assert counts["gain_matrix"] == counts["solve_beamforming"] == len(trials) + 1
-    assert counts["angles_to_unit"] == 2 * counts["gain_matrix"]
-    assert counts["water_filling"] == counts["zf_precoder"] - 1
+    trace = result.trace
+    assert all(b >= a for a, b in zip(trace.total_sinr, trace.total_sinr[1:]))
+    assert trace.total_sinr[-1] > trace.total_sinr[0]
+    assert trace.singular_trials == 1
+    assert trace.evaluations == len(trials)
+    assert counts["link_terms"] == counts["_zf_svd"] == trace.evaluations + 1
+    assert counts["gain_matrix"] == counts["solve_beamforming"] == 1
+    assert counts["zf_precoder"] == counts["water_filling"] == 1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_trace_reads_the_objective(seed):
+    # The trace records the values objective returns, at canonical angles; the
+    # final record's general-interference total SINR differs by leakage only.
+    scenario = harness.make_scenario(8, seed)
+    layout = harness.random_initial_layout(scenario, np.random.default_rng([seed, 2]))
+    result = optimize(layout, scenario.user_poses, scenario.medium, scenario.total_power,
+                      scenario.constraints, OptimizerConfig())
+    final = objective(result.layout, scenario.user_poses, scenario.medium,
+                      scenario.total_power)
+    assert result.trace.total_sinr[-1] == final
+    assert final == pytest.approx(result.beamforming.metrics.total_sinr, rel=1e-9)
+    for angles in (result.layout.tx_angles, result.layout.rx_angles):
+        assert wrap_angles(angles).tobytes() == angles.tobytes()
 
 
 def test_separation_projection_feasible_unchanged():
