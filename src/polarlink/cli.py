@@ -213,15 +213,14 @@ def cmd_run(args) -> int:
                             optimizer_config, antenna_count=config.antenna_count,
                             total_power=config.total_power_w, user_count=config.user_count,
                             configurations=configurations,
-                            workers=max(args.threads, 1))
+                            workers=max(args.threads, 1),
+                            cube_half_side=config.coverage_half_side_m,
+                            region_half_side=config.region_half_side_m)
             header, rows = _record_rows(records)
             write_csv(args.out, header, rows)
             write_sidecar(args.out, config, sub, config.seed, config.repetitions)
     except (InfeasibleLayoutError, UnsupportedConfigurationError) as exc:
         print(f"error: infeasible scenario: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ConfigurationError as exc:
-        print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (SingularChannelError, NumericalError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)

@@ -29,7 +29,7 @@ def dbm_to_watts(dbm: float) -> float:
 
 @dataclass
 class RunConfig:
-    """Everything a batch run needs: medium, scenario shape, optimizer knobs, grids."""
+    """Everything a batch run needs: medium, scenario shape, optimizer stops, grids."""
 
     frequency_hz: Optional[float] = 30e9
     wavelength_m: float = 0.01
@@ -51,9 +51,7 @@ class RunConfig:
     granularity_grid_deg: List[float] = field(default_factory=lambda: [10, 30, 50, 80])
     configurations: List[int] = field(default_factory=lambda: [1, 2, 3, 4, 5])
     max_outer_iterations: int = 100
-    inner_steps: int = 3
     convergence_tol: float = 1e-4
-    initial_step_angle: float = 0.1
 
     def __post_init__(self):
         if self.frequency_hz is not None:
@@ -98,9 +96,5 @@ class RunConfig:
         )
 
     def optimizer(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            max_outer_iterations=self.max_outer_iterations,
-            inner_steps=self.inner_steps,
-            convergence_tol=self.convergence_tol,
-            initial_step_angle=self.initial_step_angle,
-        )
+        return OptimizerConfig(max_outer_iterations=self.max_outer_iterations,
+                               convergence_tol=self.convergence_tol)

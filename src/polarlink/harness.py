@@ -9,11 +9,12 @@ seeds through counter-derived generators, so every record is reproducible.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -101,7 +102,6 @@ class RunRecord:
     seed: int
     grid_value: Optional[float] = None
     failure: Optional[str] = None
-    extras: Dict[str, float] = field(default_factory=dict)
 
 
 def _rng(*key) -> np.random.Generator:
@@ -123,10 +123,14 @@ def generate_users(user_count: int, cube_half_side: float, seed) -> List[Antenna
     """Users uniform in the coverage cube with sphere-uniform orientations.
 
     Positions closer than 1 m to the origin are resampled so the far-field
-    gain stays finite.
+    gain stays finite; a cube with no point that far out raises
+    UnsupportedConfigurationError.
     """
     if user_count < 1:
         raise ConfigurationError("need at least one user")
+    if not math.sqrt(3.0) * cube_half_side > 1.0:
+        raise UnsupportedConfigurationError(
+            f"coverage half side {cube_half_side} m leaves no point 1 m from the origin")
     rng = seed if isinstance(seed, np.random.Generator) else _rng(seed)
     positions = rng.uniform(-cube_half_side, cube_half_side, size=(user_count, 3))
     too_close = np.linalg.norm(positions, axis=1) < 1.0
@@ -148,7 +152,7 @@ def random_tx_positions(count: int, constraints: Constraints,
             placed.append(candidate)
             if len(placed) == count:
                 return np.array(placed)
-    raise ConfigurationError(
+    raise UnsupportedConfigurationError(
         f"could not place {count} antennas with separation {constraints.min_separation}")
 
 
@@ -312,27 +316,18 @@ def record_from_result(scenario: Scenario, config_id: int,
 SWEEP_KINDS = ("users", "power", "granularity", "convergence")
 
 
-def _sweep_cell(kind: str, grid: Sequence[float], grid_index: int, repetition: int,
-                seed: int, medium: MediumParams, optimizer_config: OptimizerConfig,
-                antenna_count: int, total_power: float, user_count: int,
+def _sweep_cell(grid_index: int, repetition: int, *, kind: str, grid: Sequence[float],
+                seed: int, scenario_at: Callable[..., Scenario],
+                optimizer_config: OptimizerConfig, total_power: float, user_count: int,
                 config_ids: Sequence[int]) -> List[RunRecord]:
     """All records for one (grid point, repetition) cell, in a fixed order."""
     if kind == "granularity":  # one full-precision optimization, quantized per resolution
-        scenario = make_scenario(user_count, seed=int(_mix(seed, 0, repetition)),
-                                 medium=medium, antenna_count=antenna_count,
-                                 total_power=total_power)
-        layout = random_initial_layout(scenario, _rng(scenario.seed, 2))
-        layout.optimize_tx_orientation = True
-        layout.optimize_rx_orientation = True
+        scenario = scenario_at(user_count, seed=int(_mix(seed, 0, repetition)),
+                               total_power=total_power)
+        layout = random_initial_layout(scenario, _rng(scenario.seed, 2))  # all blocks active
         result = optimize(layout, scenario.user_poses, scenario.medium,
                           scenario.total_power, scenario.constraints, optimizer_config)
-        full = record_from_result(scenario, 5, result)
-        records = []
-        for resolution in grid:
-            rec = quantized_record(scenario, result, float(resolution))
-            rec.extras["unquantized_db"] = full.gamma_total_db
-            records.append(rec)
-        return records
+        return [quantized_record(scenario, result, float(resolution)) for resolution in grid]
 
     if kind == "power":
         k_users, power = user_count, float(grid[grid_index])
@@ -340,8 +335,8 @@ def _sweep_cell(kind: str, grid: Sequence[float], grid_index: int, repetition: i
     else:  # users, convergence: the grid value is the user count
         k_users, power = int(grid[grid_index]), total_power
         grid_value = float(k_users)
-    scenario = make_scenario(k_users, seed=int(_mix(seed, grid_index, repetition)),
-                             medium=medium, antenna_count=antenna_count, total_power=power)
+    scenario = scenario_at(k_users, seed=int(_mix(seed, grid_index, repetition)),
+                           total_power=power)
     layout = random_initial_layout(scenario, _rng(scenario.seed, 2))
     records = []
     for cid in config_ids:
@@ -357,7 +352,8 @@ def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int,
           antenna_count: int = 8, total_power: float = 0.5,
           user_count: int = 8,
           configurations: Optional[Sequence[int]] = None,
-          workers: int = 1) -> List[RunRecord]:
+          workers: int = 1, cube_half_side: float = 100.0,
+          region_half_side: Optional[float] = None) -> List[RunRecord]:
     """Run one experiment family over a parameter grid.
 
     users:       grid = user counts; each repetition runs the requested
@@ -375,8 +371,6 @@ def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int,
         raise ConfigurationError(f"unknown sweep kind {kind!r}")
     if len(grid) == 0:
         raise ConfigurationError("sweep grid must be nonempty")
-    medium = medium or MediumParams()
-    optimizer_config = optimizer_config or OptimizerConfig()
     if configurations:
         config_ids: Sequence[int] = tuple(configurations)
     elif kind == "users":
@@ -384,29 +378,25 @@ def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int,
     else:
         config_ids = (1, 5)
 
-    if kind == "granularity":
-        tasks = [(0, rep) for rep in range(repetitions)]
-    else:
-        tasks = [(gi, rep) for gi in range(len(grid)) for rep in range(repetitions)]
-
-    cells = [(kind, tuple(grid), gi, rep, seed, medium, optimizer_config,
-              antenna_count, total_power, user_count, tuple(config_ids))
-             for gi, rep in tasks]
+    scenario_at = functools.partial(make_scenario, medium=medium or MediumParams(),
+                                    antenna_count=antenna_count,
+                                    cube_half_side=cube_half_side,
+                                    region_half_side=region_half_side)
+    cell = functools.partial(_sweep_cell, kind=kind, grid=tuple(grid), seed=seed,
+                             scenario_at=scenario_at,
+                             optimizer_config=optimizer_config or OptimizerConfig(),
+                             total_power=total_power, user_count=user_count,
+                             config_ids=config_ids)
+    points = 1 if kind == "granularity" else len(grid)
+    grid_indices = [gi for gi in range(points) for _ in range(repetitions)]
+    repetition_ids = [rep for _ in range(points) for rep in range(repetitions)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cell_lists = list(pool.map(_sweep_cell_star, cells))
+            cell_lists = list(pool.map(cell, grid_indices, repetition_ids))
     else:
-        cell_lists = list(map(_sweep_cell_star, cells))
-
-    records: List[RunRecord] = []
-    for cell in cell_lists:
-        records.extend(cell)
-    return records
-
-
-def _sweep_cell_star(args) -> List[RunRecord]:
-    return _sweep_cell(*args)
+        cell_lists = list(map(cell, grid_indices, repetition_ids))
+    return [rec for records in cell_lists for rec in records]
 
 
 def quantized_record(scenario: Scenario, result: OptimizeResult,

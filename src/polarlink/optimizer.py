@@ -44,6 +44,12 @@ from .mimo import BeamformingSolution, _water_level, _zf_svd, solve_beamforming
 _TWO_PI = 2.0 * np.pi
 _FEASIBILITY_TOL = 1e-9
 _PROJECTION_SWEEP_CAP = 1000
+# The line search's constants (see optimize).
+_INNER_STEPS = 3
+_INITIAL_STEP_ANGLE = 0.1
+_ARMIJO_C = 1e-4
+_SHRINK_FACTOR = 0.5
+_ARMIJO_FLOOR = 1e-12
 
 BLOCK_RX_ANGLES = "rx_angles"
 BLOCK_TX_ANGLES = "tx_angles"
@@ -130,20 +136,16 @@ def wrap_angles(angles: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """When optimize stops: after max_outer_iterations sweeps, or after one that
+    raises the objective by less than convergence_tol (relative). The line
+    search has no settings: fixed constants and a rounding floor (see optimize)."""
+
     max_outer_iterations: int = 100
-    inner_steps: int = 3
-    initial_step_angle: float = 0.1
-    armijo_c: float = 1e-4
-    shrink_factor: float = 0.5
-    max_backtracks: int = 30
     convergence_tol: float = 1e-4
 
     def __post_init__(self):
-        if self.max_outer_iterations <= 0 or self.inner_steps <= 0:
-            raise ConfigurationError("iteration counts must be positive")
-        for name in ("initial_step_angle", "armijo_c", "shrink_factor"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be positive")
+        if self.max_outer_iterations <= 0:
+            raise ConfigurationError("max_outer_iterations must be positive")
         if not 0.0 < self.convergence_tol < 1.0:
             raise ConfigurationError("convergence tolerance must lie in (0, 1)")
 
@@ -468,6 +470,14 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
     metrics report any residual leakage; its total SINR matches the trace's
     last value up to that leakage.
 
+    Each active block takes up to _INNER_STEPS (3) steps per sweep. A search's
+    first trial moves the block by _INITIAL_STEP_ANGLE (0.1 rad), the Armijo
+    test asks for a rise of _ARMIJO_C (1e-4) * step * |g|^2, and each rejected
+    trial scales the step by _SHRINK_FACTOR (0.5). The search fails once that
+    margin is at most _ARMIJO_FLOOR (1e-12) of |J|: there it is within a few
+    thousand ulps of J, so J's rounding, not the step, would decide the test.
+    The floor bounds every search, singular trials included.
+
     A receive axis that starts at exact grazing incidence (along its user's
     path, sin_incidence == 1) stays there: the objective has a cone point in
     that axis, where the exact gradient is exactly 0, so that user stays
@@ -498,16 +508,16 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
             if not active[block]:
                 continue
             block_start = point.value
-            for _ in range(config.inner_steps):
+            for _ in range(_INNER_STEPS):
                 grad = _gradient(point, block, rx_positions, medium)
                 trace.gradients += 1
                 grad_sq = float(grad @ grad)
                 if not np.isfinite(grad_sq) or grad_sq == 0.0:
                     break
                 base = _block_vector(point.layout, block)
-                step = config.initial_step_angle / math.sqrt(grad_sq)
+                step = _INITIAL_STEP_ANGLE / math.sqrt(grad_sq)
                 accepted = False
-                for _ in range(config.max_backtracks):
+                while _ARMIJO_C * step * grad_sq > _ARMIJO_FLOOR * abs(point.value):
                     # Canonical before it is evaluated, so an accepted point's
                     # gradient is taken in the chart the next step moves in.
                     trial = _with_block_vector(point.layout, block,
@@ -516,13 +526,13 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
                     try:
                         trial_point = _evaluate(trial, rx_positions, medium, total_power)
                         accepted = (trial_point.value
-                                    >= point.value + config.armijo_c * step * grad_sq)
+                                    >= point.value + _ARMIJO_C * step * grad_sq)
                     except SingularChannelError:  # rejected like a failed Armijo test
                         trace.singular_trials += 1
                     if accepted:
                         point = trial_point
                         break
-                    step *= config.shrink_factor
+                    step *= _SHRINK_FACTOR
                 if not accepted:
                     break
             improvements[block] = point.value - block_start

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,11 +202,51 @@ def test_run_nonpositive_reps_override_exits_2(tmp_path, capsys, reps):
 
 
 def test_run_invalid_config_key_exits_2(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"not_a_key": 1}))
+    # The line-search step constants are not configuration keys.
+    for key in ("not_a_key", "inner_steps", "initial_step_angle"):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({key: 1}))
+        out = tmp_path / "x.csv"
+        assert main(["run", "montecarlo", "--config", str(bad),
+                     "--out", str(out)]) == 2
+        assert f"unknown configuration keys: ['{key}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, overrides, code", [
+    ("optimize", {"max_outer_iterations": 0}, 2),
+    ("sweep-users", {"repetitions": 0}, 2),
+    ("montecarlo", {"monte_carlo_samples": 0}, 2),
+    ("optimize", {"total_power_w": -1}, 2),
+    ("sweep-users", {"configurations": [7]}, 2),
+    # No point of the coverage cube lies 1 m from the transmitter.
+    ("optimize", {"coverage_half_side_m": 0.5}, 4),
+    # The movement box is too small for 8 antennas half a wavelength apart.
+    ("optimize", {"region_half_side_m": 0.001}, 4),
+])
+def test_run_exit_codes(tmp_path, capsys, experiment, overrides, code):
+    # An invalid value is a usage error (2); a valid scenario that cannot be
+    # placed is infeasible (4).
+    cfg = _fast_config(tmp_path, **overrides)
     out = tmp_path / "x.csv"
-    assert main(["run", "montecarlo", "--config", str(bad),
-                 "--out", str(out)]) == 2
+    assert main(["run", experiment, "--config", cfg, "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("coverage_half_side_m", 10.0),
+                                        ("region_half_side_m", 0.5)])
+def test_run_sweep_honours_scenario_shape(tmp_path, key, value):
+    outputs = []
+    for overrides in ({}, {key: value}):
+        cfg = _fast_config(tmp_path, **overrides)
+        out = tmp_path / "users.csv"
+        assert main(["run", "sweep-users", "--config", cfg, "--out", str(out),
+                     "--reps", "1"]) == 0
+        outputs.append(_read_csv(out))
+    default, changed = outputs
+    assert len(default) == len(changed)
+    # Every scenario differs: another drop of users, or another movement box.
+    assert all(a[9] != b[9] for a, b in zip(default[1:], changed[1:]))
 
 
 @pytest.mark.parametrize("payload, kind", [("5", "number"), ("[]", "array"),
@@ -235,6 +276,14 @@ def test_config_validation():
         RunConfig(user_count=9, antenna_count=8)
     with pytest.raises(ConfigurationError):
         RunConfig(repetitions=0)
+
+
+def test_readme_config_block_is_the_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    assert RunConfig.from_file(path) == RunConfig()
 
 
 def test_config_default_medium_values():

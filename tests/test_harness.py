@@ -186,10 +186,10 @@ def test_granularity_sweep_one_optimization_per_repetition():
     assert len(records) == 2
     fine, coarse = records
     assert fine.grid_value == 10.0 and coarse.grid_value == 80.0
-    # Both rows come from the same optimization run.
-    assert fine.extras["unquantized_db"] == coarse.extras["unquantized_db"]
+    # Both rows come from the same optimization run, whose trace ends at the
+    # unquantized objective.
     assert fine.trace_db == coarse.trace_db
-    assert fine.gamma_total_db <= fine.extras["unquantized_db"] + 1e-9
+    assert fine.gamma_total_db <= fine.trace_db[-1] + 1e-9
     assert coarse.gamma_total_db <= fine.gamma_total_db + 1e-9
 
 
