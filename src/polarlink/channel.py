@@ -6,6 +6,8 @@ angle, a polarization matching efficiency combining Fresnel reflection and
 field/axis alignment, and a translation-induced phase term. Everything is
 evaluated in far-field form: directions and distances use the receiver
 position alone, and the transmit position contributes only to the phase.
+link_terms computes each factor once from cosines and sines, never through
+an angle: the form the optimizer's exact gradient differentiates.
 """
 
 from __future__ import annotations
@@ -48,6 +50,11 @@ class ChannelMatrix:
         return self.entries.shape[1]
 
 
+def _dipole_pattern(cos_e, sin_e):
+    """The half-wave dipole pattern cos((pi/2) cos t) / sin t from cos t and sin t."""
+    return np.cos(0.5 * np.pi * cos_e) / sin_e
+
+
 def radiation_factor(theta_e) -> np.ndarray:
     """Half-wave dipole pattern cos((pi/2) cos t) / sin t, zero at the axis.
 
@@ -55,14 +62,18 @@ def radiation_factor(theta_e) -> np.ndarray:
     broadside at t = pi/2. Accepts scalars or arrays.
     """
     theta = np.asarray(theta_e, dtype=float)
-    ct = np.cos(theta)
     st = np.sin(theta)
-    safe = np.where(np.abs(st) < _DEGENERATE_TOL, 1.0, st)
-    out = np.where(np.abs(st) < _DEGENERATE_TOL, 0.0,
-                   np.cos(0.5 * np.pi * ct) / safe)
-    if np.isscalar(theta_e) or np.ndim(theta_e) == 0:
+    axial = np.abs(st) < _DEGENERATE_TOL
+    out = np.where(axial, 0.0, _dipole_pattern(np.cos(theta), np.where(axial, 1.0, st)))
+    if np.ndim(theta_e) == 0:
         return float(out)
     return out
+
+
+def _fresnel(cos_i, eps_r):
+    """Signed Fresnel coefficients (parallel, perpendicular) at incidence cosine cos_i."""
+    root = np.sqrt(eps_r - 1.0 + cos_i**2)
+    return (root - eps_r * cos_i) / (root + eps_r * cos_i), (root - cos_i) / (root + cos_i)
 
 
 def reflection_coefficients(theta_i, medium: MediumParams) -> Tuple[np.ndarray, np.ndarray]:
@@ -71,11 +82,7 @@ def reflection_coefficients(theta_i, medium: MediumParams) -> Tuple[np.ndarray, 
     Both equal +1 at grazing incidence; the parallel one crosses zero at
     the Brewster angle arccos(1/sqrt(eps_r + 1)).
     """
-    ct = np.cos(np.asarray(theta_i, dtype=float))
-    eps_r = medium.relative_permittivity
-    root = np.sqrt(eps_r - 1.0 + ct**2)
-    gamma_par = (root - eps_r * ct) / (root + eps_r * ct)
-    gamma_perp = (root - ct) / (root + ct)
+    gamma_par, gamma_perp = _fresnel(np.cos(theta_i), medium.relative_permittivity)
     if np.ndim(theta_i) == 0:
         return float(gamma_par), float(gamma_perp)
     return gamma_par, gamma_perp
@@ -84,17 +91,23 @@ def reflection_coefficients(theta_i, medium: MediumParams) -> Tuple[np.ndarray, 
 class LinkTerms(NamedTuple):
     """The channel kernel's terms for K users and L transmit antennas.
 
-    cos_emission, cos_matching, matching, degenerate and gains are (K, L);
-    sin_incidence, gamma_par and gamma_perp are per user, (K,). matching is
-    the amplitude fraction captured after reflection loss and polarization
-    mismatch, sqrt(1 - G_par^2 cos^2 a - G_perp^2 sin^2 a),
-    with cos a the clipped cos_matching. Where degenerate is set the transmit
-    axis points along the path: the gain is exactly 0 and the matching terms
-    carry no meaning.
+    With u the path direction, n the transmit and r the receive axis: per user
+    (K,) are sin_incidence = |u . r|, cos_incidence, gamma_par and gamma_perp,
+    and path_dir (K, 3) holds u; per link (K, L) are cos_emission = u . n,
+    sin_emission = |n - (u . n) u|, cos_matching, matching, degenerate and
+    gains, and field_dir (K, L, 3) is n - (u . n) u over sin_emission. matching
+    is the amplitude kept after reflection loss and polarization mismatch,
+    sqrt(1 - G_par^2 cos^2 a - G_perp^2 sin^2 a), cos a the clipped cos_matching
+    = field_dir . r. Where degenerate, n points along the path: the gain is
+    exactly 0 and field_dir and the matching terms are meaningless.
     """
 
+    path_dir: np.ndarray
     cos_emission: np.ndarray
+    sin_emission: np.ndarray
+    field_dir: np.ndarray
     sin_incidence: np.ndarray
+    cos_incidence: np.ndarray
     gamma_par: np.ndarray
     gamma_perp: np.ndarray
     cos_matching: np.ndarray
@@ -110,7 +123,8 @@ def link_terms(tx_positions, tx_orientations, rx_positions, rx_orientations,
 
     tx_positions and tx_orientations: (L, 3); rx_positions and
     rx_orientations: (K, 3). Orientations must be unit vectors. Degenerate
-    transmit-axis/propagation alignments yield exactly zero gains.
+    transmit-axis/propagation alignments yield exactly zero gains; at grazing
+    incidence (cos_incidence == 0) the user's row is exactly zero.
     """
     tx_p = np.atleast_2d(np.asarray(tx_positions, dtype=float))
     tx_n = np.atleast_2d(np.asarray(tx_orientations, dtype=float))
@@ -120,21 +134,20 @@ def link_terms(tx_positions, tx_orientations, rx_positions, rx_orientations,
     rx_dist = np.linalg.norm(rx_p, axis=1)
     if np.any(rx_dist < _DEGENERATE_TOL):
         raise GeometryError("receiver at the origin")
-    rx_hat = rx_p / rx_dist[:, None]
+    path_dir = rx_p / rx_dist[:, None]
 
-    # Emission angle and field direction, far-field: receiver direction only.
-    cos_e = rx_hat @ tx_n.T                                      # (K, L)
-    rad = radiation_factor(np.arccos(np.clip(cos_e, -1.0, 1.0)))
+    # Emission and field direction, far-field: receiver direction only.
+    cos_e = path_dir @ tx_n.T                                    # (K, L)
+    field_dir = tx_n[None, :, :] - cos_e[:, :, None] * path_dir[:, None, :]
+    sin_e = np.linalg.norm(field_dir, axis=-1)
+    degenerate = sin_e < _DEGENERATE_TOL
+    safe_sin_e = np.where(degenerate, 1.0, sin_e)
+    field_dir /= safe_sin_e[:, :, None]
 
-    stripped = tx_n[None, :, :] - cos_e[:, :, None] * rx_hat[:, None, :]
-    stripped_norm = np.linalg.norm(stripped, axis=-1)
-    degenerate = stripped_norm < _DEGENERATE_TOL
-    field_dir = stripped / np.where(degenerate, 1.0, stripped_norm)[:, :, None]
-
-    # Incident angle and reflection coefficients are per-user quantities.
-    sin_i = np.clip(np.abs(np.einsum("ki,ki->k", rx_hat, rx_n)), 0.0, 1.0)
-    theta_i = np.arcsin(sin_i)
-    gamma_par, gamma_perp = reflection_coefficients(theta_i, medium)
+    # Incidence and reflection coefficients are per-user quantities.
+    sin_i = np.clip(np.abs(np.einsum("ki,ki->k", path_dir, rx_n)), 0.0, 1.0)
+    cos_i = np.sqrt((1.0 - sin_i) * (1.0 + sin_i))
+    gamma_par, gamma_perp = _fresnel(cos_i, medium.relative_permittivity)
 
     cos_a = np.clip(np.einsum("kli,ki->kl", field_dir, rx_n), -1.0, 1.0)
     cos2 = cos_a ** 2
@@ -148,9 +161,10 @@ def link_terms(tx_positions, tx_orientations, rx_positions, rx_orientations,
                  * np.exp(-1j * wavenumber * rx_dist) / (4.0 * np.pi * rx_dist))  # (K,)
     phase = np.exp(1j * wavenumber * (rx_p @ tx_p.T) / rx_dist[:, None])
 
-    gains = prefactor[:, None] * rad * match * phase
+    gains = prefactor[:, None] * _dipole_pattern(cos_e, safe_sin_e) * match * phase
     gains[degenerate] = 0.0
-    return LinkTerms(cos_e, sin_i, gamma_par, gamma_perp, cos_a, match, degenerate, gains)
+    return LinkTerms(path_dir, cos_e, sin_e, field_dir, sin_i, cos_i, gamma_par, gamma_perp,
+                     cos_a, match, degenerate, gains)
 
 
 def gain_matrix(tx_positions, tx_orientations, rx_positions, rx_orientations,
@@ -172,9 +186,6 @@ def channel_matrix(tx_poses: Sequence[AntennaPose], rx_poses: Sequence[AntennaPo
     """Assemble the K x L matrix of element gains; requires K <= L."""
     if len(rx_poses) < 1 or len(tx_poses) < 1:
         raise UnsupportedConfigurationError("need at least one antenna on each side")
-    if len(rx_poses) > len(tx_poses):
-        raise UnsupportedConfigurationError(
-            f"more users ({len(rx_poses)}) than antennas ({len(tx_poses)}) is unsupported")
     tx_p = np.array([p.position for p in tx_poses])
     tx_n = np.array([p.orientation for p in tx_poses])
     rx_p = np.array([p.position for p in rx_poses])

@@ -180,9 +180,8 @@ def cmd_run(args) -> int:
         elif sub == "montecarlo":
             rows = []
             for kind in ("tx_random", "rx_random"):
-                frac = monte_carlo_half_energy(
-                    kind, config.monte_carlo_samples, config.seed, medium,
-                    sphere_uniform=config.monte_carlo_sphere_uniform)
+                frac = monte_carlo_half_energy(kind, config.monte_carlo_samples,
+                                               config.seed, medium)
                 rows.append([kind, config.monte_carlo_samples, frac])
             write_csv(args.out, ["scenario_kind", "samples", "half_energy_fraction"], rows)
             write_sidecar(args.out, config, sub, config.seed, 1)

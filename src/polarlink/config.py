@@ -45,7 +45,6 @@ class RunConfig:
     seed: int = 1
     repetitions: int = 100
     monte_carlo_samples: int = 1_000_000
-    monte_carlo_sphere_uniform: bool = False
     users_grid: List[int] = field(default_factory=lambda: [1, 2, 4, 8])
     power_grid_w: List[float] = field(default_factory=lambda: [0.125, 0.25, 0.5, 1.0, 2.0])
     granularity_grid_deg: List[float] = field(default_factory=lambda: [10, 30, 50, 80])
@@ -60,9 +59,9 @@ class RunConfig:
                 raise ConfigurationError(
                     f"frequency x wavelength = {product:.6g} m/s disagrees with the "
                     f"speed of light by more than 0.1%")
-        if self.user_count > self.antenna_count:
-            raise ConfigurationError(
-                f"{self.user_count} users exceed {self.antenna_count} antennas")
+        for users in (self.user_count, *self.users_grid):
+            if users > self.antenna_count:
+                raise ConfigurationError(f"{users} users exceed {self.antenna_count} antennas")
         if self.repetitions < 1:
             raise ConfigurationError("repetitions must be at least 1")
 

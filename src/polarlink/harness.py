@@ -41,6 +41,7 @@ CONFIGURATION_FLAGS = {
 _REFERENCE_TX = np.array([0.0, 0.0, 0.0])
 _REFERENCE_RX = np.array([75.0, -40.0, 50.0])
 _VERTICAL = np.array([0.0, 0.0, 1.0])
+_USER_DRAW_ROUNDS = 100_000
 
 
 @dataclass(frozen=True)
@@ -122,9 +123,9 @@ def random_unit_vectors(count: int, rng: np.random.Generator) -> np.ndarray:
 def generate_users(user_count: int, cube_half_side: float, seed) -> List[AntennaPose]:
     """Users uniform in the coverage cube with sphere-uniform orientations.
 
-    Positions closer than 1 m to the origin are resampled so the far-field
-    gain stays finite; a cube with no point that far out raises
-    UnsupportedConfigurationError.
+    Positions closer than 1 m to the origin are redrawn, for at most 100,000
+    rounds, so the far-field gain stays finite; a cube with no point that far
+    out, or users still that close, raises UnsupportedConfigurationError.
     """
     if user_count < 1:
         raise ConfigurationError("need at least one user")
@@ -132,12 +133,17 @@ def generate_users(user_count: int, cube_half_side: float, seed) -> List[Antenna
         raise UnsupportedConfigurationError(
             f"coverage half side {cube_half_side} m leaves no point 1 m from the origin")
     rng = seed if isinstance(seed, np.random.Generator) else _rng(seed)
-    positions = rng.uniform(-cube_half_side, cube_half_side, size=(user_count, 3))
-    too_close = np.linalg.norm(positions, axis=1) < 1.0
-    while np.any(too_close):
+    positions = np.empty((user_count, 3))
+    too_close = np.ones(user_count, dtype=bool)
+    for _ in range(_USER_DRAW_ROUNDS):
         positions[too_close] = rng.uniform(
             -cube_half_side, cube_half_side, size=(int(np.sum(too_close)), 3))
         too_close = np.linalg.norm(positions, axis=1) < 1.0
+        if not np.any(too_close):
+            break
+    else:
+        raise UnsupportedConfigurationError(f"coverage half side {cube_half_side} m: users "
+                                            f"still within 1 m after {_USER_DRAW_ROUNDS} draws")
     orientations = random_unit_vectors(user_count, rng)
     return [AntennaPose(position=p, orientation=n) for p, n in zip(positions, orientations)]
 
@@ -219,15 +225,13 @@ def reference_link_peak(kind: str, medium: Optional[MediumParams] = None,
 
 def monte_carlo_half_energy(scenario_kind: str, samples: int, seed: int,
                             medium: Optional[MediumParams] = None,
-                            sphere_uniform: bool = False,
                             grid_step_deg: float = 0.25,
                             batch: int = 1_000_000) -> float:
     """Fraction of random orientations delivering at least half the peak energy.
 
     The fixed link places the transmitter at the origin and the receiver at
     (75, -40, 50) with the non-random antenna vertical. Angles are sampled
-    uniformly in (polar, azimuthal) by default; sphere_uniform switches to
-    area-uniform directions.
+    uniformly in (polar, azimuthal).
     """
     if samples < 1:
         raise ConfigurationError("need at least one Monte Carlo sample")
@@ -240,11 +244,7 @@ def monte_carlo_half_energy(scenario_kind: str, samples: int, seed: int,
     remaining = samples
     while remaining > 0:
         n = min(batch, remaining)
-        if sphere_uniform:
-            cos_polar = rng.uniform(-1.0, 1.0, n)
-            polar = np.arccos(cos_polar)
-        else:
-            polar = rng.uniform(0.0, np.pi, n)
+        polar = rng.uniform(0.0, np.pi, n)
         azimuthal = rng.uniform(0.0, 2.0 * np.pi, n)
         mags = _half_energy_magnitudes(scenario_kind, polar, azimuthal, medium)
         hits += int(np.sum(mags**2 >= threshold))

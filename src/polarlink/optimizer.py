@@ -303,11 +303,10 @@ def _evaluate(layout: LayoutVariables, rx_positions: np.ndarray, medium: MediumP
                   level=level + inv_snr.min(), sinr=sinr)
 
 
-def _gradient(point: _Point, block: str, rx_positions: np.ndarray,
-              medium: MediumParams) -> np.ndarray:
+def _gradient(point: _Point, block: str, medium: MediumParams) -> np.ndarray:
     """Exact gradient of the objective over one orientation block at an
     evaluated point, ordered as _block_vector. Builds no channel and takes no
-    SVD: it reuses point's.
+    SVD: it reuses point's, and reads every geometric term from point.terms.
 
     The differential of J is dJ = sum_k c_k d[G^-1]_kk with G = H H^H and
     c_k = (J + 1) sigma^2 (1/level - 1/t_k) / K, zero for unfunded users (the
@@ -319,10 +318,10 @@ def _gradient(point: _Point, block: str, rx_positions: np.ndarray,
     Each gain is h_kl = A_kl rad(cos_e) m(cos_a, cos_i) with A_kl fixed by
     the positions, so dH_kl = h_kl d log(rad m). A transmit axis n_l moves
     cos_e and cos_a; a receive axis r_k moves cos_a and, through the Fresnel
-    coefficients, cos_i = sqrt(1 - sin_i^2). Where the gain is exactly 0
-    (a degenerate entry, or m = 0 at grazing incidence) the objective has a
-    cone point and the entry contributes 0; so does the Fresnel term at
-    grazing incidence, cos_i = 0, where it has no direction.
+    coefficients, cos_i. A degenerate entry (gain exactly 0) is a cone point
+    of the objective and contributes 0. Every evaluated point has m > 0 and
+    cos_i > 0: at grazing incidence (cos_i = 0) the user's row is exactly 0,
+    which _evaluate rejects as singular.
     """
     terms = point.terms
     gains = terms.gains
@@ -335,42 +334,37 @@ def _gradient(point: _Point, block: str, rx_positions: np.ndarray,
     # dJ = sum_kl weight_kl d log(rad_kl m_kl), a zero gain weighing 0.
     weight = 2.0 * np.real(np.conj(gamma) * gains)
 
-    tx_axes, rx_axes = point.tx_tangents[0], point.rx_tangents[0]
-    rx_hat = rx_positions / np.linalg.norm(rx_positions, axis=1)[:, None]
-    cos_e, cos_m, matching = terms.cos_emission, terms.cos_matching, terms.matching
+    path, field_dir = terms.path_dir, terms.field_dir
+    cos_e, cos_m = terms.cos_emission, terms.cos_matching
+    sin_e = np.where(terms.degenerate, 1.0, terms.sin_emission)
     g_par, g_perp = terms.gamma_par[:, None], terms.gamma_perp[:, None]
-    stripped = tx_axes[None, :, :] - cos_e[:, :, None] * rx_hat[:, None, :]
-    stripped_norm = np.where(terms.degenerate, 1.0, np.linalg.norm(stripped, axis=-1))
-    field_dir = stripped / stripped_norm[:, :, None]
     # m^2 = 1 - g_perp^2 - (g_par^2 - g_perp^2) cos_a^2, so weight * d log m is
     # weight / m^2 times d(m^2) / 2.
-    per_m2 = np.divide(weight, matching**2, out=np.zeros_like(weight), where=matching > 0)
+    per_m2 = weight / terms.matching**2
     d_cos_m = -(g_par**2 - g_perp**2) * cos_m * per_m2
 
     if block == BLOCK_TX_ANGLES:
-        # log rad = log cos(pi c / 2) - log(1 - c^2) / 2, with 1 - c^2 = |stripped|^2.
-        d_cos_e = np.where(terms.degenerate, 0.0, weight * (
-            -0.5 * np.pi * np.tan(0.5 * np.pi * cos_e) + cos_e / stripped_norm**2))
-        # d cos_a / d n = (P r - cos_a f) / |stripped|, P the projector off the path.
-        projected_rx = rx_axes - np.sum(rx_hat * rx_axes, axis=-1)[:, None] * rx_hat
-        along = d_cos_m / stripped_norm
-        grad_axes = (d_cos_e.T @ rx_hat + along.T @ projected_rx
+        # log rad = log cos(pi c / 2) - log(1 - c^2) / 2, with 1 - c^2 = sin_e^2.
+        d_cos_e = weight * (-0.5 * np.pi * np.tan(0.5 * np.pi * cos_e) + cos_e / sin_e**2)
+        # d cos_a / d n = (P r - cos_a f) / sin_e, P the projector off the path.
+        rx_axes = point.rx_tangents[0]
+        projected_rx = rx_axes - np.sum(path * rx_axes, axis=-1)[:, None] * path
+        along = d_cos_m / sin_e
+        grad_axes = (d_cos_e.T @ path + along.T @ projected_rx
                      - np.einsum("kl,kli->li", along * cos_m, field_dir))
         _, d_polar, d_azimuthal = point.tx_tangents
     elif block == BLOCK_RX_ANGLES:
-        cos_i = np.sqrt((1.0 - terms.sin_incidence) * (1.0 + terms.sin_incidence))
+        cos_i = terms.cos_incidence
         eps = medium.relative_permittivity
         root = np.sqrt(eps - 1.0 + cos_i**2)
         d_par = (-2.0 * eps * (eps - 1.0) / (root * (root + eps * cos_i)**2))[:, None]
         d_perp = (-2.0 * (eps - 1.0) / (root * (root + cos_i)**2))[:, None]
         d_cos_i = np.sum(-(g_par * d_par * cos_m**2 + g_perp * d_perp * (1.0 - cos_m**2))
                          * per_m2, axis=-1)
-        # d cos_i / d r = -(u . r) u / cos_i, without a direction at cos_i = 0.
-        along_path = np.divide(-np.sum(rx_hat * rx_axes, axis=-1) * d_cos_i, cos_i,
-                               out=np.zeros_like(cos_i), where=cos_i > 0)
-        grad_axes = (np.einsum("kl,kli->ki", d_cos_m, field_dir)
-                     + along_path[:, None] * rx_hat)
-        _, d_polar, d_azimuthal = point.rx_tangents
+        # d cos_i / d r = -(u . r) u / cos_i.
+        rx_axes, d_polar, d_azimuthal = point.rx_tangents
+        along_path = -np.sum(path * rx_axes, axis=-1) * d_cos_i / cos_i
+        grad_axes = np.einsum("kl,kli->ki", d_cos_m, field_dir) + along_path[:, None] * path
     else:
         raise ConfigurationError(f"unknown block {block!r}")
     return np.stack([np.sum(grad_axes * d_polar, axis=-1),
@@ -478,13 +472,10 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
     thousand ulps of J, so J's rounding, not the step, would decide the test.
     The floor bounds every search, singular trials included.
 
-    A receive axis that starts at exact grazing incidence (along its user's
-    path, sin_incidence == 1) stays there: the objective has a cone point in
-    that axis, where the exact gradient is exactly 0, so that user stays
-    unfunded. With users at (0, 0, 100) and (-30, 55, -20), 4 antennas and
-    receive axis 0 at polar 0, the final total SINR is about 400, against
-    about 52,500 when that axis starts 0.3 rad off grazing. A random drop
-    starts there with probability 0.
+    A receive axis at exact grazing incidence (along its user's path,
+    cos_incidence == 0) makes that user's row exactly 0, so the channel is
+    singular: a start there raises SingularChannelError and a trial there is
+    a rejected step. A random drop lands there with probability 0.
     """
     layout = initial_layout.copy()
     layout.canonicalize_angles()
@@ -509,7 +500,7 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
                 continue
             block_start = point.value
             for _ in range(_INNER_STEPS):
-                grad = _gradient(point, block, rx_positions, medium)
+                grad = _gradient(point, block, medium)
                 trace.gradients += 1
                 grad_sq = float(grad @ grad)
                 if not np.isfinite(grad_sq) or grad_sq == 0.0:

@@ -128,11 +128,10 @@ def test_matching_efficiency_bounds_and_normal_incidence(medium):
 
 def test_matching_efficiency_zero_at_grazing(medium):
     # Receive axis along the path: grazing incidence, both coefficients 1.
-    # cos(pi/2) rounds to ~6e-17, so the efficiency is the square root of a
-    # float residual rather than an exact zero.
     terms = _links_to(RX / RX_NORM, medium)
     assert terms.sin_incidence[0] == pytest.approx(1.0, abs=1e-15)
-    assert terms.matching[0, 0] == pytest.approx(0.0, abs=1e-7)
+    assert terms.gamma_par[0] == 1.0 and terms.gamma_perp[0] == 1.0
+    assert terms.matching[0, 0] == 0.0
 
 
 @settings(max_examples=150, deadline=None)
@@ -291,3 +290,17 @@ def test_link_terms_recompose_gain(seed, force_degenerate):
     expected = np.where(terms.degenerate, 0.0,
                         const[:, None] * np.abs(rad) * terms.matching)
     assert np.allclose(np.abs(terms.gains), expected, rtol=1e-12, atol=0.0)
+
+    # The cosine-form terms agree with the angle-form public functions.
+    g_par, g_perp = reflection_coefficients(np.arcsin(terms.sin_incidence), medium)
+    assert np.allclose(terms.gamma_par, g_par, rtol=0.0, atol=1e-12)
+    assert np.allclose(terms.gamma_perp, g_perp, rtol=0.0, atol=1e-12)
+    assert np.allclose(terms.sin_emission**2 + terms.cos_emission**2, 1.0, rtol=0.0, atol=1e-15)
+    assert np.allclose(terms.cos_incidence**2 + terms.sin_incidence**2, 1.0,
+                       rtol=0.0, atol=1e-15)
+    regular = ~terms.degenerate
+    assert np.allclose(np.linalg.norm(terms.field_dir, axis=-1)[regular], 1.0,
+                       rtol=0.0, atol=1e-15)
+    # The field n - (n . u) u is orthogonal to the path up to rounding.
+    across = np.einsum("kli,ki->kl", terms.field_dir, terms.path_dir) * terms.sin_emission
+    assert np.allclose(across[regular], 0.0, rtol=0.0, atol=1e-15)

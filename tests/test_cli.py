@@ -202,8 +202,10 @@ def test_run_nonpositive_reps_override_exits_2(tmp_path, capsys, reps):
 
 
 def test_run_invalid_config_key_exits_2(tmp_path, capsys):
-    # The line-search step constants are not configuration keys.
-    for key in ("not_a_key", "inner_steps", "initial_step_angle"):
+    # The line-search step constants and the deleted sphere-uniform Monte
+    # Carlo switch are not configuration keys.
+    for key in ("not_a_key", "inner_steps", "initial_step_angle",
+                "monte_carlo_sphere_uniform"):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({key: 1}))
         out = tmp_path / "x.csv"
@@ -222,6 +224,11 @@ def test_run_invalid_config_key_exits_2(tmp_path, capsys):
     ("optimize", {"coverage_half_side_m": 0.5}, 4),
     # The movement box is too small for 8 antennas half a wavelength apart.
     ("optimize", {"region_half_side_m": 0.001}, 4),
+    # More users than antennas, as a users_grid entry or as user_count.
+    ("sweep-users", {"users_grid": [9]}, 2),
+    ("optimize", {"user_count": 9}, 2),
+    # Only the cube's corner tips lie 1 m out: the draws give up.
+    ("optimize", {"coverage_half_side_m": 0.58}, 4),
 ])
 def test_run_exit_codes(tmp_path, capsys, experiment, overrides, code):
     # An invalid value is a usage error (2); a valid scenario that cannot be

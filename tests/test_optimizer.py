@@ -135,8 +135,8 @@ def _rx_positions(users):
     return np.array([u.position for u in users])
 
 
-def _reference_gradient(layout, block, users, total_power=0.5):
-    """finite_difference_gradient at step 1e-4 with its own h^2 error removed.
+def _reference_gradient(layout, block, users, total_power=0.5, step=1e-4):
+    """finite_difference_gradient at step h = step with its own h^2 error removed.
 
     Central differences at step h carry an error c h^2; the run at 2h
     estimates it (Richardson extrapolation). Near a degenerate entry or a
@@ -147,20 +147,19 @@ def _reference_gradient(layout, block, users, total_power=0.5):
     def func(probe):
         return objective(probe, users, MEDIUM, total_power)
 
-    fine = finite_difference_gradient(layout, block, func, 1e-4)
-    coarse = finite_difference_gradient(layout, block, func, 2e-4)
+    fine = finite_difference_gradient(layout, block, func, step)
+    coarse = finite_difference_gradient(layout, block, func, 2.0 * step)
     return fine + (fine - coarse) / 3.0
 
 
 def _exact_gradient(layout, block, users, total_power=0.5):
-    rx_positions = _rx_positions(users)
-    point = _evaluate(layout, rx_positions, MEDIUM, total_power)
-    return _gradient(point, block, rx_positions, MEDIUM)
+    point = _evaluate(layout, _rx_positions(users), MEDIUM, total_power)
+    return _gradient(point, block, MEDIUM)
 
 
-def _assert_close_to_reference(layout, block, users, total_power=0.5):
+def _assert_close_to_reference(layout, block, users, total_power=0.5, step=1e-4):
     exact = _exact_gradient(layout, block, users, total_power)
-    reference = _reference_gradient(layout, block, users, total_power)
+    reference = _reference_gradient(layout, block, users, total_power, step)
     assert np.linalg.norm(exact - reference) <= 1e-5 * np.linalg.norm(reference)
 
 
@@ -206,12 +205,28 @@ def test_exact_gradient_degenerate_entry():
 
 
 def test_exact_gradient_grazing_incidence():
-    # The receive axis lies along the path: sin_incidence is 1, cos_i is 0 and
-    # the Fresnel term has no direction; the row's gains are a rounding residue.
+    # The receive axis lies along the path: cos_i is 0, both Fresnel
+    # coefficients are 1 and the user's row is exactly 0, a singular channel.
+    users = [USER_ZENITH, USER_B]
     layout = _layout(antennas=4, users=2, seed=1)
     layout.rx_angles[0] = [0.0, 0.0]
-    assert _terms(layout, [USER_ZENITH, USER_B]).sin_incidence[0] == 1.0
-    _assert_finite_gradient_and_ascent(layout, [USER_ZENITH, USER_B])
+    terms = _terms(layout, users)
+    assert terms.cos_incidence[0] == 0.0
+    assert np.all(terms.gains[0] == 0.0)
+    with pytest.raises(SingularChannelError):
+        objective(layout, users, MEDIUM, 0.5)
+    scenario = harness.Scenario(medium=MEDIUM, constraints=_constraints(), user_poses=users,
+                                antenna_count=4, total_power=0.5, seed=1)
+    record = harness.run_configuration(scenario, 5, OptimizerConfig(max_outer_iterations=20),
+                                       layout)
+    assert record.failure.startswith("SingularChannelError")
+    # 1e-3 rad off grazing the row is regular and the gradient exact; so
+    # close to the cone point the reference needs a step below 1e-4.
+    layout.rx_angles[0] = [1e-3, 0.0]
+    assert 0.0 < _terms(layout, users).cos_incidence[0] < 2e-3
+    for block in BLOCK_ORDER:
+        _assert_close_to_reference(layout, block, users, step=1e-5)
+    _assert_finite_gradient_and_ascent(layout, users)
 
 
 def test_exact_gradient_broadside_kink():
