@@ -92,13 +92,13 @@ class LinkTerms(NamedTuple):
     """The channel kernel's terms for K users and L transmit antennas.
 
     With u the path direction, n the transmit and r the receive axis: per user
-    (K,) are sin_incidence = |u . r|, cos_incidence, gamma_par and gamma_perp,
-    and path_dir (K, 3) holds u; per link (K, L) are cos_emission = u . n,
-    sin_emission = |n - (u . n) u|, cos_matching, matching, degenerate and
-    gains, and field_dir (K, L, 3) is n - (u . n) u over sin_emission. matching
-    is the amplitude kept after reflection loss and polarization mismatch,
-    sqrt(1 - G_par^2 cos^2 a - G_perp^2 sin^2 a), cos a the clipped cos_matching
-    = field_dir . r. Where degenerate, n points along the path: the gain is
+    (K,) are sin_incidence = |u . r|, cos_incidence = |r - (u . r) u|,
+    gamma_par and gamma_perp, and path_dir (K, 3) holds u; per link (K, L) are
+    cos_emission = u . n, sin_emission = |n - (u . n) u|, cos_matching,
+    matching, degenerate and gains, and field_dir (K, L, 3) is n - (u . n) u
+    over sin_emission. matching is the amplitude kept after reflection loss
+    and polarization mismatch, sqrt(1 - G_par^2 cos^2 a - G_perp^2 sin^2 a),
+    cos a the clipped cos_matching = field_dir . r. Where degenerate, n points along the path: the gain is
     exactly 0 and field_dir and the matching terms are meaningless.
     """
 
@@ -144,9 +144,12 @@ def link_terms(tx_positions, tx_orientations, rx_positions, rx_orientations,
     safe_sin_e = np.where(degenerate, 1.0, sin_e)
     field_dir /= safe_sin_e[:, :, None]
 
-    # Incidence and reflection coefficients are per-user quantities.
-    sin_i = np.clip(np.abs(np.einsum("ki,ki->k", path_dir, rx_n)), 0.0, 1.0)
-    cos_i = np.sqrt((1.0 - sin_i) * (1.0 + sin_i))
+    # Incidence and reflection coefficients are per-user quantities. cos_i is
+    # the length of r's part off the path, which keeps every digit near
+    # grazing, where sqrt(1 - sin_i^2) keeps half.
+    sin_i = np.einsum("ki,ki->k", path_dir, rx_n)          # u . r, then its size
+    cos_i = np.sqrt(sum((rx_n[:, i] - sin_i * path_dir[:, i])**2 for i in range(3)))
+    sin_i = np.clip(np.abs(sin_i), 0.0, 1.0)
     gamma_par, gamma_perp = _fresnel(cos_i, medium.relative_permittivity)
 
     cos_a = np.clip(np.einsum("kli,ki->kl", field_dir, rx_n), -1.0, 1.0)

@@ -123,8 +123,8 @@ def cmd_channel_eval(args) -> int:
     fields = [
         ("gain_magnitude", abs(gain)),
         ("gain_phase_rad", math.atan2(gain.imag, gain.real)),
-        ("emission_angle_rad", np.arccos(np.clip(terms.cos_emission[0, 0], -1.0, 1.0))),
-        ("incident_angle_rad", np.arcsin(terms.sin_incidence[0])),
+        ("emission_angle_rad", np.arctan2(terms.sin_emission[0, 0], terms.cos_emission[0, 0])),
+        ("incident_angle_rad", np.arctan2(terms.sin_incidence[0], terms.cos_incidence[0])),
         ("matching_angle_rad", alpha),
         ("gamma_parallel", terms.gamma_par[0]),
         ("gamma_perpendicular", terms.gamma_perp[0]),

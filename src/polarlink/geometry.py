@@ -64,14 +64,28 @@ class AntennaPose:
 
 
 def cartesian_to_spherical(v) -> SphericalAngles:
-    """Polar/azimuthal angles of a direction, the inverse of angles_to_unit;
-    azimuth is 0 by convention at the poles."""
+    """Polar/azimuthal angles of a direction (unit_to_angles of one vector),
+    the inverse of angles_to_unit; azimuth is 0 by convention at the poles."""
     n = unit(v)
-    polar = float(np.arccos(np.clip(n[2], -1.0, 1.0)))
+    polar, azimuthal = unit_to_angles(n)
     if abs(n[2]) >= 1.0 - _PARALLEL_TOL:
-        return SphericalAngles(polar=polar, azimuthal=0.0)
-    azimuthal = float(np.mod(np.arctan2(n[1], n[0]), _TWO_PI))
-    return SphericalAngles(polar=polar, azimuthal=azimuthal)
+        azimuthal = 0.0
+    return SphericalAngles(polar=float(polar), azimuthal=float(azimuthal))
+
+
+def unit_to_angles(vectors) -> np.ndarray:
+    """Canonical (polar, azimuthal) rows (..., 2) of direction vectors (..., 3).
+
+    Polar is arctan2(hypot(x, y), z) in [0, pi] and azimuth arctan2(y, x)
+    reduced to [0, 2*pi); arctan2 is scale-invariant, so the vectors need not
+    be unit. Near the poles it keeps every digit that arccos(z) would lose.
+    """
+    v = np.asarray(vectors, dtype=float)
+    polar = np.arctan2(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
+    azimuthal = np.mod(np.arctan2(v[..., 1], v[..., 0]), _TWO_PI)
+    # np.mod can round a tiny negative input up to the modulus itself.
+    azimuthal = np.where(azimuthal >= _TWO_PI, 0.0, azimuthal)
+    return np.stack([polar, azimuthal], axis=-1)
 
 
 def angles_to_unit(polar, azimuthal) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import ChannelMatrix, gain_matrix
 from .errors import ConfigurationError, PolarlinkError, UnsupportedConfigurationError
-from .geometry import AntennaPose, angles_to_unit, cartesian_to_spherical
+from .geometry import AntennaPose, angles_to_unit, unit_to_angles
 from .medium import MediumParams
 from .mimo import LinkMetrics, solve_beamforming
 from .optimizer import (Constraints, ConvergenceTrace, LayoutVariables, OptimizeResult,
@@ -169,12 +169,8 @@ def random_initial_layout(scenario: Scenario, rng: np.random.Generator) -> Layou
     from them, which makes the config-ordering comparison initialization-fair.
     """
     positions = random_tx_positions(scenario.antenna_count, scenario.constraints, rng)
-    tx_dirs = random_unit_vectors(scenario.antenna_count, rng)
-    tx_angles = np.array([[a.polar, a.azimuthal]
-                          for a in map(cartesian_to_spherical, tx_dirs)])
-    rx_angles = np.array([[a.polar, a.azimuthal]
-                          for a in (cartesian_to_spherical(u.orientation)
-                                    for u in scenario.user_poses)])
+    tx_angles = unit_to_angles(random_unit_vectors(scenario.antenna_count, rng))
+    rx_angles = unit_to_angles([u.orientation for u in scenario.user_poses])
     return LayoutVariables(tx_angles=tx_angles, tx_positions=positions, rx_angles=rx_angles)
 
 

@@ -2,16 +2,20 @@
 
 Maximizes the equivalent total SINR of the zero-forcing + water-filling link
 by cycling through two variable blocks (receive orientations, transmit
-orientations). Orientations are parameterized by their polar/azimuthal angles
-so ascent steps stay unconstrained. Under ideal zero forcing the objective
-has a closed form in the channel's SVD, so one point is evaluated once:
-_evaluate builds the channel with one channel.link_terms call, takes one SVD
-and water-fills, and _gradient chains the exact derivative of that value
-through the same terms, SVD and the angle chart without building anything
-again. Each backtracking line-search trial is one _evaluate; the accepted
-trial is the point the next gradient starts from. A trial whose channel
-fails the condition check is a rejected step. The final record comes from
-the full beamforming solution, whose metrics keep the general interference
+orientations). An orientation is a unit axis on the sphere: each ascent step
+moves a block's axes in their tangent planes and maps the moved vectors back
+to canonical (polar, azimuthal) angles with one arctan2 (a retraction; Absil,
+Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 4),
+so the angles serve only for storage, quantization and display, and the
+poles are ordinary points. Under ideal zero forcing the objective has a
+closed form in the channel's SVD, so one point is evaluated once: _evaluate
+builds the channel with one channel.link_terms call, takes one SVD and
+water-fills, and _gradient takes the exact derivative of that value in the
+axes through the same terms and SVD without building anything again. Each
+backtracking line-search trial is one _evaluate; the accepted trial is the
+point the next gradient starts from. A trial whose channel fails the
+condition check is a rejected step. The final record comes from the full
+beamforming solution, whose metrics keep the general interference
 expression.
 
 Transmit positions are fixed inputs: the channel is built from them as given
@@ -37,11 +41,10 @@ import numpy as np
 from .channel import ChannelMatrix, LinkTerms, gain_matrix, link_terms
 from .errors import (ConfigurationError, InfeasibleLayoutError, ProjectionError,
                      SingularChannelError)
-from .geometry import AntennaPose, angles_to_unit
+from .geometry import AntennaPose, angles_to_unit, unit_to_angles
 from .medium import MediumParams
 from .mimo import BeamformingSolution, _water_level, _zf_svd, solve_beamforming
 
-_TWO_PI = 2.0 * np.pi
 _FEASIBILITY_TOL = 1e-9
 _PROJECTION_SWEEP_CAP = 1000
 # The line search's constants (see optimize).
@@ -79,9 +82,10 @@ class Constraints:
 class LayoutVariables:
     """Optimization variables: angles per antenna plus the active-block flags.
 
-    tx_angles is (L, 2) of (polar, azimuthal); rx_angles is (K, 2);
-    tx_positions is (L, 3) in meters, used as given and never moved by the
-    optimizer (see the module docstring).
+    tx_angles is (L, 2) of (polar, azimuthal) and rx_angles (K, 2): the
+    stored form of the unit axes the optimizer steps. tx_positions is (L, 3)
+    in meters, used as given and never moved by the optimizer (see the module
+    docstring).
     """
 
     tx_angles: np.ndarray
@@ -110,29 +114,6 @@ class LayoutVariables:
     def rx_orientations(self) -> np.ndarray:
         return angles_to_unit(self.rx_angles[:, 0], self.rx_angles[:, 1])
 
-    def canonicalize_angles(self) -> None:
-        """Wrap both angle arrays back to polar in [0, pi], azimuth in [0, 2*pi)."""
-        for arr in (self.tx_angles, self.rx_angles):
-            arr[:] = wrap_angles(arr)
-
-
-def wrap_angles(angles: np.ndarray) -> np.ndarray:
-    """Map arbitrary (polar, azimuthal) pairs to the canonical ranges.
-
-    A polar angle outside [0, pi] is folded back with a half-turn of azimuth,
-    preserving the orientation vector exactly.
-    """
-    polar = np.mod(angles[..., 0], _TWO_PI)
-    # np.mod can round a tiny negative input up to the modulus itself.
-    polar = np.where(polar >= _TWO_PI, 0.0, polar)
-    azimuthal = angles[..., 1].copy()
-    over = polar > np.pi
-    polar = np.where(over, _TWO_PI - polar, polar)
-    azimuthal = np.where(over, azimuthal + np.pi, azimuthal)
-    azimuthal = np.mod(azimuthal, _TWO_PI)
-    azimuthal = np.where(azimuthal >= _TWO_PI, 0.0, azimuthal)
-    return np.stack([polar, azimuthal], axis=-1)
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -158,7 +139,6 @@ class ConvergenceTrace:
     channel was singular."""
 
     total_sinr: List[float] = field(default_factory=list)
-    block_improvements: List[dict] = field(default_factory=list)
     wall_time: float = 0.0
     evaluations: int = 0
     gradients: int = 0
@@ -245,32 +225,32 @@ def finite_difference_gradient(layout: LayoutVariables, block: str,
     return grad
 
 
-def _axes_and_tangents(angles: np.ndarray):
-    """Unit axes (n, 3) of (polar, azimuthal) rows (n, 2) and their derivatives
-    along the polar and the azimuthal angle, from one sin and cos of each.
+def _axes(angles: np.ndarray) -> np.ndarray:
+    """Unit axes (n, 3) of (polar, azimuthal) rows (n, 2), equal to
+    angles_to_unit's bit for bit.
 
-    The axes equal angles_to_unit's bit for bit.
+    A separate copy so that angles_to_unit converts only the orientations of
+    full channel builds (gain_matrix): the benchmark's traced run checks that
+    it is called exactly twice per gain_matrix call, while optimize converts
+    every evaluated point and quantize_angles every snapped layout.
     """
-    sin_p, cos_p = np.sin(angles[:, 0]), np.cos(angles[:, 0])
-    sin_a, cos_a = np.sin(angles[:, 1]), np.cos(angles[:, 1])
-    axes = np.stack([sin_p * cos_a, sin_p * sin_a, cos_p], axis=-1)
-    d_polar = np.stack([cos_p * cos_a, cos_p * sin_a, -sin_p], axis=-1)
-    d_azimuthal = np.stack([-sin_p * sin_a, sin_p * cos_a, np.zeros_like(sin_p)], axis=-1)
-    return axes, d_polar, d_azimuthal
+    sin_p = np.sin(angles[:, 0])
+    return np.stack([sin_p * np.cos(angles[:, 1]), sin_p * np.sin(angles[:, 1]),
+                     np.cos(angles[:, 0])], axis=-1)
 
 
 @dataclass(frozen=True)
 class _Point:
     """One evaluated layout: the objective value and the factors its gradient
-    chains through (the kernel's terms, the angle tangents, the SVD and the
-    water-filling state)."""
+    reads (the kernel's terms, the unit axes, the SVD and the water-filling
+    state)."""
 
     layout: LayoutVariables
     value: float
     growth: float
     terms: LinkTerms
-    tx_tangents: tuple
-    rx_tangents: tuple
+    tx_axes: np.ndarray
+    rx_axes: np.ndarray
     svd: tuple
     level: float               # the water level, unshifted
     sinr: np.ndarray
@@ -289,24 +269,23 @@ def _evaluate(layout: LayoutVariables, rx_positions: np.ndarray, medium: MediumP
     """
     if not total_power > 0:
         raise ConfigurationError(f"total power must be positive, got {total_power}")
-    tx_tangents = _axes_and_tangents(layout.tx_angles)
-    rx_tangents = _axes_and_tangents(layout.rx_angles)
-    terms = link_terms(layout.tx_positions, tx_tangents[0], rx_positions, rx_tangents[0],
-                       medium)
+    tx_axes, rx_axes = _axes(layout.tx_angles), _axes(layout.rx_angles)
+    terms = link_terms(layout.tx_positions, tx_axes, rx_positions, rx_axes, medium)
     U, S, Vh = _zf_svd(terms.gains)
     inv_snr = medium.noise_power * np.sum(np.abs(U)**2 / S**2, axis=-1)
     excess, level = _water_level(inv_snr, total_power)
     sinr = np.maximum(level - excess, 0.0) / inv_snr
     growth = float(np.exp(np.mean(np.log1p(sinr))))
     return _Point(layout=layout, value=growth - 1.0, growth=growth, terms=terms,
-                  tx_tangents=tx_tangents, rx_tangents=rx_tangents, svd=(U, S, Vh),
+                  tx_axes=tx_axes, rx_axes=rx_axes, svd=(U, S, Vh),
                   level=level + inv_snr.min(), sinr=sinr)
 
 
 def _gradient(point: _Point, block: str, medium: MediumParams) -> np.ndarray:
-    """Exact gradient of the objective over one orientation block at an
-    evaluated point, ordered as _block_vector. Builds no channel and takes no
-    SVD: it reuses point's, and reads every geometric term from point.terms.
+    """Exact gradient of the objective over one block's unit axes at an
+    evaluated point: (n, 3), each row in its axis' tangent plane. Builds no
+    channel and takes no SVD: it reuses point's, and reads every geometric
+    term from point.terms.
 
     The differential of J is dJ = sum_k c_k d[G^-1]_kk with G = H H^H and
     c_k = (J + 1) sigma^2 (1/level - 1/t_k) / K, zero for unfunded users (the
@@ -321,7 +300,9 @@ def _gradient(point: _Point, block: str, medium: MediumParams) -> np.ndarray:
     coefficients, cos_i. A degenerate entry (gain exactly 0) is a cone point
     of the objective and contributes 0. Every evaluated point has m > 0 and
     cos_i > 0: at grazing incidence (cos_i = 0) the user's row is exactly 0,
-    which _evaluate rejects as singular.
+    which _evaluate rejects as singular. The Euclidean gradient in each axis
+    a is projected onto its tangent plane, g - (g . a) a: the gradient on the
+    sphere, with no angle chart and so no pole where a direction is lost.
     """
     terms = point.terms
     gains = terms.gains
@@ -347,12 +328,12 @@ def _gradient(point: _Point, block: str, medium: MediumParams) -> np.ndarray:
         # log rad = log cos(pi c / 2) - log(1 - c^2) / 2, with 1 - c^2 = sin_e^2.
         d_cos_e = weight * (-0.5 * np.pi * np.tan(0.5 * np.pi * cos_e) + cos_e / sin_e**2)
         # d cos_a / d n = (P r - cos_a f) / sin_e, P the projector off the path.
-        rx_axes = point.rx_tangents[0]
+        rx_axes = point.rx_axes
         projected_rx = rx_axes - np.sum(path * rx_axes, axis=-1)[:, None] * path
         along = d_cos_m / sin_e
         grad_axes = (d_cos_e.T @ path + along.T @ projected_rx
                      - np.einsum("kl,kli->li", along * cos_m, field_dir))
-        _, d_polar, d_azimuthal = point.tx_tangents
+        axes = point.tx_axes
     elif block == BLOCK_RX_ANGLES:
         cos_i = terms.cos_incidence
         eps = medium.relative_permittivity
@@ -362,13 +343,12 @@ def _gradient(point: _Point, block: str, medium: MediumParams) -> np.ndarray:
         d_cos_i = np.sum(-(g_par * d_par * cos_m**2 + g_perp * d_perp * (1.0 - cos_m**2))
                          * per_m2, axis=-1)
         # d cos_i / d r = -(u . r) u / cos_i.
-        rx_axes, d_polar, d_azimuthal = point.rx_tangents
-        along_path = -np.sum(path * rx_axes, axis=-1) * d_cos_i / cos_i
+        axes = point.rx_axes
+        along_path = -np.sum(path * axes, axis=-1) * d_cos_i / cos_i
         grad_axes = np.einsum("kl,kli->ki", d_cos_m, field_dir) + along_path[:, None] * path
     else:
         raise ConfigurationError(f"unknown block {block!r}")
-    return np.stack([np.sum(grad_axes * d_polar, axis=-1),
-                     np.sum(grad_axes * d_azimuthal, axis=-1)], axis=-1).ravel()
+    return grad_axes - np.sum(grad_axes * axes, axis=-1)[:, None] * axes
 
 
 def _pair_halfspace_violations(positions: np.ndarray, previous: np.ndarray,
@@ -449,28 +429,31 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
     outer sweep with no active block still records one iteration. The start
     is evaluated once (_evaluate). Each gradient is exact and comes from the
     current evaluated point (_gradient: no channel build, no SVD); the
-    backtracking line search then tries one step at a time, each trial
-    wrapped to the canonical angle ranges and evaluated once, and the
-    accepted trial's evaluation becomes the current point. A trial whose
-    channel raises SingularChannelError is rejected like one that fails the
-    Armijo test, and the step shrinks; any other error propagates. Each
-    accepted step passes the Armijo test, so the recorded trace, which holds
-    the values objective returns, is non-decreasing; the trace also counts
-    evaluations, gradients and singular trials. Stops when one full outer
-    sweep improves the objective by less than the relative convergence
-    tolerance. The starting layout's channel must be regular: a singular one
-    raises SingularChannelError. The returned beamforming solution is the
+    backtracking line search then tries one step at a time along it, each
+    trial's moved axes converted to canonical angles (unit_to_angles) and
+    evaluated once, and the accepted trial's evaluation becomes the current
+    point. A trial whose channel raises SingularChannelError is rejected like
+    one that fails the Armijo test, and the step shrinks; any other error
+    propagates. Each accepted step passes the Armijo test, so the recorded
+    trace, which holds the values objective returns, is non-decreasing; the
+    trace also counts evaluations, gradients and singular trials. Stops when
+    one full outer sweep improves the objective by less than the relative
+    convergence tolerance. The starting layout's channel must be regular: a
+    singular one raises SingularChannelError. Angles are never rewritten
+    except by a step, so a block that takes none keeps its input angles. The returned beamforming solution is the
     full zero-forcing + water-filling solve of the final layout, so its
     metrics report any residual leakage; its total SINR matches the trace's
     last value up to that leakage.
 
     Each active block takes up to _INNER_STEPS (3) steps per sweep. A search's
-    first trial moves the block by _INITIAL_STEP_ANGLE (0.1 rad), the Armijo
-    test asks for a rise of _ARMIJO_C (1e-4) * step * |g|^2, and each rejected
-    trial scales the step by _SHRINK_FACTOR (0.5). The search fails once that
-    margin is at most _ARMIJO_FLOOR (1e-12) of |J|: there it is within a few
-    thousand ulps of J, so J's rounding, not the step, would decide the test.
-    The floor bounds every search, singular trials included.
+    first trial moves the block's axes by a tangent step whose norm over the
+    whole block is _INITIAL_STEP_ANGLE (0.1; one axis moved that far turns by
+    arctan 0.1 rad), the Armijo test asks for a rise of _ARMIJO_C (1e-4) *
+    step * |g|^2, and each rejected trial scales the step by _SHRINK_FACTOR
+    (0.5). The search fails once that margin is at most _ARMIJO_FLOOR (1e-12)
+    of |J|: there it is within a few thousand ulps of J, so J's rounding, not
+    the step, would decide the test. The floor bounds every search, singular
+    trials included.
 
     A receive axis at exact grazing incidence (along its user's path,
     cos_incidence == 0) makes that user's row exactly 0, so the channel is
@@ -478,7 +461,6 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
     a rejected step. A random drop lands there with probability 0.
     """
     layout = initial_layout.copy()
-    layout.canonicalize_angles()
     if not check_feasible(layout.tx_positions, constraints):
         raise InfeasibleLayoutError("initial transmit positions violate the constraints")
 
@@ -494,25 +476,21 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
 
     for _ in range(config.max_outer_iterations):
         sweep_start = point.value
-        improvements = {}
         for block in BLOCK_ORDER:
             if not active[block]:
                 continue
-            block_start = point.value
             for _ in range(_INNER_STEPS):
                 grad = _gradient(point, block, medium)
                 trace.gradients += 1
-                grad_sq = float(grad @ grad)
+                grad_sq = float(np.sum(grad * grad))
                 if not np.isfinite(grad_sq) or grad_sq == 0.0:
                     break
-                base = _block_vector(point.layout, block)
+                base = point.tx_axes if block == BLOCK_TX_ANGLES else point.rx_axes
                 step = _INITIAL_STEP_ANGLE / math.sqrt(grad_sq)
                 accepted = False
                 while _ARMIJO_C * step * grad_sq > _ARMIJO_FLOOR * abs(point.value):
-                    # Canonical before it is evaluated, so an accepted point's
-                    # gradient is taken in the chart the next step moves in.
                     trial = _with_block_vector(point.layout, block,
-                                               wrap_angles((base + step * grad).reshape(-1, 2)))
+                                               unit_to_angles(base + step * grad))
                     trace.evaluations += 1
                     try:
                         trial_point = _evaluate(trial, rx_positions, medium, total_power)
@@ -526,9 +504,7 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
                     step *= _SHRINK_FACTOR
                 if not accepted:
                     break
-            improvements[block] = point.value - block_start
         trace.total_sinr.append(point.value)
-        trace.block_improvements.append(improvements)
         if point.value - sweep_start <= config.convergence_tol * max(abs(sweep_start), 1e-300):
             break
 
@@ -541,7 +517,10 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
 def quantize_angles(layout: LayoutVariables, resolution_deg: float) -> LayoutVariables:
     """Snap every polar/azimuthal angle to the nearest multiple of the resolution.
 
-    Resolution 0 means no quantization; ties round half away from zero.
+    Resolution 0 means no quantization; ties round half away from zero. The
+    snapped angles are returned in canonical form (unit_to_angles of their
+    axes): a polar angle snapped past pi folds back with a half-turn of
+    azimuth, and an azimuth snapped to 2 pi becomes 0.
     """
     if resolution_deg == 0:
         return layout.copy()
@@ -553,7 +532,6 @@ def quantize_angles(layout: LayoutVariables, resolution_deg: float) -> LayoutVar
         return np.sign(arr) * np.floor(np.abs(arr) / step + 0.5) * step
 
     out = layout.copy()
-    out.tx_angles = snap(out.tx_angles)
-    out.rx_angles = snap(out.rx_angles)
-    out.canonicalize_angles()
+    out.tx_angles = unit_to_angles(_axes(snap(out.tx_angles)))
+    out.rx_angles = unit_to_angles(_axes(snap(out.rx_angles)))
     return out

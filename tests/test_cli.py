@@ -52,6 +52,30 @@ def test_channel_eval_degenerate_orientation(capsys):
     assert fields["matching_efficiency"] == 0.0
 
 
+def _off_path_by(angle):
+    """A direction string for an axis angle rad off the path to RX."""
+    path = np.array([75.0, -40.0, 50.0]) / math.sqrt(9725.0)
+    side = np.cross(path, [0.0, 0.0, 1.0])
+    side /= np.linalg.norm(side)
+    axis = math.cos(angle) * path + math.sin(angle) * side
+    return ",".join(repr(float(c)) for c in axis)
+
+
+def test_channel_eval_emission_angle_near_the_path(capsys):
+    # arccos(cos_emission) would print 9.88431212412e-08 here, 1.2% off.
+    code, fields = _channel_eval(capsys, tx_dir=_off_path_by(1e-7))
+    assert code == 0
+    assert fields["emission_angle_rad"] == pytest.approx(1e-7, rel=1e-9)
+
+
+def test_channel_eval_incident_angle_near_grazing(capsys):
+    # arcsin(sin_incidence), or a cos_incidence taken as sqrt(1 - sin^2),
+    # would print 1.57079622795 here, 1.2e-9 rad off.
+    code, fields = _channel_eval(capsys, rx_dir=_off_path_by(1e-7))
+    assert code == 0
+    assert fields["incident_angle_rad"] == pytest.approx(math.pi / 2 - 1e-7, abs=1e-11)
+
+
 def test_channel_eval_coincident_positions_is_infeasible(capsys):
     code = main(["channel-eval", "--tx-pos", "0,0,0", "--tx-dir", "0,0,1",
                  "--rx-pos", "0,0,0", "--rx-dir", "0,0,1"])

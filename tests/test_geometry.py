@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from polarlink import AntennaPose, SphericalAngles, cartesian_to_spherical, link_terms
 from polarlink.errors import GeometryError
-from polarlink.geometry import angles_to_unit, unit
+from polarlink.geometry import angles_to_unit, unit, unit_to_angles
 from polarlink.medium import MediumParams
 
 # Fixed reference link used throughout: tx at the origin, user at
@@ -90,6 +90,61 @@ def test_angles_to_unit_broadcasts():
     assert out.shape == (2, 3)
     assert np.allclose(out[0], [0.0, 0.0, 1.0])
     assert np.allclose(out[1], [0.0, 1.0, 0.0], atol=1e-15)
+
+
+def _assert_canonical(angles):
+    assert np.all((angles[..., 0] >= 0.0) & (angles[..., 0] <= math.pi))
+    assert np.all((angles[..., 1] >= 0.0) & (angles[..., 1] < 2.0 * math.pi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polar=st.floats(-12.0, 12.0), azimuthal=st.floats(-12.0, 12.0),
+       scale=st.floats(1e-3, 1e3))
+def test_unit_to_angles_round_trip(polar, azimuthal, scale):
+    v = angles_to_unit(polar, azimuthal)
+    back = unit_to_angles(scale * v)
+    _assert_canonical(back)
+    assert np.allclose(angles_to_unit(back[0], back[1]), v, rtol=0.0, atol=1e-15)
+
+
+_EDGES = (0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1e-17, -1e-17, 1e150, -1e150)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector=st.lists(st.floats(-1e150, 1e150) | st.sampled_from(_EDGES),
+                       min_size=3, max_size=3))
+def test_unit_to_angles_is_canonical(vector):
+    # Poles, negative zeros, azimuths a hair under 2 pi (y = -1e-300 or
+    # -1e-17 against x = 1) and vectors of any length.
+    _assert_canonical(unit_to_angles(vector))
+
+
+@pytest.mark.parametrize("vector, expected", [
+    ([0.0, 0.0, 2.0], (0.0, 0.0)),
+    ([0.0, 0.0, -0.5], (math.pi, 0.0)),
+    ([-0.0, -0.0, 1.0], (0.0, math.pi)),
+    ([1.0, -1e-300, 0.0], (math.pi / 2, 0.0)),
+    ([1.0, -1e-17, 0.0], (math.pi / 2, 0.0)),
+    ([0.0, -3.0, 0.0], (math.pi / 2, 1.5 * math.pi)),
+])
+def test_unit_to_angles_edges(vector, expected):
+    assert tuple(unit_to_angles(vector)) == expected
+
+
+def test_unit_to_angles_keeps_every_digit_near_a_pole():
+    # arccos(z) of the same axes returns 0, 0 and pi: z rounds to +-1.
+    for polar in (1e-16, 1e-9, math.pi - 1e-9):
+        back = unit_to_angles(angles_to_unit(polar, 0.3))
+        assert back[0] == pytest.approx(polar, rel=1e-15)
+        assert back[1] == pytest.approx(0.3, rel=1e-15)
+
+
+def test_unit_to_angles_rows():
+    vectors = np.random.default_rng(0).standard_normal((4, 5, 3))
+    out = unit_to_angles(vectors)
+    assert out.shape == (4, 5, 2)
+    assert np.allclose(angles_to_unit(out[..., 0], out[..., 1]),
+                       vectors / np.linalg.norm(vectors, axis=-1, keepdims=True), atol=1e-15)
 
 
 def test_emission_angle_reference_link():

@@ -17,8 +17,8 @@ from polarlink.errors import (ConfigurationError, InfeasibleLayoutError,
                               ProjectionError, SingularChannelError)
 from polarlink.geometry import angles_to_unit
 from polarlink.mimo import solve_beamforming
-from polarlink.optimizer import (BLOCK_ORDER, _evaluate, _gradient, check_feasible,
-                                 finite_difference_gradient, wrap_angles)
+from polarlink.optimizer import (BLOCK_ORDER, BLOCK_TX_ANGLES, _evaluate, _gradient,
+                                 check_feasible, finite_difference_gradient)
 
 MEDIUM = MediumParams()
 USER_A = AntennaPose(position=[75.0, -40.0, 50.0], orientation=[0.0, 0.0, 1.0])
@@ -42,31 +42,6 @@ def _layout(antennas=2, users=2, seed=0):
         tx_positions=positions,
         rx_angles=rng.uniform(0.2, 2.9, (users, 2)),
     )
-
-
-@settings(max_examples=150, deadline=None)
-@given(polar=st.floats(-12.0, 12.0), azimuthal=st.floats(-12.0, 12.0))
-def test_wrap_angles_preserves_orientation(polar, azimuthal):
-    wrapped = wrap_angles(np.array([[polar, azimuthal]]))[0]
-    assert 0.0 <= wrapped[0] <= math.pi
-    assert 0.0 <= wrapped[1] < 2.0 * math.pi
-    before = angles_to_unit(polar, azimuthal)
-    after = angles_to_unit(wrapped[0], wrapped[1])
-    assert np.allclose(before, after, atol=1e-9)
-
-
-_WRAP_EDGES = (0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi,
-               1e-300, -1e-300)
-
-
-@settings(max_examples=300, deadline=None)
-@given(angles=st.lists(st.floats(allow_nan=False, allow_infinity=False)
-                       | st.sampled_from(_WRAP_EDGES), min_size=2, max_size=2))
-def test_wrap_angles_is_idempotent(angles):
-    # optimize wraps only the block a trial moves and relies on the other,
-    # already wrapped block staying bit for bit what it was.
-    once = wrap_angles(np.array([angles]))
-    assert wrap_angles(once).tobytes() == once.tobytes()
 
 
 def test_layout_copy_is_deep():
@@ -152,9 +127,30 @@ def _reference_gradient(layout, block, users, total_power=0.5, step=1e-4):
     return fine + (fine - coarse) / 3.0
 
 
+def _chart_gradient(grad, angles):
+    """A tangent gradient grad (n, 3) in the (polar, azimuthal) chart of its
+    axes' angles (n, 2), ordered as finite_difference_gradient: its components
+    along the axes' derivatives in each angle."""
+    sin_p, cos_p = np.sin(angles[:, 0]), np.cos(angles[:, 0])
+    sin_a, cos_a = np.sin(angles[:, 1]), np.cos(angles[:, 1])
+    d_polar = np.stack([cos_p * cos_a, cos_p * sin_a, -sin_p], axis=-1)
+    d_azimuthal = np.stack([-sin_p * sin_a, sin_p * cos_a, np.zeros_like(sin_p)], axis=-1)
+    return np.stack([np.sum(grad * d_polar, axis=-1),
+                     np.sum(grad * d_azimuthal, axis=-1)], axis=-1).ravel()
+
+
 def _exact_gradient(layout, block, users, total_power=0.5):
+    """_gradient at layout, checked to lie in each axis' tangent plane, then
+    taken into the angle chart the reference differentiates in."""
     point = _evaluate(layout, _rx_positions(users), MEDIUM, total_power)
-    return _gradient(point, block, MEDIUM)
+    grad = _gradient(point, block, MEDIUM)
+    if block == BLOCK_TX_ANGLES:
+        axes, angles = point.tx_axes, layout.tx_angles
+    else:
+        axes, angles = point.rx_axes, layout.rx_angles
+    assert grad.shape == axes.shape
+    assert np.all(np.abs(np.sum(grad * axes, axis=-1)) <= 1e-12 * np.linalg.norm(grad))
+    return _chart_gradient(grad, angles)
 
 
 def _assert_close_to_reference(layout, block, users, total_power=0.5, step=1e-4):
@@ -315,11 +311,20 @@ def test_optimize_layer_call_counts(monkeypatch):
     assert "finite_difference_gradient" not in counts
 
 
+def _tan_of_rotation(start, moved):
+    """Per row, tan of the angle between the axes of two (n, 2) angle arrays."""
+    a = angles_to_unit(start[:, 0], start[:, 1])
+    b = angles_to_unit(moved[:, 0], moved[:, 1])
+    return np.linalg.norm(np.cross(a, b), axis=-1) / np.sum(a * b, axis=-1)
+
+
 def test_optimize_rejects_a_singular_trial(monkeypatch):
     # The second SVD is the first line-search trial's: the first scores the
     # start, and the gradient takes none. Forced singular, that trial is a
     # rejected step: the next trial takes half of it, the ascent goes on, and
-    # the trace counts one singular trial.
+    # the trace counts one singular trial. A trial moves each axis a by
+    # step * g with g orthogonal to a, so tan of its rotation is step * |g|
+    # and halves with the step.
     counts, trials = {}, []
     _count_evaluation_layers(monkeypatch, counts, fail_on_call=2)
     real_evaluate = optimizer_module._evaluate
@@ -331,8 +336,9 @@ def test_optimize_rejects_a_singular_trial(monkeypatch):
     scenario, layout = _campaign_layout()
     result = optimize(layout, scenario.user_poses, scenario.medium, scenario.total_power,
                       scenario.constraints, OptimizerConfig())
-    first_step, second_step = trials[1] - trials[0], trials[2] - trials[0]
-    assert np.any(first_step != 0.0)
+    first_step = _tan_of_rotation(trials[0], trials[1])
+    second_step = _tan_of_rotation(trials[0], trials[2])
+    assert np.all(first_step > 0.0)
     assert np.allclose(second_step, 0.5 * first_step, rtol=1e-9, atol=0.0)
     trace = result.trace
     assert all(b >= a for a, b in zip(trace.total_sinr, trace.total_sinr[1:]))
@@ -342,6 +348,32 @@ def test_optimize_rejects_a_singular_trial(monkeypatch):
     assert counts["link_terms"] == counts["_zf_svd"] == trace.evaluations + 1
     assert counts["gain_matrix"] == counts["solve_beamforming"] == 1
     assert counts["zf_precoder"] == counts["water_filling"] == 1
+
+
+def test_an_axis_at_a_pole_steps_along_its_full_tangent_gradient(monkeypatch):
+    # Receive axis 0 starts at the pole (polar 0, stored azimuth 0). In the
+    # angle chart its azimuth derivative vanishes there, so a chart step could
+    # only move it along the azimuth-0 meridian (the xz-plane). On the sphere
+    # the first trial, the receive block's, follows the whole tangent gradient.
+    users = [USER_A, USER_B]
+    layout = _layout(antennas=4, users=2, seed=1)
+    layout.rx_angles[0] = [0.0, 0.0]
+    point = _evaluate(layout, _rx_positions(users), MEDIUM, 0.5)
+    grad = _gradient(point, "rx_angles", MEDIUM)
+    assert abs(grad[0, 1]) > 0.1 * np.linalg.norm(grad[0])
+    trials = []
+    real_evaluate = optimizer_module._evaluate
+
+    def recording_evaluate(trial, *args):
+        trials.append(trial.rx_angles.copy())
+        return real_evaluate(trial, *args)
+    monkeypatch.setattr(optimizer_module, "_evaluate", recording_evaluate)
+    optimize(layout, users, MEDIUM, 0.5, _constraints(), OptimizerConfig(max_outer_iterations=1))
+    moved = angles_to_unit(trials[1][:, 0], trials[1][:, 1])
+    expected = point.rx_axes + 0.1 / np.linalg.norm(grad) * grad
+    expected /= np.linalg.norm(expected, axis=-1, keepdims=True)
+    assert np.allclose(moved, expected, rtol=0.0, atol=1e-12)
+    assert abs(moved[0, 1]) > 1e-3
 
 
 def test_line_search_ends_at_its_floor_when_every_trial_is_singular(monkeypatch):
@@ -412,7 +444,8 @@ def test_trace_reads_the_objective(seed):
     assert result.trace.total_sinr[-1] == final
     assert final == pytest.approx(result.beamforming.metrics.total_sinr, rel=1e-9)
     for angles in (result.layout.tx_angles, result.layout.rx_angles):
-        assert wrap_angles(angles).tobytes() == angles.tobytes()
+        assert np.all((angles[:, 0] >= 0.0) & (angles[:, 0] <= math.pi))
+        assert np.all((angles[:, 1] >= 0.0) & (angles[:, 1] < 2.0 * math.pi))
 
 
 def test_separation_projection_feasible_unchanged():
@@ -465,7 +498,7 @@ def test_optimize_all_blocks_disabled_returns_initial():
     result = optimize(layout, [USER_A, USER_B], MEDIUM, 0.5, _constraints(),
                       OptimizerConfig(max_outer_iterations=5))
     assert result.beamforming.metrics.total_sinr == pytest.approx(initial, rel=1e-12)
-    assert np.allclose(result.layout.tx_angles, wrap_angles(layout.tx_angles))
+    assert np.array_equal(result.layout.tx_angles, layout.tx_angles)
 
 
 def test_optimize_infeasible_start_raises():
