@@ -8,6 +8,14 @@ evaluated in far-field form: directions and distances use the receiver
 position alone, and the transmit position contributes only to the phase.
 link_terms computes each factor once from cosines and sines, never through
 an angle: the form the optimizer's exact gradient differentiates.
+
+link_terms is the composition of three pure pieces and one combining step:
+link_geometry (the positions' factors), transmit_terms (the transmit axes'),
+receive_terms (the receive axes') and combine_terms (the matching terms and
+the gains, the per-evaluation kernel). The optimizer calls the same pieces:
+it builds the geometry once per run, and each evaluated point makes one
+combine_terms call after building the side terms of the one block its step
+moved.
 """
 
 from __future__ import annotations
@@ -88,6 +96,38 @@ def reflection_coefficients(theta_i, medium: MediumParams) -> Tuple[np.ndarray, 
     return gamma_par, gamma_perp
 
 
+class LinkGeometry(NamedTuple):
+    """The position-only factors of the K x L links: path_dir (K, 3) holds the
+    unit direction u to each user, prefactor (K,) the spherical-spreading
+    constant and phase (K, L) the translation phase exp(j k u_k . p_l)."""
+
+    path_dir: np.ndarray
+    prefactor: np.ndarray
+    phase: np.ndarray
+
+
+class TransmitTerms(NamedTuple):
+    """The transmit axes' terms, per link (K, L): cos_emission, sin_emission,
+    degenerate and the dipole pattern, and field_dir (K, L, 3) (see LinkTerms).
+    Where degenerate, pattern and field_dir are meaningless."""
+
+    cos_emission: np.ndarray
+    sin_emission: np.ndarray
+    field_dir: np.ndarray
+    degenerate: np.ndarray
+    pattern: np.ndarray
+
+
+class ReceiveTerms(NamedTuple):
+    """The receive axes' terms, per user (K,): sin_incidence, cos_incidence,
+    gamma_par and gamma_perp (see LinkTerms)."""
+
+    sin_incidence: np.ndarray
+    cos_incidence: np.ndarray
+    gamma_par: np.ndarray
+    gamma_perp: np.ndarray
+
+
 class LinkTerms(NamedTuple):
     """The channel kernel's terms for K users and L transmit antennas.
 
@@ -116,6 +156,66 @@ class LinkTerms(NamedTuple):
     gains: np.ndarray
 
 
+def link_geometry(tx_positions, rx_positions, medium: MediumParams) -> LinkGeometry:
+    """The factors fixed by the positions, tx_positions (L, 3) and rx_positions
+    (K, 3): far-field, the directions and distances use the receiver position
+    alone, and the transmit position enters only the phase."""
+    tx_p = np.atleast_2d(np.asarray(tx_positions, dtype=float))
+    rx_p = np.atleast_2d(np.asarray(rx_positions, dtype=float))
+    rx_dist = np.linalg.norm(rx_p, axis=1)
+    if np.any(rx_dist < _DEGENERATE_TOL):
+        raise GeometryError("receiver at the origin")
+    wavenumber = medium.wavenumber
+    prefactor = (2j * medium.speed_of_light * medium.permeability / medium.antenna_factor
+                 * np.exp(-1j * wavenumber * rx_dist) / (4.0 * np.pi * rx_dist))
+    phase = np.exp(1j * wavenumber * (rx_p @ tx_p.T) / rx_dist[:, None])
+    return LinkGeometry(rx_p / rx_dist[:, None], prefactor, phase)
+
+
+def transmit_terms(path_dir: np.ndarray, tx_n: np.ndarray) -> TransmitTerms:
+    """Emission angle, field direction and dipole pattern of the unit transmit
+    axes tx_n (L, 3) toward the users along path_dir (K, 3)."""
+    cos_e = path_dir @ tx_n.T                                    # (K, L)
+    field_dir = tx_n[None, :, :] - cos_e[:, :, None] * path_dir[:, None, :]
+    sin_e = np.linalg.norm(field_dir, axis=-1)
+    degenerate = sin_e < _DEGENERATE_TOL
+    safe_sin_e = np.where(degenerate, 1.0, sin_e)
+    field_dir /= safe_sin_e[:, :, None]
+    return TransmitTerms(cos_e, sin_e, field_dir, degenerate, _dipole_pattern(cos_e, safe_sin_e))
+
+
+def receive_terms(path_dir: np.ndarray, rx_n: np.ndarray,
+                  medium: MediumParams) -> ReceiveTerms:
+    """Incidence angle and Fresnel coefficients of the unit receive axes rx_n
+    (K, 3) along path_dir (K, 3)."""
+    # cos_i is the length of r's part off the path, which keeps every digit
+    # near grazing, where sqrt(1 - sin_i^2) keeps half.
+    sin_i = np.einsum("ki,ki->k", path_dir, rx_n)          # u . r, then its size
+    cos_i = np.sqrt(sum((rx_n[:, i] - sin_i * path_dir[:, i])**2 for i in range(3)))
+    sin_i = np.clip(np.abs(sin_i), 0.0, 1.0)
+    return ReceiveTerms(sin_i, cos_i, *_fresnel(cos_i, medium.relative_permittivity))
+
+
+def combine_terms(geometry: LinkGeometry, tx: TransmitTerms, rx: ReceiveTerms,
+                  rx_n: np.ndarray) -> LinkTerms:
+    """The per-evaluation kernel: the matching terms and gains of the links
+    whose positions gave geometry, transmit axes gave tx and receive axes rx_n
+    (K, 3) gave rx."""
+    cos_a = np.clip(np.einsum("kli,ki->kl", tx.field_dir, rx_n), -1.0, 1.0)
+    cos2 = cos_a ** 2
+    radicand = (1.0 - (rx.gamma_par**2)[:, None] * cos2
+                - (rx.gamma_perp**2)[:, None] * (1.0 - cos2))
+    if np.any(radicand < -_RADICAND_TOL):
+        raise NumericalError(f"matching-efficiency radicand fell below 0: min {np.min(radicand)}")
+    match = np.sqrt(np.maximum(radicand, 0.0))
+
+    gains = geometry.prefactor[:, None] * tx.pattern * match * geometry.phase
+    gains[tx.degenerate] = 0.0
+    return LinkTerms(geometry.path_dir, tx.cos_emission, tx.sin_emission, tx.field_dir,
+                     rx.sin_incidence, rx.cos_incidence, rx.gamma_par, rx.gamma_perp,
+                     cos_a, match, tx.degenerate, gains)
+
+
 def link_terms(tx_positions, tx_orientations, rx_positions, rx_orientations,
                medium: MediumParams) -> LinkTerms:
     """Vectorized channel kernel: the K x L complex gains and the terms they
@@ -124,50 +224,15 @@ def link_terms(tx_positions, tx_orientations, rx_positions, rx_orientations,
     tx_positions and tx_orientations: (L, 3); rx_positions and
     rx_orientations: (K, 3). Orientations must be unit vectors. Degenerate
     transmit-axis/propagation alignments yield exactly zero gains; at grazing
-    incidence (cos_incidence == 0) the user's row is exactly zero.
+    incidence (cos_incidence == 0) the user's row is exactly zero. The
+    composition of link_geometry, transmit_terms, receive_terms and
+    combine_terms, the pieces optimize calls separately.
     """
-    tx_p = np.atleast_2d(np.asarray(tx_positions, dtype=float))
     tx_n = np.atleast_2d(np.asarray(tx_orientations, dtype=float))
-    rx_p = np.atleast_2d(np.asarray(rx_positions, dtype=float))
     rx_n = np.atleast_2d(np.asarray(rx_orientations, dtype=float))
-
-    rx_dist = np.linalg.norm(rx_p, axis=1)
-    if np.any(rx_dist < _DEGENERATE_TOL):
-        raise GeometryError("receiver at the origin")
-    path_dir = rx_p / rx_dist[:, None]
-
-    # Emission and field direction, far-field: receiver direction only.
-    cos_e = path_dir @ tx_n.T                                    # (K, L)
-    field_dir = tx_n[None, :, :] - cos_e[:, :, None] * path_dir[:, None, :]
-    sin_e = np.linalg.norm(field_dir, axis=-1)
-    degenerate = sin_e < _DEGENERATE_TOL
-    safe_sin_e = np.where(degenerate, 1.0, sin_e)
-    field_dir /= safe_sin_e[:, :, None]
-
-    # Incidence and reflection coefficients are per-user quantities. cos_i is
-    # the length of r's part off the path, which keeps every digit near
-    # grazing, where sqrt(1 - sin_i^2) keeps half.
-    sin_i = np.einsum("ki,ki->k", path_dir, rx_n)          # u . r, then its size
-    cos_i = np.sqrt(sum((rx_n[:, i] - sin_i * path_dir[:, i])**2 for i in range(3)))
-    sin_i = np.clip(np.abs(sin_i), 0.0, 1.0)
-    gamma_par, gamma_perp = _fresnel(cos_i, medium.relative_permittivity)
-
-    cos_a = np.clip(np.einsum("kli,ki->kl", field_dir, rx_n), -1.0, 1.0)
-    cos2 = cos_a ** 2
-    radicand = 1.0 - (gamma_par**2)[:, None] * cos2 - (gamma_perp**2)[:, None] * (1.0 - cos2)
-    if np.any(radicand < -_RADICAND_TOL):
-        raise NumericalError(f"matching-efficiency radicand fell below 0: min {np.min(radicand)}")
-    match = np.sqrt(np.maximum(radicand, 0.0))
-
-    wavenumber = medium.wavenumber
-    prefactor = (2j * medium.speed_of_light * medium.permeability / medium.antenna_factor
-                 * np.exp(-1j * wavenumber * rx_dist) / (4.0 * np.pi * rx_dist))  # (K,)
-    phase = np.exp(1j * wavenumber * (rx_p @ tx_p.T) / rx_dist[:, None])
-
-    gains = prefactor[:, None] * _dipole_pattern(cos_e, safe_sin_e) * match * phase
-    gains[degenerate] = 0.0
-    return LinkTerms(path_dir, cos_e, sin_e, field_dir, sin_i, cos_i, gamma_par, gamma_perp,
-                     cos_a, match, degenerate, gains)
+    geometry = link_geometry(tx_positions, rx_positions, medium)
+    return combine_terms(geometry, transmit_terms(geometry.path_dir, tx_n),
+                         receive_terms(geometry.path_dir, rx_n, medium), rx_n)
 
 
 def gain_matrix(tx_positions, tx_orientations, rx_positions, rx_orientations,

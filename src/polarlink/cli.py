@@ -119,7 +119,9 @@ def cmd_channel_eval(args) -> int:
     if terms.degenerate[0, 0]:
         alpha, match = math.nan, 0.0
     else:
-        alpha, match = np.arccos(terms.cos_matching[0, 0]), terms.matching[0, 0]
+        sin_alpha = np.linalg.norm(np.cross(rx.orientation, terms.field_dir[0, 0]))
+        alpha = np.arctan2(sin_alpha, terms.cos_matching[0, 0])
+        match = terms.matching[0, 0]
     fields = [
         ("gain_magnitude", abs(gain)),
         ("gain_phase_rad", math.atan2(gain.imag, gain.real)),

@@ -9,9 +9,13 @@ Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 4),
 so the angles serve only for storage, quantization and display, and the
 poles are ordinary points. Under ideal zero forcing the objective has a
 closed form in the channel's SVD, so one point is evaluated once: _evaluate
-builds the channel with one channel.link_terms call, takes one SVD and
+builds the channel with one channel.combine_terms call, takes one SVD and
 water-fills, and _gradient takes the exact derivative of that value in the
-axes through the same terms and SVD without building anything again. Each
+axes through the same terms and SVD without building anything again. The
+positions never move, so their factors (channel.link_geometry) are built once
+per run; a step moves one block, so a line-search trial converts and builds
+the side terms (channel.transmit_terms or receive_terms) of the moved block
+only and takes the other block's from the point it steps from. Each
 backtracking line-search trial is one _evaluate; the accepted trial is the
 point the next gradient starts from. A trial whose channel fails the
 condition check is a rejected step. The final record comes from the full
@@ -31,6 +35,7 @@ stays available to callers that move antennas themselves.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
@@ -38,7 +43,9 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .channel import ChannelMatrix, LinkTerms, gain_matrix, link_terms
+from .channel import (ChannelMatrix, LinkGeometry, LinkTerms, ReceiveTerms, TransmitTerms,
+                      combine_terms, gain_matrix, link_geometry, receive_terms,
+                      transmit_terms)
 from .errors import (ConfigurationError, InfeasibleLayoutError, ProjectionError,
                      SingularChannelError)
 from .geometry import AntennaPose, angles_to_unit, unit_to_angles
@@ -100,13 +107,7 @@ class LayoutVariables:
         self.rx_angles = np.array(self.rx_angles, dtype=float)
 
     def copy(self) -> "LayoutVariables":
-        return LayoutVariables(
-            tx_angles=self.tx_angles.copy(),
-            tx_positions=self.tx_positions.copy(),
-            rx_angles=self.rx_angles.copy(),
-            optimize_tx_orientation=self.optimize_tx_orientation,
-            optimize_rx_orientation=self.optimize_rx_orientation,
-        )
+        return dataclasses.replace(self)        # __post_init__ copies each array
 
     def tx_orientations(self) -> np.ndarray:
         return angles_to_unit(self.tx_angles[:, 0], self.tx_angles[:, 1])
@@ -177,8 +178,8 @@ def objective(layout: LayoutVariables, users: Sequence[AntennaPose],
     nulled. The channel is built from the layout's positions and orientations
     as given. Raises SingularChannelError when it fails the condition check.
     """
-    rx_positions = np.array([u.position for u in users])
-    return _evaluate(layout, rx_positions, medium, total_power).value
+    geometry = link_geometry(layout.tx_positions, [u.position for u in users], medium)
+    return _evaluate(layout, geometry, medium, total_power).value
 
 
 def _block_vector(layout: LayoutVariables, block: str) -> np.ndarray:
@@ -243,7 +244,7 @@ def _axes(angles: np.ndarray) -> np.ndarray:
 class _Point:
     """One evaluated layout: the objective value and the factors its gradient
     reads (the kernel's terms, the unit axes, the SVD and the water-filling
-    state)."""
+    state), and each block's side terms for the trials that step from it."""
 
     layout: LayoutVariables
     value: float
@@ -251,33 +252,51 @@ class _Point:
     terms: LinkTerms
     tx_axes: np.ndarray
     rx_axes: np.ndarray
+    tx: TransmitTerms
+    rx: ReceiveTerms
     svd: tuple
     level: float               # the water level, unshifted
     sinr: np.ndarray
 
 
-def _evaluate(layout: LayoutVariables, rx_positions: np.ndarray, medium: MediumParams,
-              total_power: float) -> _Point:
+def _evaluate(layout: LayoutVariables, geometry: LinkGeometry, medium: MediumParams,
+              total_power: float, current: _Point | None = None,
+              moved: str | None = None) -> _Point:
     """The objective at layout, with what _gradient needs to differentiate it.
+
+    geometry holds the factors of layout's transmit positions and the users'
+    (channel.link_geometry). Given current, an evaluated point whose layout
+    differs from layout in the moved block only, the other block's axes and
+    side terms are current's: only the moved block's angles are converted and
+    its side built, so every axis is _axes of its stored angles either way.
 
     Under zero forcing plus water filling, 1 + sinr_k = level / t_k for a
     funded user and 1 otherwise, with t_k = sigma^2 [(H H^H)^-1]_kk, so
     J = exp(mean log(1 + sinr)) - 1 has a closed form in the SVD H = U S V^H:
-    t_k = sigma^2 sum_j |U_kj|^2 / S_j^2. One link_terms call builds the
+    t_k = sigma^2 sum_j |U_kj|^2 / S_j^2. One combine_terms call builds the
     channel and one _zf_svd call decides its singularity: raises
     SingularChannelError when it fails the condition check.
     """
     if not total_power > 0:
         raise ConfigurationError(f"total power must be positive, got {total_power}")
-    tx_axes, rx_axes = _axes(layout.tx_angles), _axes(layout.rx_angles)
-    terms = link_terms(layout.tx_positions, tx_axes, rx_positions, rx_axes, medium)
+    if current is None or moved == BLOCK_TX_ANGLES:
+        tx_axes = _axes(layout.tx_angles)
+        tx = transmit_terms(geometry.path_dir, tx_axes)
+    else:
+        tx_axes, tx = current.tx_axes, current.tx
+    if current is None or moved == BLOCK_RX_ANGLES:
+        rx_axes = _axes(layout.rx_angles)
+        rx = receive_terms(geometry.path_dir, rx_axes, medium)
+    else:
+        rx_axes, rx = current.rx_axes, current.rx
+    terms = combine_terms(geometry, tx, rx, rx_axes)
     U, S, Vh = _zf_svd(terms.gains)
     inv_snr = medium.noise_power * np.sum(np.abs(U)**2 / S**2, axis=-1)
     excess, level = _water_level(inv_snr, total_power)
     sinr = np.maximum(level - excess, 0.0) / inv_snr
     growth = float(np.exp(np.mean(np.log1p(sinr))))
     return _Point(layout=layout, value=growth - 1.0, growth=growth, terms=terms,
-                  tx_axes=tx_axes, rx_axes=rx_axes, svd=(U, S, Vh),
+                  tx_axes=tx_axes, rx_axes=rx_axes, tx=tx, rx=rx, svd=(U, S, Vh),
                   level=level + inv_snr.min(), sinr=sinr)
 
 
@@ -426,14 +445,16 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
     """Alternating gradient ascent on the total-SINR objective.
 
     Blocks run in BLOCK_ORDER, skipping those whose optimize_* flag is off; an
-    outer sweep with no active block still records one iteration. The start
-    is evaluated once (_evaluate). Each gradient is exact and comes from the
+    outer sweep with no active block still records one iteration. The
+    position factors are built once (link_geometry) and the start is
+    evaluated once (_evaluate). Each gradient is exact and comes from the
     current evaluated point (_gradient: no channel build, no SVD); the
     backtracking line search then tries one step at a time along it, each
     trial's moved axes converted to canonical angles (unit_to_angles) and
-    evaluated once, and the accepted trial's evaluation becomes the current
-    point. A trial whose channel raises SingularChannelError is rejected like
-    one that fails the Armijo test, and the step shrinks; any other error
+    evaluated once with the unmoved block's side taken from the current
+    point, and the accepted trial's evaluation becomes the current point. A
+    trial whose channel raises SingularChannelError is rejected like one
+    that fails the Armijo test, and the step shrinks; any other error
     propagates. Each accepted step passes the Armijo test, so the recorded
     trace, which holds the values objective returns, is non-decreasing; the
     trace also counts evaluations, gradients and singular trials. Stops when
@@ -466,7 +487,8 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
 
     rx_positions = np.array([u.position for u in users])
     start_time = time.perf_counter()
-    point = _evaluate(layout, rx_positions, medium, total_power)
+    geometry = link_geometry(layout.tx_positions, rx_positions, medium)
+    point = _evaluate(layout, geometry, medium, total_power)
     trace = ConvergenceTrace(total_sinr=[point.value], evaluations=1)
 
     active = {
@@ -493,7 +515,8 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
                                                unit_to_angles(base + step * grad))
                     trace.evaluations += 1
                     try:
-                        trial_point = _evaluate(trial, rx_positions, medium, total_power)
+                        trial_point = _evaluate(trial, geometry, medium, total_power,
+                                                point, block)
                         accepted = (trial_point.value
                                     >= point.value + _ARMIJO_C * step * grad_sq)
                     except SingularChannelError:  # rejected like a failed Armijo test

@@ -16,8 +16,9 @@ RX = "75,-40,50"
 
 
 def _channel_eval(capsys, tx_dir="0,0,1", rx_dir="0,0,1", rx_pos=RX):
-    code = main(["channel-eval", "--tx-pos", "0,0,0", "--tx-dir", tx_dir,
-                 "--rx-pos", rx_pos, "--rx-dir", rx_dir])
+    # --flag=value: a direction may start with a minus sign.
+    code = main(["channel-eval", "--tx-pos", "0,0,0", f"--tx-dir={tx_dir}",
+                 "--rx-pos", rx_pos, f"--rx-dir={rx_dir}"])
     out = capsys.readouterr().out
     fields = {}
     for line in out.strip().splitlines():
@@ -74,6 +75,19 @@ def test_channel_eval_incident_angle_near_grazing(capsys):
     code, fields = _channel_eval(capsys, rx_dir=_off_path_by(1e-7))
     assert code == 0
     assert fields["incident_angle_rad"] == pytest.approx(math.pi / 2 - 1e-7, abs=1e-11)
+
+
+def test_channel_eval_matching_angle_near_the_field(capsys):
+    # The receive axis is perpendicular to the path and 1e-7 rad off the
+    # field direction of the vertical transmitter; arccos(cos_matching) would
+    # print 9.99600281194e-08 here, 0.04% off.
+    path = np.array([75.0, -40.0, 50.0]) / math.sqrt(9725.0)
+    field = np.array([0.0, 0.0, 1.0]) - path[2] * path
+    field /= np.linalg.norm(field)
+    axis = math.cos(1e-7) * field + math.sin(1e-7) * np.cross(path, field)
+    code, fields = _channel_eval(capsys, rx_dir=",".join(repr(float(c)) for c in axis))
+    assert code == 0
+    assert fields["matching_angle_rad"] == pytest.approx(1e-7, rel=1e-9)
 
 
 def test_channel_eval_coincident_positions_is_infeasible(capsys):

@@ -12,7 +12,7 @@ from polarlink import (AntennaPose, Constraints, LayoutVariables, MediumParams,
 from polarlink import channel as channel_module
 from polarlink import mimo as mimo_module
 from polarlink import optimizer as optimizer_module
-from polarlink.channel import ChannelMatrix, gain_matrix, link_terms
+from polarlink.channel import ChannelMatrix, LinkTerms, gain_matrix, link_geometry, link_terms
 from polarlink.errors import (ConfigurationError, InfeasibleLayoutError,
                               ProjectionError, SingularChannelError)
 from polarlink.geometry import angles_to_unit
@@ -110,6 +110,12 @@ def _rx_positions(users):
     return np.array([u.position for u in users])
 
 
+def _point(layout, users, total_power=0.5):
+    """_evaluate at layout, both blocks' sides built from its angles."""
+    geometry = link_geometry(layout.tx_positions, _rx_positions(users), MEDIUM)
+    return _evaluate(layout, geometry, MEDIUM, total_power)
+
+
 def _reference_gradient(layout, block, users, total_power=0.5, step=1e-4):
     """finite_difference_gradient at step h = step with its own h^2 error removed.
 
@@ -142,7 +148,7 @@ def _chart_gradient(grad, angles):
 def _exact_gradient(layout, block, users, total_power=0.5):
     """_gradient at layout, checked to lie in each axis' tangent plane, then
     taken into the angle chart the reference differentiates in."""
-    point = _evaluate(layout, _rx_positions(users), MEDIUM, total_power)
+    point = _point(layout, users, total_power)
     grad = _gradient(point, block, MEDIUM)
     if block == BLOCK_TX_ANGLES:
         axes, angles = point.tx_axes, layout.tx_angles
@@ -270,11 +276,16 @@ def _campaign_layout():
     return scenario, layout
 
 
+_CHANNEL_PIECES = ("link_geometry", "transmit_terms", "receive_terms", "combine_terms")
+
+
 def _count_evaluation_layers(monkeypatch, counts, fail_on_call=None):
-    """Count every channel build (link_terms) and every SVD (_zf_svd), through
-    the optimizer's own bindings and through gain_matrix and zf_precoder."""
-    _count_calls(monkeypatch, channel_module, ("link_terms",), counts)
-    _count_calls(monkeypatch, optimizer_module, ("link_terms",), counts)
+    """Count every channel build (combine_terms, the per-evaluation kernel),
+    every build of the position factors (link_geometry) and of one block's
+    side terms, and every SVD (_zf_svd), through the optimizer's own bindings
+    and through gain_matrix and zf_precoder."""
+    _count_calls(monkeypatch, channel_module, _CHANNEL_PIECES, counts)
+    _count_calls(monkeypatch, optimizer_module, _CHANNEL_PIECES, counts)
     _count_calls(monkeypatch, mimo_module, ("_zf_svd",), counts, fail_on_call)
     _count_calls(monkeypatch, optimizer_module, ("_zf_svd",), counts, fail_on_call)
     _count_calls(monkeypatch, optimizer_module,
@@ -286,9 +297,11 @@ def _count_evaluation_layers(monkeypatch, counts, fail_on_call=None):
 def test_optimize_layer_call_counts(monkeypatch):
     # Each point is evaluated once: the start and every line-search trial are
     # one _evaluate, which builds one channel and takes one SVD, and the
-    # gradient reuses them. The final record is the one full beamforming solve
-    # (gain_matrix, zf_precoder, water_filling), whose two orientation arrays
-    # are the only angles_to_unit calls.
+    # gradient reuses them. The positions' factors are built once per run,
+    # and a trial builds the side terms of the block it moved only. The final
+    # record is the one full beamforming solve (gain_matrix, zf_precoder,
+    # water_filling), which builds everything once more, and whose two
+    # orientation arrays are the only angles_to_unit calls.
     counts, evaluated = {}, []
     _count_evaluation_layers(monkeypatch, counts)
     real_evaluate = optimizer_module._evaluate
@@ -301,7 +314,12 @@ def test_optimize_layer_call_counts(monkeypatch):
     trace = optimize(layout, scenario.user_poses, scenario.medium, scenario.total_power,
                      scenario.constraints, OptimizerConfig()).trace
     assert trace.evaluations == len(evaluated) > 1
-    assert counts["link_terms"] == counts["_zf_svd"] == trace.evaluations + 1
+    assert counts["combine_terms"] == counts["_zf_svd"] == trace.evaluations + 1
+    assert counts["link_geometry"] == 1 + 1
+    # Both sides at the start and in gain_matrix, one per trial.
+    assert counts["transmit_terms"] + counts["receive_terms"] == \
+        2 + (trace.evaluations - 1) + 2
+    assert counts["transmit_terms"] > 2 and counts["receive_terms"] > 2
     assert counts["_gradient"] == trace.gradients > 0
     assert trace.singular_trials == 0
     assert counts["gain_matrix"] == counts["solve_beamforming"] == 1
@@ -309,6 +327,32 @@ def test_optimize_layer_call_counts(monkeypatch):
     assert counts["angles_to_unit"] == 2 * counts["gain_matrix"]
     assert "objective" not in counts
     assert "finite_difference_gradient" not in counts
+
+
+@pytest.mark.parametrize("edge", ["transmit axis along the path", "receive axis at a pole"])
+@pytest.mark.parametrize("block", BLOCK_ORDER)
+def test_a_trial_reusing_the_unmoved_side_is_a_fresh_build(block, edge):
+    # A trial builds the moved block's side and takes the other from the
+    # point it steps from; its terms must equal a full link_terms build on
+    # the trial's axes, field for field and bit for bit. Both the start and
+    # the moved angles hold the edge, so it is both rebuilt and reused.
+    users = [USER_A, USER_B]
+    start, moved = _layout(antennas=4, users=2, seed=1), _layout(antennas=4, users=2, seed=2)
+    for layout in (start, moved):
+        if edge == "transmit axis along the path":
+            towards_a = cartesian_to_spherical(USER_A.position)
+            layout.tx_angles[0] = [towards_a.polar, towards_a.azimuthal]
+        else:
+            layout.rx_angles[0] = [0.0, 0.0]
+    trial = optimizer_module._with_block_vector(start, block, getattr(moved, block))
+    geometry = link_geometry(trial.tx_positions, _rx_positions(users), MEDIUM)
+    point = _evaluate(trial, geometry, MEDIUM, 0.5, _point(start, users), block)
+    fresh = link_terms(trial.tx_positions, trial.tx_orientations(), _rx_positions(users),
+                       trial.rx_orientations(), MEDIUM)
+    assert fresh.degenerate[0, 0] == (edge == "transmit axis along the path")
+    for name, got, want in zip(LinkTerms._fields, point.terms, fresh):
+        assert np.array_equal(got, want), name
+    assert point.value == _point(trial, users).value
 
 
 def _tan_of_rotation(start, moved):
@@ -345,7 +389,8 @@ def test_optimize_rejects_a_singular_trial(monkeypatch):
     assert trace.total_sinr[-1] > trace.total_sinr[0]
     assert trace.singular_trials == 1
     assert trace.evaluations == len(trials)
-    assert counts["link_terms"] == counts["_zf_svd"] == trace.evaluations + 1
+    assert counts["combine_terms"] == counts["_zf_svd"] == trace.evaluations + 1
+    assert counts["link_geometry"] == 1 + 1
     assert counts["gain_matrix"] == counts["solve_beamforming"] == 1
     assert counts["zf_precoder"] == counts["water_filling"] == 1
 
@@ -358,7 +403,7 @@ def test_an_axis_at_a_pole_steps_along_its_full_tangent_gradient(monkeypatch):
     users = [USER_A, USER_B]
     layout = _layout(antennas=4, users=2, seed=1)
     layout.rx_angles[0] = [0.0, 0.0]
-    point = _evaluate(layout, _rx_positions(users), MEDIUM, 0.5)
+    point = _point(layout, users)
     grad = _gradient(point, "rx_angles", MEDIUM)
     assert abs(grad[0, 1]) > 0.1 * np.linalg.norm(grad[0])
     trials = []
