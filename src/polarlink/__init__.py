@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .channel import (ChannelMatrix, LinkTerms, channel_matrix, element_gain, link_terms,
                       radiation_factor, reflection_coefficients)
-from .geometry import AntennaPose, SphericalAngles, cartesian_to_spherical
+from .geometry import AntennaPose
 from .harness import (RunRecord, Scenario, make_scenario, monte_carlo_half_energy,
                       run_configuration, sweep)
 from .medium import MediumParams
@@ -18,10 +18,9 @@ __all__ = [
     "AntennaPose", "BeamformingSolution", "ChannelMatrix", "Constraints",
     "ConvergenceTrace", "LayoutVariables", "LinkMetrics", "LinkTerms", "MediumParams",
     "OptimizeResult", "OptimizerConfig", "PowerAllocation", "Precoder",
-    "RunRecord", "Scenario", "SphericalAngles", "cartesian_to_spherical",
-    "channel_matrix", "element_gain", "link_metrics", "link_terms", "make_scenario",
-    "monte_carlo_half_energy", "objective", "optimize", "quantize_angles",
-    "radiation_factor", "reflection_coefficients", "run_configuration",
-    "separation_projection", "solve_beamforming", "sweep", "water_filling",
-    "zf_precoder",
+    "RunRecord", "Scenario", "channel_matrix", "element_gain", "link_metrics",
+    "link_terms", "make_scenario", "monte_carlo_half_energy", "objective", "optimize",
+    "quantize_angles", "radiation_factor", "reflection_coefficients",
+    "run_configuration", "separation_projection", "solve_beamforming", "sweep",
+    "water_filling", "zf_precoder",
 ]

@@ -12,10 +12,11 @@ an angle: the form the optimizer's exact gradient differentiates.
 link_terms is the composition of three pure pieces and one combining step:
 link_geometry (the positions' factors), transmit_terms (the transmit axes'),
 receive_terms (the receive axes') and combine_terms (the matching terms and
-the gains, the per-evaluation kernel). The optimizer calls the same pieces:
-it builds the geometry once per run, and each evaluated point makes one
-combine_terms call after building the side terms of the one block its step
-moved.
+the gains, the per-evaluation kernel), whose LinkTerms nests the pieces'
+tuples, so each term is declared once, by the piece that computes it. The
+optimizer calls the same pieces: it builds the geometry once per run, and each
+evaluated point makes one combine_terms call after building the side terms of
+the one block its step moved.
 """
 
 from __future__ import annotations
@@ -107,10 +108,13 @@ class LinkGeometry(NamedTuple):
 
 
 class TransmitTerms(NamedTuple):
-    """The transmit axes' terms, per link (K, L): cos_emission, sin_emission,
-    degenerate and the dipole pattern, and field_dir (K, L, 3) (see LinkTerms).
-    Where degenerate, pattern and field_dir are meaningless."""
+    """The terms of the unit transmit axes n, axes (L, 3), toward the path
+    directions u, per link (K, L): cos_emission = u . n, sin_emission =
+    |n - (u . n) u|, degenerate (n along u) and the dipole pattern; field_dir
+    (K, L, 3) is n - (u . n) u over sin_emission. Where degenerate, pattern
+    and field_dir are meaningless."""
 
+    axes: np.ndarray
     cos_emission: np.ndarray
     sin_emission: np.ndarray
     field_dir: np.ndarray
@@ -119,9 +123,11 @@ class TransmitTerms(NamedTuple):
 
 
 class ReceiveTerms(NamedTuple):
-    """The receive axes' terms, per user (K,): sin_incidence, cos_incidence,
-    gamma_par and gamma_perp (see LinkTerms)."""
+    """The terms of the unit receive axes r, axes (K, 3), per user (K,):
+    sin_incidence = |u . r|, cos_incidence = |r - (u . r) u| and the signed
+    Fresnel coefficients gamma_par and gamma_perp at that incidence."""
 
+    axes: np.ndarray
     sin_incidence: np.ndarray
     cos_incidence: np.ndarray
     gamma_par: np.ndarray
@@ -129,30 +135,19 @@ class ReceiveTerms(NamedTuple):
 
 
 class LinkTerms(NamedTuple):
-    """The channel kernel's terms for K users and L transmit antennas.
-
-    With u the path direction, n the transmit and r the receive axis: per user
-    (K,) are sin_incidence = |u . r|, cos_incidence = |r - (u . r) u|,
-    gamma_par and gamma_perp, and path_dir (K, 3) holds u; per link (K, L) are
-    cos_emission = u . n, sin_emission = |n - (u . n) u|, cos_matching,
-    matching, degenerate and gains, and field_dir (K, L, 3) is n - (u . n) u
-    over sin_emission. matching is the amplitude kept after reflection loss
-    and polarization mismatch, sqrt(1 - G_par^2 cos^2 a - G_perp^2 sin^2 a),
-    cos a the clipped cos_matching = field_dir . r. Where degenerate, n points along the path: the gain is
-    exactly 0 and field_dir and the matching terms are meaningless.
+    """The channel kernel's terms for K users and L transmit antennas: the
+    pieces it combined and, per link (K, L), cos_matching = field_dir . r
+    clipped to [-1, 1], the cosine of the matching angle a, matching =
+    sqrt(1 - G_par^2 cos^2 a - G_perp^2 sin^2 a), the amplitude kept after
+    reflection loss and polarization mismatch, and the gains. Where
+    tx.degenerate, the gain is exactly 0 and the matching terms are meaningless.
     """
 
-    path_dir: np.ndarray
-    cos_emission: np.ndarray
-    sin_emission: np.ndarray
-    field_dir: np.ndarray
-    sin_incidence: np.ndarray
-    cos_incidence: np.ndarray
-    gamma_par: np.ndarray
-    gamma_perp: np.ndarray
+    geometry: LinkGeometry
+    tx: TransmitTerms
+    rx: ReceiveTerms
     cos_matching: np.ndarray
     matching: np.ndarray
-    degenerate: np.ndarray
     gains: np.ndarray
 
 
@@ -181,7 +176,8 @@ def transmit_terms(path_dir: np.ndarray, tx_n: np.ndarray) -> TransmitTerms:
     degenerate = sin_e < _DEGENERATE_TOL
     safe_sin_e = np.where(degenerate, 1.0, sin_e)
     field_dir /= safe_sin_e[:, :, None]
-    return TransmitTerms(cos_e, sin_e, field_dir, degenerate, _dipole_pattern(cos_e, safe_sin_e))
+    return TransmitTerms(tx_n, cos_e, sin_e, field_dir, degenerate,
+                         _dipole_pattern(cos_e, safe_sin_e))
 
 
 def receive_terms(path_dir: np.ndarray, rx_n: np.ndarray,
@@ -193,15 +189,13 @@ def receive_terms(path_dir: np.ndarray, rx_n: np.ndarray,
     sin_i = np.einsum("ki,ki->k", path_dir, rx_n)          # u . r, then its size
     cos_i = np.sqrt(sum((rx_n[:, i] - sin_i * path_dir[:, i])**2 for i in range(3)))
     sin_i = np.clip(np.abs(sin_i), 0.0, 1.0)
-    return ReceiveTerms(sin_i, cos_i, *_fresnel(cos_i, medium.relative_permittivity))
+    return ReceiveTerms(rx_n, sin_i, cos_i, *_fresnel(cos_i, medium.relative_permittivity))
 
 
-def combine_terms(geometry: LinkGeometry, tx: TransmitTerms, rx: ReceiveTerms,
-                  rx_n: np.ndarray) -> LinkTerms:
+def combine_terms(geometry: LinkGeometry, tx: TransmitTerms, rx: ReceiveTerms) -> LinkTerms:
     """The per-evaluation kernel: the matching terms and gains of the links
-    whose positions gave geometry, transmit axes gave tx and receive axes rx_n
-    (K, 3) gave rx."""
-    cos_a = np.clip(np.einsum("kli,ki->kl", tx.field_dir, rx_n), -1.0, 1.0)
+    whose positions gave geometry and whose axes gave tx and rx."""
+    cos_a = np.clip(np.einsum("kli,ki->kl", tx.field_dir, rx.axes), -1.0, 1.0)
     cos2 = cos_a ** 2
     radicand = (1.0 - (rx.gamma_par**2)[:, None] * cos2
                 - (rx.gamma_perp**2)[:, None] * (1.0 - cos2))
@@ -211,9 +205,7 @@ def combine_terms(geometry: LinkGeometry, tx: TransmitTerms, rx: ReceiveTerms,
 
     gains = geometry.prefactor[:, None] * tx.pattern * match * geometry.phase
     gains[tx.degenerate] = 0.0
-    return LinkTerms(geometry.path_dir, tx.cos_emission, tx.sin_emission, tx.field_dir,
-                     rx.sin_incidence, rx.cos_incidence, rx.gamma_par, rx.gamma_perp,
-                     cos_a, match, tx.degenerate, gains)
+    return LinkTerms(geometry, tx, rx, cos_a, match, gains)
 
 
 def link_terms(tx_positions, tx_orientations, rx_positions, rx_orientations,
@@ -232,7 +224,7 @@ def link_terms(tx_positions, tx_orientations, rx_positions, rx_orientations,
     rx_n = np.atleast_2d(np.asarray(rx_orientations, dtype=float))
     geometry = link_geometry(tx_positions, rx_positions, medium)
     return combine_terms(geometry, transmit_terms(geometry.path_dir, tx_n),
-                         receive_terms(geometry.path_dir, rx_n, medium), rx_n)
+                         receive_terms(geometry.path_dir, rx_n, medium))
 
 
 def gain_matrix(tx_positions, tx_orientations, rx_positions, rx_orientations,

@@ -79,6 +79,17 @@ def write_sidecar(out_path, config: RunConfig, subcommand: str, seed: int,
         json.dump(meta, fh, indent=2, sort_keys=True)
 
 
+def _join_triples(argv: Sequence[str]) -> List[str]:
+    """argv with each `FLAG VALUE` of the four triple flags joined into
+    `FLAG=VALUE`, so that argparse reads a value like -30,55,-20 as the value."""
+    rest, out = list(argv), []
+    while rest:
+        token = rest.pop(0)
+        triple = token in ("--tx-pos", "--tx-dir", "--rx-pos", "--rx-dir") and rest
+        out.append(f"{token}={rest.pop(0)}" if triple else token)
+    return out
+
+
 def _parse_triple(text: str, flag: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
@@ -116,20 +127,21 @@ def cmd_channel_eval(args) -> int:
         return EXIT_INFEASIBLE
 
     gain = complex(terms.gains[0, 0])
-    if terms.degenerate[0, 0]:
+    tx_t, rx_t = terms.tx, terms.rx
+    if tx_t.degenerate[0, 0]:
         alpha, match = math.nan, 0.0
     else:
-        sin_alpha = np.linalg.norm(np.cross(rx.orientation, terms.field_dir[0, 0]))
+        sin_alpha = np.linalg.norm(np.cross(rx.orientation, tx_t.field_dir[0, 0]))
         alpha = np.arctan2(sin_alpha, terms.cos_matching[0, 0])
         match = terms.matching[0, 0]
     fields = [
         ("gain_magnitude", abs(gain)),
         ("gain_phase_rad", math.atan2(gain.imag, gain.real)),
-        ("emission_angle_rad", np.arctan2(terms.sin_emission[0, 0], terms.cos_emission[0, 0])),
-        ("incident_angle_rad", np.arctan2(terms.sin_incidence[0], terms.cos_incidence[0])),
+        ("emission_angle_rad", np.arctan2(tx_t.sin_emission[0, 0], tx_t.cos_emission[0, 0])),
+        ("incident_angle_rad", np.arctan2(rx_t.sin_incidence[0], rx_t.cos_incidence[0])),
         ("matching_angle_rad", alpha),
-        ("gamma_parallel", terms.gamma_par[0]),
-        ("gamma_perpendicular", terms.gamma_perp[0]),
+        ("gamma_parallel", rx_t.gamma_par[0]),
+        ("gamma_perpendicular", rx_t.gamma_perp[0]),
         ("matching_efficiency", match),
     ]
     width = max(len(name) for name, _ in fields)
@@ -259,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_triples(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ConfigurationError as exc:

@@ -37,21 +37,6 @@ def unit(v) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SphericalAngles:
-    """Polar angle in [0, pi] and azimuthal angle reduced to [0, 2*pi)."""
-
-    polar: float
-    azimuthal: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.polar) and np.isfinite(self.azimuthal)):
-            raise GeometryError("angles must be finite")
-        if not 0.0 <= self.polar <= np.pi:
-            raise GeometryError(f"polar angle {self.polar} outside [0, pi]")
-        object.__setattr__(self, "azimuthal", float(np.mod(self.azimuthal, _TWO_PI)))
-
-
-@dataclass(frozen=True)
 class AntennaPose:
     """Center position (meters) and unit orientation of one dipole."""
 
@@ -61,16 +46,6 @@ class AntennaPose:
     def __post_init__(self):
         object.__setattr__(self, "position", _as_vec3(self.position))
         object.__setattr__(self, "orientation", unit(self.orientation))
-
-
-def cartesian_to_spherical(v) -> SphericalAngles:
-    """Polar/azimuthal angles of a direction (unit_to_angles of one vector),
-    the inverse of angles_to_unit; azimuth is 0 by convention at the poles."""
-    n = unit(v)
-    polar, azimuthal = unit_to_angles(n)
-    if abs(n[2]) >= 1.0 - _PARALLEL_TOL:
-        azimuthal = 0.0
-    return SphericalAngles(polar=float(polar), azimuthal=float(azimuthal))
 
 
 def unit_to_angles(vectors) -> np.ndarray:

@@ -15,9 +15,9 @@ axes through the same terms and SVD without building anything again. The
 positions never move, so their factors (channel.link_geometry) are built once
 per run; a step moves one block, so a line-search trial converts and builds
 the side terms (channel.transmit_terms or receive_terms) of the moved block
-only and takes the other block's from the point it steps from. Each
-backtracking line-search trial is one _evaluate; the accepted trial is the
-point the next gradient starts from. A trial whose channel fails the
+only and takes the other block's, axes included, from the terms of the point
+it steps from. Each backtracking line-search trial is one _evaluate; the
+accepted trial is the point the next gradient starts from. A trial whose channel fails the
 condition check is a rejected step. The final record comes from the full
 beamforming solution, whose metrics keep the general interference
 expression.
@@ -43,9 +43,8 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .channel import (ChannelMatrix, LinkGeometry, LinkTerms, ReceiveTerms, TransmitTerms,
-                      combine_terms, gain_matrix, link_geometry, receive_terms,
-                      transmit_terms)
+from .channel import (ChannelMatrix, LinkGeometry, LinkTerms, combine_terms, gain_matrix,
+                      link_geometry, receive_terms, transmit_terms)
 from .errors import (ConfigurationError, InfeasibleLayoutError, ProjectionError,
                      SingularChannelError)
 from .geometry import AntennaPose, angles_to_unit, unit_to_angles
@@ -243,17 +242,12 @@ def _axes(angles: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _Point:
     """One evaluated layout: the objective value and the factors its gradient
-    reads (the kernel's terms, the unit axes, the SVD and the water-filling
-    state), and each block's side terms for the trials that step from it."""
+    reads (the kernel's terms, the SVD and the water-filling state)."""
 
     layout: LayoutVariables
     value: float
     growth: float
     terms: LinkTerms
-    tx_axes: np.ndarray
-    rx_axes: np.ndarray
-    tx: TransmitTerms
-    rx: ReceiveTerms
     svd: tuple
     level: float               # the water level, unshifted
     sinr: np.ndarray
@@ -266,9 +260,9 @@ def _evaluate(layout: LayoutVariables, geometry: LinkGeometry, medium: MediumPar
 
     geometry holds the factors of layout's transmit positions and the users'
     (channel.link_geometry). Given current, an evaluated point whose layout
-    differs from layout in the moved block only, the other block's axes and
-    side terms are current's: only the moved block's angles are converted and
-    its side built, so every axis is _axes of its stored angles either way.
+    differs from layout in the moved block only, the other block's side terms
+    (axes included) are current's: only the moved block's angles are converted
+    and its side built, so every axis is _axes of its stored angles either way.
 
     Under zero forcing plus water filling, 1 + sinr_k = level / t_k for a
     funded user and 1 otherwise, with t_k = sigma^2 [(H H^H)^-1]_kk, so
@@ -279,25 +273,18 @@ def _evaluate(layout: LayoutVariables, geometry: LinkGeometry, medium: MediumPar
     """
     if not total_power > 0:
         raise ConfigurationError(f"total power must be positive, got {total_power}")
-    if current is None or moved == BLOCK_TX_ANGLES:
-        tx_axes = _axes(layout.tx_angles)
-        tx = transmit_terms(geometry.path_dir, tx_axes)
-    else:
-        tx_axes, tx = current.tx_axes, current.tx
-    if current is None or moved == BLOCK_RX_ANGLES:
-        rx_axes = _axes(layout.rx_angles)
-        rx = receive_terms(geometry.path_dir, rx_axes, medium)
-    else:
-        rx_axes, rx = current.rx_axes, current.rx
-    terms = combine_terms(geometry, tx, rx, rx_axes)
+    tx = (transmit_terms(geometry.path_dir, _axes(layout.tx_angles))
+          if current is None or moved == BLOCK_TX_ANGLES else current.terms.tx)
+    rx = (receive_terms(geometry.path_dir, _axes(layout.rx_angles), medium)
+          if current is None or moved == BLOCK_RX_ANGLES else current.terms.rx)
+    terms = combine_terms(geometry, tx, rx)
     U, S, Vh = _zf_svd(terms.gains)
     inv_snr = medium.noise_power * np.sum(np.abs(U)**2 / S**2, axis=-1)
     excess, level = _water_level(inv_snr, total_power)
     sinr = np.maximum(level - excess, 0.0) / inv_snr
     growth = float(np.exp(np.mean(np.log1p(sinr))))
     return _Point(layout=layout, value=growth - 1.0, growth=growth, terms=terms,
-                  tx_axes=tx_axes, rx_axes=rx_axes, tx=tx, rx=rx, svd=(U, S, Vh),
-                  level=level + inv_snr.min(), sinr=sinr)
+                  svd=(U, S, Vh), level=level + inv_snr.min(), sinr=sinr)
 
 
 def _gradient(point: _Point, block: str, medium: MediumParams) -> np.ndarray:
@@ -334,10 +321,11 @@ def _gradient(point: _Point, block: str, medium: MediumParams) -> np.ndarray:
     # dJ = sum_kl weight_kl d log(rad_kl m_kl), a zero gain weighing 0.
     weight = 2.0 * np.real(np.conj(gamma) * gains)
 
-    path, field_dir = terms.path_dir, terms.field_dir
-    cos_e, cos_m = terms.cos_emission, terms.cos_matching
-    sin_e = np.where(terms.degenerate, 1.0, terms.sin_emission)
-    g_par, g_perp = terms.gamma_par[:, None], terms.gamma_perp[:, None]
+    tx, rx = terms.tx, terms.rx
+    path, field_dir = terms.geometry.path_dir, tx.field_dir
+    cos_e, cos_m = tx.cos_emission, terms.cos_matching
+    sin_e = np.where(tx.degenerate, 1.0, tx.sin_emission)
+    g_par, g_perp = rx.gamma_par[:, None], rx.gamma_perp[:, None]
     # m^2 = 1 - g_perp^2 - (g_par^2 - g_perp^2) cos_a^2, so weight * d log m is
     # weight / m^2 times d(m^2) / 2.
     per_m2 = weight / terms.matching**2
@@ -347,14 +335,13 @@ def _gradient(point: _Point, block: str, medium: MediumParams) -> np.ndarray:
         # log rad = log cos(pi c / 2) - log(1 - c^2) / 2, with 1 - c^2 = sin_e^2.
         d_cos_e = weight * (-0.5 * np.pi * np.tan(0.5 * np.pi * cos_e) + cos_e / sin_e**2)
         # d cos_a / d n = (P r - cos_a f) / sin_e, P the projector off the path.
-        rx_axes = point.rx_axes
-        projected_rx = rx_axes - np.sum(path * rx_axes, axis=-1)[:, None] * path
+        projected_rx = rx.axes - np.sum(path * rx.axes, axis=-1)[:, None] * path
         along = d_cos_m / sin_e
         grad_axes = (d_cos_e.T @ path + along.T @ projected_rx
                      - np.einsum("kl,kli->li", along * cos_m, field_dir))
-        axes = point.tx_axes
+        axes = tx.axes
     elif block == BLOCK_RX_ANGLES:
-        cos_i = terms.cos_incidence
+        cos_i = rx.cos_incidence
         eps = medium.relative_permittivity
         root = np.sqrt(eps - 1.0 + cos_i**2)
         d_par = (-2.0 * eps * (eps - 1.0) / (root * (root + eps * cos_i)**2))[:, None]
@@ -362,7 +349,7 @@ def _gradient(point: _Point, block: str, medium: MediumParams) -> np.ndarray:
         d_cos_i = np.sum(-(g_par * d_par * cos_m**2 + g_perp * d_perp * (1.0 - cos_m**2))
                          * per_m2, axis=-1)
         # d cos_i / d r = -(u . r) u / cos_i.
-        axes = point.rx_axes
+        axes = rx.axes
         along_path = -np.sum(path * axes, axis=-1) * d_cos_i / cos_i
         grad_axes = np.einsum("kl,kli->ki", d_cos_m, field_dir) + along_path[:, None] * path
     else:
@@ -507,7 +494,7 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
                 grad_sq = float(np.sum(grad * grad))
                 if not np.isfinite(grad_sq) or grad_sq == 0.0:
                     break
-                base = point.tx_axes if block == BLOCK_TX_ANGLES else point.rx_axes
+                base = (point.terms.tx if block == BLOCK_TX_ANGLES else point.terms.rx).axes
                 step = _INITIAL_STEP_ANGLE / math.sqrt(grad_sq)
                 accepted = False
                 while _ARMIJO_C * step * grad_sq > _ARMIJO_FLOOR * abs(point.value):

@@ -119,7 +119,7 @@ def test_matching_efficiency_bounds_and_normal_incidence(medium):
     e2 = np.cross(path, e1)
     phi = np.linspace(0.0, math.pi, 7)
     terms = _links_to(np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2, medium)
-    assert np.all(terms.sin_incidence < 1e-15)
+    assert np.all(terms.rx.sin_incidence < 1e-15)
     vals = terms.matching[:, 0]
     assert np.ptp(vals) < 1e-12
     g = (math.sqrt(2.0) - 1.0) / (math.sqrt(2.0) + 1.0)
@@ -129,8 +129,8 @@ def test_matching_efficiency_bounds_and_normal_incidence(medium):
 def test_matching_efficiency_zero_at_grazing(medium):
     # Receive axis along the path: grazing incidence, both coefficients 1.
     terms = _links_to(RX / RX_NORM, medium)
-    assert terms.sin_incidence[0] == pytest.approx(1.0, abs=1e-15)
-    assert terms.gamma_par[0] == 1.0 and terms.gamma_perp[0] == 1.0
+    assert terms.rx.sin_incidence[0] == pytest.approx(1.0, abs=1e-15)
+    assert terms.rx.gamma_par[0] == 1.0 and terms.rx.gamma_perp[0] == 1.0
     assert terms.matching[0, 0] == 0.0
 
 
@@ -281,26 +281,28 @@ def test_link_terms_recompose_gain(seed, force_degenerate):
 
     assert np.all((terms.matching >= 0.0) & (terms.matching <= 1.0))
     assert np.all(np.abs(terms.cos_matching) <= 1.0)
-    assert np.all(terms.gains[terms.degenerate] == 0.0)
+    assert np.all(terms.gains[terms.tx.degenerate] == 0.0)
     if force_degenerate:
-        assert terms.degenerate[2, 1]
+        assert terms.tx.degenerate[2, 1]
     const = 2.0 * medium.speed_of_light * medium.permeability \
         / (medium.antenna_factor * 4.0 * np.pi * np.linalg.norm(rx_p, axis=1))
-    rad = radiation_factor(np.arccos(np.clip(terms.cos_emission, -1.0, 1.0)))
-    expected = np.where(terms.degenerate, 0.0,
+    rad = radiation_factor(np.arccos(np.clip(terms.tx.cos_emission, -1.0, 1.0)))
+    expected = np.where(terms.tx.degenerate, 0.0,
                         const[:, None] * np.abs(rad) * terms.matching)
     assert np.allclose(np.abs(terms.gains), expected, rtol=1e-12, atol=0.0)
 
     # The cosine-form terms agree with the angle-form public functions.
-    g_par, g_perp = reflection_coefficients(np.arcsin(terms.sin_incidence), medium)
-    assert np.allclose(terms.gamma_par, g_par, rtol=0.0, atol=1e-12)
-    assert np.allclose(terms.gamma_perp, g_perp, rtol=0.0, atol=1e-12)
-    assert np.allclose(terms.sin_emission**2 + terms.cos_emission**2, 1.0, rtol=0.0, atol=1e-15)
-    assert np.allclose(terms.cos_incidence**2 + terms.sin_incidence**2, 1.0,
+    g_par, g_perp = reflection_coefficients(np.arcsin(terms.rx.sin_incidence), medium)
+    assert np.allclose(terms.rx.gamma_par, g_par, rtol=0.0, atol=1e-12)
+    assert np.allclose(terms.rx.gamma_perp, g_perp, rtol=0.0, atol=1e-12)
+    assert np.allclose(terms.tx.sin_emission**2 + terms.tx.cos_emission**2, 1.0,
                        rtol=0.0, atol=1e-15)
-    regular = ~terms.degenerate
-    assert np.allclose(np.linalg.norm(terms.field_dir, axis=-1)[regular], 1.0,
+    assert np.allclose(terms.rx.cos_incidence**2 + terms.rx.sin_incidence**2, 1.0,
+                       rtol=0.0, atol=1e-15)
+    regular = ~terms.tx.degenerate
+    assert np.allclose(np.linalg.norm(terms.tx.field_dir, axis=-1)[regular], 1.0,
                        rtol=0.0, atol=1e-15)
     # The field n - (n . u) u is orthogonal to the path up to rounding.
-    across = np.einsum("kli,ki->kl", terms.field_dir, terms.path_dir) * terms.sin_emission
+    across = (np.einsum("kli,ki->kl", terms.tx.field_dir, terms.geometry.path_dir)
+              * terms.tx.sin_emission)
     assert np.allclose(across[regular], 0.0, rtol=0.0, atol=1e-15)

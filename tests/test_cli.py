@@ -16,9 +16,8 @@ RX = "75,-40,50"
 
 
 def _channel_eval(capsys, tx_dir="0,0,1", rx_dir="0,0,1", rx_pos=RX):
-    # --flag=value: a direction may start with a minus sign.
-    code = main(["channel-eval", "--tx-pos", "0,0,0", f"--tx-dir={tx_dir}",
-                 "--rx-pos", rx_pos, f"--rx-dir={rx_dir}"])
+    code = main(["channel-eval", "--tx-pos", "0,0,0", "--tx-dir", tx_dir,
+                 "--rx-pos", rx_pos, "--rx-dir", rx_dir])
     out = capsys.readouterr().out
     fields = {}
     for line in out.strip().splitlines():
@@ -88,6 +87,22 @@ def test_channel_eval_matching_angle_near_the_field(capsys):
     code, fields = _channel_eval(capsys, rx_dir=",".join(repr(float(c)) for c in axis))
     assert code == 0
     assert fields["matching_angle_rad"] == pytest.approx(1e-7, rel=1e-9)
+
+
+@pytest.mark.parametrize("triples", [
+    {"--tx-pos": "0,0,0", "--tx-dir": "0,0,1", "--rx-pos": "-30,55,-20", "--rx-dir": "0,0,1"},
+    {"--tx-pos": "-1,-2,-3", "--tx-dir": "-0.3,0.2,1", "--rx-pos": "-30,-55,-20",
+     "--rx-dir": "-1,0,0.5"},
+])
+def test_channel_eval_reads_a_leading_minus_after_a_space(capsys, triples):
+    # argparse alone takes -30,55,-20 after --rx-pos for a flag; each triple
+    # flag reads it as its value, as the FLAG=VALUE form does.
+    spaced = [token for flag, value in triples.items() for token in (flag, value)]
+    joined = [f"{flag}={value}" for flag, value in triples.items()]
+    assert main(["channel-eval", *joined]) == 0
+    expected = capsys.readouterr().out
+    assert main(["channel-eval", *spaced]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_channel_eval_coincident_positions_is_infeasible(capsys):

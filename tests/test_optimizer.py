@@ -7,15 +7,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polarlink import (AntennaPose, Constraints, LayoutVariables, MediumParams,
-                       OptimizerConfig, cartesian_to_spherical, harness, objective, optimize,
-                       quantize_angles, separation_projection)
+                       OptimizerConfig, harness, objective, optimize, quantize_angles,
+                       separation_projection)
 from polarlink import channel as channel_module
 from polarlink import mimo as mimo_module
 from polarlink import optimizer as optimizer_module
-from polarlink.channel import ChannelMatrix, LinkTerms, gain_matrix, link_geometry, link_terms
+from polarlink.channel import (ChannelMatrix, gain_matrix, link_geometry, link_terms,
+                               reflection_coefficients)
 from polarlink.errors import (ConfigurationError, InfeasibleLayoutError,
                               ProjectionError, SingularChannelError)
-from polarlink.geometry import angles_to_unit
+from polarlink.geometry import angles_to_unit, unit_to_angles
 from polarlink.mimo import solve_beamforming
 from polarlink.optimizer import (BLOCK_ORDER, BLOCK_TX_ANGLES, _evaluate, _gradient,
                                  check_feasible, finite_difference_gradient)
@@ -151,9 +152,9 @@ def _exact_gradient(layout, block, users, total_power=0.5):
     point = _point(layout, users, total_power)
     grad = _gradient(point, block, MEDIUM)
     if block == BLOCK_TX_ANGLES:
-        axes, angles = point.tx_axes, layout.tx_angles
+        axes, angles = point.terms.tx.axes, layout.tx_angles
     else:
-        axes, angles = point.rx_axes, layout.rx_angles
+        axes, angles = point.terms.rx.axes, layout.rx_angles
     assert grad.shape == axes.shape
     assert np.all(np.abs(np.sum(grad * axes, axis=-1)) <= 1e-12 * np.linalg.norm(grad))
     return _chart_gradient(grad, angles)
@@ -199,10 +200,9 @@ def _terms(layout, users):
 def test_exact_gradient_degenerate_entry():
     # Transmit axis 0 points at user A: that entry is exactly 0, a cone point.
     layout = _layout(antennas=4, users=2, seed=1)
-    towards_a = cartesian_to_spherical(USER_A.position)
-    layout.tx_angles[0] = [towards_a.polar, towards_a.azimuthal]
+    layout.tx_angles[0] = unit_to_angles(USER_A.position)
     terms = _terms(layout, [USER_A, USER_B])
-    assert terms.degenerate[0, 0] and terms.gains[0, 0] == 0.0
+    assert terms.tx.degenerate[0, 0] and terms.gains[0, 0] == 0.0
     _assert_finite_gradient_and_ascent(layout, [USER_A, USER_B])
 
 
@@ -213,7 +213,7 @@ def test_exact_gradient_grazing_incidence():
     layout = _layout(antennas=4, users=2, seed=1)
     layout.rx_angles[0] = [0.0, 0.0]
     terms = _terms(layout, users)
-    assert terms.cos_incidence[0] == 0.0
+    assert terms.rx.cos_incidence[0] == 0.0
     assert np.all(terms.gains[0] == 0.0)
     with pytest.raises(SingularChannelError):
         objective(layout, users, MEDIUM, 0.5)
@@ -225,7 +225,7 @@ def test_exact_gradient_grazing_incidence():
     # 1e-3 rad off grazing the row is regular and the gradient exact; so
     # close to the cone point the reference needs a step below 1e-4.
     layout.rx_angles[0] = [1e-3, 0.0]
-    assert 0.0 < _terms(layout, users).cos_incidence[0] < 2e-3
+    assert 0.0 < _terms(layout, users).rx.cos_incidence[0] < 2e-3
     for block in BLOCK_ORDER:
         _assert_close_to_reference(layout, block, users, step=1e-5)
     _assert_finite_gradient_and_ascent(layout, users)
@@ -235,7 +235,7 @@ def test_exact_gradient_broadside_kink():
     # |rx_hat . r| has a kink at 0, but cos_i = sqrt(1 - sin_i^2) is smooth there.
     layout = _layout(antennas=4, users=2, seed=1)
     layout.rx_angles[0] = [0.0, 0.0]
-    assert _terms(layout, [USER_LEVEL, USER_B]).sin_incidence[0] == 0.0
+    assert _terms(layout, [USER_LEVEL, USER_B]).rx.sin_incidence[0] == 0.0
     for block in BLOCK_ORDER:
         _assert_close_to_reference(layout, block, [USER_LEVEL, USER_B])
     _assert_finite_gradient_and_ascent(layout, [USER_LEVEL, USER_B])
@@ -329,19 +329,27 @@ def test_optimize_layer_call_counts(monkeypatch):
     assert "finite_difference_gradient" not in counts
 
 
+def _array_leaves(terms, prefix=""):
+    """(dotted name, array) for every array in a nested tuple of terms."""
+    for name, value in zip(terms._fields, terms):
+        if isinstance(value, tuple):
+            yield from _array_leaves(value, f"{prefix}{name}.")
+        else:
+            yield prefix + name, value
+
+
 @pytest.mark.parametrize("edge", ["transmit axis along the path", "receive axis at a pole"])
 @pytest.mark.parametrize("block", BLOCK_ORDER)
 def test_a_trial_reusing_the_unmoved_side_is_a_fresh_build(block, edge):
     # A trial builds the moved block's side and takes the other from the
     # point it steps from; its terms must equal a full link_terms build on
-    # the trial's axes, field for field and bit for bit. Both the start and
+    # the trial's axes, array for array and bit for bit. Both the start and
     # the moved angles hold the edge, so it is both rebuilt and reused.
     users = [USER_A, USER_B]
     start, moved = _layout(antennas=4, users=2, seed=1), _layout(antennas=4, users=2, seed=2)
     for layout in (start, moved):
         if edge == "transmit axis along the path":
-            towards_a = cartesian_to_spherical(USER_A.position)
-            layout.tx_angles[0] = [towards_a.polar, towards_a.azimuthal]
+            layout.tx_angles[0] = unit_to_angles(USER_A.position)
         else:
             layout.rx_angles[0] = [0.0, 0.0]
     trial = optimizer_module._with_block_vector(start, block, getattr(moved, block))
@@ -349,9 +357,11 @@ def test_a_trial_reusing_the_unmoved_side_is_a_fresh_build(block, edge):
     point = _evaluate(trial, geometry, MEDIUM, 0.5, _point(start, users), block)
     fresh = link_terms(trial.tx_positions, trial.tx_orientations(), _rx_positions(users),
                        trial.rx_orientations(), MEDIUM)
-    assert fresh.degenerate[0, 0] == (edge == "transmit axis along the path")
-    for name, got, want in zip(LinkTerms._fields, point.terms, fresh):
-        assert np.array_equal(got, want), name
+    assert fresh.tx.degenerate[0, 0] == (edge == "transmit axis along the path")
+    got, want = list(_array_leaves(point.terms)), list(_array_leaves(fresh))
+    assert [name for name, _ in got] == [name for name, _ in want] and len(want) == 17
+    for (name, got_leaf), (_, want_leaf) in zip(got, want):
+        assert np.array_equal(got_leaf, want_leaf), name
     assert point.value == _point(trial, users).value
 
 
@@ -415,7 +425,7 @@ def test_an_axis_at_a_pole_steps_along_its_full_tangent_gradient(monkeypatch):
     monkeypatch.setattr(optimizer_module, "_evaluate", recording_evaluate)
     optimize(layout, users, MEDIUM, 0.5, _constraints(), OptimizerConfig(max_outer_iterations=1))
     moved = angles_to_unit(trials[1][:, 0], trials[1][:, 1])
-    expected = point.rx_axes + 0.1 / np.linalg.norm(grad) * grad
+    expected = point.terms.rx.axes + 0.1 / np.linalg.norm(grad) * grad
     expected /= np.linalg.norm(expected, axis=-1, keepdims=True)
     assert np.allclose(moved, expected, rtol=0.0, atol=1e-12)
     assert abs(moved[0, 1]) > 1e-3
@@ -574,9 +584,53 @@ def test_optimize_single_link_is_coplanar_at_convergence():
     terms = link_terms(np.zeros((1, 3)), result.layout.tx_orientations(),
                        USER_A.position[None, :], result.layout.rx_orientations(), MEDIUM)
     alpha = math.acos(terms.cos_matching[0, 0])
-    theta_i = math.asin(terms.sin_incidence[0])
+    theta_i = math.asin(terms.rx.sin_incidence[0])
     residual = min(abs(alpha - theta_i), abs(math.pi - alpha - theta_i))
     assert residual < 1e-3
+
+
+def _transmit_oracle(scenario, rx_axis):
+    """Configuration 3's optimum for one user (K = 1) and its value J3*.
+
+    For one user zero forcing plus water filling is maximum-ratio
+    transmission, J = P C^2 sum_l rad_l^2 m_l^2 / sigma^2, which separates per
+    antenna. Each term peaks where the transmit axis is the receive axis r
+    projected off the path u and normalised: the pattern is 1 there and the
+    matching angle is the incidence angle, so m^2 = f(c) = 1 - G_perp^2 +
+    (G_perp^2 - G_par^2) c^2 with c = |r - (u . r) u|, and J3* = P L C^2 f(c) /
+    sigma^2. Every term is computed here, apart from the channel kernel.
+    """
+    medium, position = scenario.medium, scenario.user_poses[0].position
+    u = position / np.linalg.norm(position)
+    projected = rx_axis - (u @ rx_axis) * u
+    c = np.linalg.norm(projected)
+    g_par, g_perp = reflection_coefficients(math.acos(c), medium)
+    amplitude = (2.0 * medium.speed_of_light * medium.permeability
+                 / (medium.antenna_factor * 4.0 * math.pi * np.linalg.norm(position)))
+    f = 1.0 - g_perp**2 + (g_perp**2 - g_par**2) * c**2
+    value = (scenario.total_power * scenario.antenna_count * amplitude**2 * f
+             / medium.noise_power)
+    return np.tile(unit_to_angles(projected), (scenario.antenna_count, 1)), value
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_single_user_transmit_optimum_bounds_configuration_3(seed):
+    # The oracle layout evaluates to J3*, and no configuration-3 ascent at
+    # the campaign's settings records a value above it.
+    scenario = harness.make_scenario(1, seed)
+    layout = harness.random_initial_layout(scenario, np.random.default_rng([seed, 2]))
+    layout.optimize_tx_orientation, layout.optimize_rx_orientation = \
+        harness.CONFIGURATION_FLAGS[3]
+    oracle_angles, best = _transmit_oracle(scenario, layout.rx_orientations()[0])
+    oracle = layout.copy()
+    oracle.tx_angles = oracle_angles
+    value = objective(oracle, scenario.user_poses, scenario.medium, scenario.total_power)
+    assert value == pytest.approx(best, rel=1e-12, abs=0.0)
+    result = optimize(layout, scenario.user_poses, scenario.medium, scenario.total_power,
+                      scenario.constraints,
+                      OptimizerConfig(max_outer_iterations=25, convergence_tol=1e-3))
+    assert max(result.trace.total_sinr) <= best * (1.0 + 1e-12)
+    assert result.trace.total_sinr[-1] > result.trace.total_sinr[0]
 
 
 def test_quantize_angles_identity_at_zero():
