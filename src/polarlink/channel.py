@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import GeometryError, NumericalError, UnsupportedConfigurationError
 from .geometry import AntennaPose
-from .medium import MediumParams
+from .medium import ANTENNA_FACTOR, SPEED_OF_LIGHT, VACUUM_PERMEABILITY, MediumParams
 
 _DEGENERATE_TOL = 1e-12
 _RADICAND_TOL = 1e-12
@@ -154,16 +154,21 @@ class LinkTerms(NamedTuple):
 def link_geometry(tx_positions, rx_positions, medium: MediumParams) -> LinkGeometry:
     """The factors fixed by the positions, tx_positions (L, 3) and rx_positions
     (K, 3): far-field, the directions and distances use the receiver position
-    alone, and the transmit position enters only the phase."""
+    alone, and the transmit position enters only the phase. Positions too far
+    out for a finite distance, spreading constant or phase raise GeometryError."""
     tx_p = np.atleast_2d(np.asarray(tx_positions, dtype=float))
     rx_p = np.atleast_2d(np.asarray(rx_positions, dtype=float))
-    rx_dist = np.linalg.norm(rx_p, axis=1)
-    if np.any(rx_dist < _DEGENERATE_TOL):
-        raise GeometryError("receiver at the origin")
-    wavenumber = medium.wavenumber
-    prefactor = (2j * medium.speed_of_light * medium.permeability / medium.antenna_factor
-                 * np.exp(-1j * wavenumber * rx_dist) / (4.0 * np.pi * rx_dist))
-    phase = np.exp(1j * wavenumber * (rx_p @ tx_p.T) / rx_dist[:, None])
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow raises below
+        rx_dist = np.linalg.norm(rx_p, axis=1)
+        if np.any(rx_dist < _DEGENERATE_TOL):
+            raise GeometryError("receiver at the origin")
+        wavenumber = medium.wavenumber
+        prefactor = (2j * SPEED_OF_LIGHT * VACUUM_PERMEABILITY / ANTENNA_FACTOR
+                     * np.exp(-1j * wavenumber * rx_dist) / (4.0 * np.pi * rx_dist))
+        phase = np.exp(1j * wavenumber * (rx_p @ tx_p.T) / rx_dist[:, None])
+    # A distance that overflowed to inf leaves the prefactor nan.
+    if not (np.isfinite(prefactor).all() and np.isfinite(phase).all()):
+        raise GeometryError("positions too far out for a finite link distance or phase")
     return LinkGeometry(rx_p / rx_dist[:, None], prefactor, phase)
 
 

@@ -27,8 +27,8 @@ from .errors import (ConfigurationError, GeometryError, InfeasibleLayoutError,
                      UnsupportedConfigurationError)
 from .geometry import AntennaPose
 from .harness import (RunRecord, make_scenario, monte_carlo_half_energy,
-                      random_initial_layout, reference_link_peak, run_configuration,
-                      sweep, _half_energy_magnitudes, _rng)
+                      reference_link_peak, run_configuration, sweep,
+                      _half_energy_magnitudes)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -57,13 +57,13 @@ def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def write_sidecar(out_path, config: RunConfig, subcommand: str, seed: int,
-                  reps: int, extra: Optional[dict] = None) -> None:
+def write_sidecar(out_path, config: RunConfig, subcommand: str, reps: int,
+                  extra: Optional[dict] = None) -> None:
     meta = {
         "tool": "polarlink",
         "version": __version__,
         "subcommand": subcommand,
-        "seed": seed,
+        "seed": config.seed,
         "repetitions": reps,
         "config_hash": config.config_hash(),
         "config": config.to_dict(),
@@ -189,7 +189,7 @@ def cmd_run(args) -> int:
                     for p, a, m in zip(pp.ravel(), aa.ravel(), mags.ravel())]
             write_csv(args.out, ["polar_deg", "azimuthal_deg", "gain_magnitude",
                                  "gain_power"], rows)
-            write_sidecar(args.out, config, sub, config.seed, 1,
+            write_sidecar(args.out, config, sub, 1,
                           {"peak_gain": reference_link_peak(kind, medium)})
         elif sub == "montecarlo":
             rows = []
@@ -198,30 +198,29 @@ def cmd_run(args) -> int:
                                                config.seed, medium)
                 rows.append([kind, config.monte_carlo_samples, frac])
             write_csv(args.out, ["scenario_kind", "samples", "half_energy_fraction"], rows)
-            write_sidecar(args.out, config, sub, config.seed, 1)
+            write_sidecar(args.out, config, sub, 1)
         elif sub == "optimize":
             scenario = make_scenario(config.user_count, seed=config.seed, medium=medium,
                                      antenna_count=config.antenna_count,
                                      total_power=config.total_power_w,
                                      cube_half_side=config.coverage_half_side_m,
                                      region_half_side=config.region_half_side_m)
-            layout = random_initial_layout(scenario, _rng(scenario.seed, 2))
-            record = run_configuration(scenario, 5, optimizer_config, layout)
+            record = run_configuration(scenario, 5, optimizer_config)
             if record.failure:
                 print(f"error: optimization failed: {record.failure}", file=sys.stderr)
                 return EXIT_NUMERICAL
             rows = [[i, db] for i, db in enumerate(record.trace_db)]
             write_csv(args.out, ["iteration", "gamma_total_db"], rows)
-            write_sidecar(args.out, config, sub, config.seed, 1,
+            write_sidecar(args.out, config, sub, 1,
                           {"scenario_hash": record.scenario_hash,
                            "gamma_total_db": record.gamma_total_db})
         else:
-            kind = {"sweep-users": "users", "sweep-power": "power",
-                    "sweep-granularity": "granularity", "convergence": "convergence"}[sub]
-            grid = {"users": config.users_grid, "power": config.power_grid_w,
-                    "granularity": config.granularity_grid_deg,
-                    "convergence": [config.user_count]}[kind]
-            configurations = config.configurations if kind == "users" else None
+            kind, grid, configurations = {
+                "sweep-users": ("users", config.users_grid, config.configurations),
+                "sweep-power": ("power", config.power_grid_w, None),
+                "sweep-granularity": ("granularity", config.granularity_grid_deg, None),
+                "convergence": ("users", [config.user_count], (1, 5)),
+            }[sub]
             records = sweep(kind, grid, config.repetitions, config.seed, medium,
                             optimizer_config, antenna_count=config.antenna_count,
                             total_power=config.total_power_w, user_count=config.user_count,
@@ -231,7 +230,7 @@ def cmd_run(args) -> int:
                             region_half_side=config.region_half_side_m)
             header, rows = _record_rows(records)
             write_csv(args.out, header, rows)
-            write_sidecar(args.out, config, sub, config.seed, config.repetitions)
+            write_sidecar(args.out, config, sub, config.repetitions)
     except (InfeasibleLayoutError, UnsupportedConfigurationError) as exc:
         print(f"error: infeasible scenario: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -11,11 +11,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from .errors import ConfigurationError
-from .medium import SPEED_OF_LIGHT, VACUUM_PERMEABILITY, MediumParams
+from .medium import MediumParams
 from .optimizer import OptimizerConfig
 
 
@@ -27,17 +28,26 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) / 1000.0
 
 
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a RunConfig field's type hint: an int takes no float
+    or bool, a float any number, a list checks each element, Optional takes null."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is Union:                  # Optional[...]
+        return any(_has_type(value, arg) for arg in args)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    number = (int, float) if hint is float else hint
+    return isinstance(value, number) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     """Everything a batch run needs: medium, scenario shape, optimizer stops, grids."""
 
-    frequency_hz: Optional[float] = 30e9
     wavelength_m: float = 0.01
     noise_power_dbm: float = -20.0
     total_power_w: float = 0.5
     relative_permittivity: float = 2.0
-    permeability: float = VACUUM_PERMEABILITY
-    antenna_factor: float = 1.0
     region_half_side_m: Optional[float] = None     # defaults to 100 wavelengths
     coverage_half_side_m: float = 100.0
     antenna_count: int = 8
@@ -53,12 +63,10 @@ class RunConfig:
     convergence_tol: float = 1e-4
 
     def __post_init__(self):
-        if self.frequency_hz is not None:
-            product = self.frequency_hz * self.wavelength_m
-            if abs(product - SPEED_OF_LIGHT) > 1e-3 * SPEED_OF_LIGHT:
-                raise ConfigurationError(
-                    f"frequency x wavelength = {product:.6g} m/s disagrees with the "
-                    f"speed of light by more than 0.1%")
+        hints = typing.get_type_hints(type(self))
+        for f in dataclasses.fields(self):
+            if not _has_type(value := getattr(self, f.name), hints[f.name]):
+                raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
         for users in (self.user_count, *self.users_grid):
             if users > self.antenna_count:
                 raise ConfigurationError(f"{users} users exceed {self.antenna_count} antennas")
@@ -86,13 +94,9 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def medium(self) -> MediumParams:
-        return MediumParams(
-            wavelength=self.wavelength_m,
-            relative_permittivity=self.relative_permittivity,
-            permeability=self.permeability,
-            antenna_factor=self.antenna_factor,
-            noise_power=dbm_to_watts(self.noise_power_dbm),
-        )
+        return MediumParams(wavelength=self.wavelength_m,
+                            relative_permittivity=self.relative_permittivity,
+                            noise_power=dbm_to_watts(self.noise_power_dbm))
 
     def optimizer(self) -> OptimizerConfig:
         return OptimizerConfig(max_outer_iterations=self.max_outer_iterations,

@@ -2,9 +2,9 @@
 
 Reproduces the headline experiments: the rotatable-link Monte Carlo
 half-energy fractions, the five antenna-movement configurations compared over
-random user drops, and sweeps over user count, transmit power, rotation
-granularity, and optimizer convergence. All randomness flows from explicit
-seeds through counter-derived generators, so every record is reproducible.
+random user drops, and sweeps over user count, transmit power and rotation
+granularity. All randomness flows from explicit seeds through counter-derived
+generators, so every record is reproducible.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .channel import ChannelMatrix, gain_matrix
 from .errors import ConfigurationError, PolarlinkError, UnsupportedConfigurationError
 from .geometry import AntennaPose, angles_to_unit, unit_to_angles
-from .medium import MediumParams
+from .medium import ANTENNA_FACTOR, MediumParams
 from .mimo import LinkMetrics, solve_beamforming
 from .optimizer import (Constraints, ConvergenceTrace, LayoutVariables, OptimizeResult,
                         OptimizerConfig, optimize, quantize_angles)
@@ -42,6 +42,8 @@ _REFERENCE_TX = np.array([0.0, 0.0, 0.0])
 _REFERENCE_RX = np.array([75.0, -40.0, 50.0])
 _VERTICAL = np.array([0.0, 0.0, 1.0])
 _USER_DRAW_ROUNDS = 100_000
+_TX_PLACEMENT_ATTEMPTS = 10_000
+_MONTE_CARLO_BATCH = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ class Scenario:
             "wavelength": self.medium.wavelength,
             "relative_permittivity": self.medium.relative_permittivity,
             "noise_power": self.medium.noise_power,
-            "antenna_factor": self.medium.antenna_factor,
+            "antenna_factor": ANTENNA_FACTOR,
             "box_min": self.constraints.box_min.tolist(),
             "box_max": self.constraints.box_max.tolist(),
             "min_separation": self.constraints.min_separation,
@@ -120,7 +122,8 @@ def random_unit_vectors(count: int, rng: np.random.Generator) -> np.ndarray:
     return vecs / norms[:, None]
 
 
-def generate_users(user_count: int, cube_half_side: float, seed) -> List[AntennaPose]:
+def generate_users(user_count: int, cube_half_side: float,
+                   rng: np.random.Generator) -> List[AntennaPose]:
     """Users uniform in the coverage cube with sphere-uniform orientations.
 
     Positions closer than 1 m to the origin are redrawn, for at most 100,000
@@ -132,7 +135,6 @@ def generate_users(user_count: int, cube_half_side: float, seed) -> List[Antenna
     if not math.sqrt(3.0) * cube_half_side > 1.0:
         raise UnsupportedConfigurationError(
             f"coverage half side {cube_half_side} m leaves no point 1 m from the origin")
-    rng = seed if isinstance(seed, np.random.Generator) else _rng(seed)
     positions = np.empty((user_count, 3))
     too_close = np.ones(user_count, dtype=bool)
     for _ in range(_USER_DRAW_ROUNDS):
@@ -149,10 +151,10 @@ def generate_users(user_count: int, cube_half_side: float, seed) -> List[Antenna
 
 
 def random_tx_positions(count: int, constraints: Constraints,
-                        rng: np.random.Generator, max_attempts: int = 10000) -> np.ndarray:
+                        rng: np.random.Generator) -> np.ndarray:
     """Dart-throwing placement inside the box with the minimum separation kept."""
     placed: List[np.ndarray] = []
-    for _ in range(max_attempts):
+    for _ in range(_TX_PLACEMENT_ATTEMPTS):
         candidate = rng.uniform(constraints.box_min, constraints.box_max)
         if all(np.linalg.norm(candidate - q) >= constraints.min_separation for q in placed):
             placed.append(candidate)
@@ -221,13 +223,12 @@ def reference_link_peak(kind: str, medium: Optional[MediumParams] = None,
 
 def monte_carlo_half_energy(scenario_kind: str, samples: int, seed: int,
                             medium: Optional[MediumParams] = None,
-                            grid_step_deg: float = 0.25,
-                            batch: int = 1_000_000) -> float:
+                            grid_step_deg: float = 0.25) -> float:
     """Fraction of random orientations delivering at least half the peak energy.
 
     The fixed link places the transmitter at the origin and the receiver at
     (75, -40, 50) with the non-random antenna vertical. Angles are sampled
-    uniformly in (polar, azimuthal).
+    uniformly in (polar, azimuthal), one million at a time.
     """
     if samples < 1:
         raise ConfigurationError("need at least one Monte Carlo sample")
@@ -239,7 +240,7 @@ def monte_carlo_half_energy(scenario_kind: str, samples: int, seed: int,
     hits = 0
     remaining = samples
     while remaining > 0:
-        n = min(batch, remaining)
+        n = min(_MONTE_CARLO_BATCH, remaining)
         polar = rng.uniform(0.0, np.pi, n)
         azimuthal = rng.uniform(0.0, 2.0 * np.pi, n)
         mags = _half_energy_magnitudes(scenario_kind, polar, azimuthal, medium)
@@ -309,7 +310,7 @@ def record_from_result(scenario: Scenario, config_id: int,
     return _record(scenario, config_id, result.beamforming.metrics, result.trace)
 
 
-SWEEP_KINDS = ("users", "power", "granularity", "convergence")
+SWEEP_KINDS = ("users", "power", "granularity")
 
 
 def _sweep_cell(grid_index: int, repetition: int, *, kind: str, grid: Sequence[float],
@@ -328,7 +329,7 @@ def _sweep_cell(grid_index: int, repetition: int, *, kind: str, grid: Sequence[f
     if kind == "power":
         k_users, power = user_count, float(grid[grid_index])
         grid_value = power
-    else:  # users, convergence: the grid value is the user count
+    else:  # users: the grid value is the user count
         k_users, power = int(grid[grid_index]), total_power
         grid_value = float(k_users)
     scenario = scenario_at(k_users, seed=int(_mix(seed, grid_index, repetition)),
@@ -358,7 +359,6 @@ def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int,
     granularity: grid = quantization resolutions in degrees; a single full-
                  precision optimization per repetition is quantized at each
                  resolution and re-evaluated.
-    convergence: grid = user counts; records configuration-1 and -5 traces.
 
     Cells own counter-derived random streams and results are aggregated in a
     fixed index order, so the output is independent of the worker count.

@@ -6,8 +6,11 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+# Every gain carries the factor 2 c mu / ANTENNA_FACTOR, which a SINR sees only
+# through |h|^2 / noise_power: noise_power alone sets that ratio.
 SPEED_OF_LIGHT = 299_792_458.0          # m/s
-VACUUM_PERMEABILITY = 4e-7 * np.pi      # H/m
+VACUUM_PERMEABILITY = 4e-7 * np.pi      # H/m, the permeability of air
+ANTENNA_FACTOR = 1.0                    # field-amplitude-to-voltage conversion
 
 
 @dataclass(frozen=True)
@@ -16,17 +19,11 @@ class MediumParams:
 
     wavelength            carrier wavelength in meters
     relative_permittivity antenna-to-air permittivity ratio, must exceed 1
-    permeability          magnetic permeability of air, H/m
-    speed_of_light        m/s
-    antenna_factor        field-amplitude-to-voltage conversion constant
     noise_power           receiver noise power in watts
     """
 
     wavelength: float = 0.01
     relative_permittivity: float = 2.0
-    permeability: float = VACUUM_PERMEABILITY
-    speed_of_light: float = SPEED_OF_LIGHT
-    antenna_factor: float = 1.0
     noise_power: float = 1e-5
 
     def __post_init__(self):
@@ -35,12 +32,6 @@ class MediumParams:
         if not self.relative_permittivity > 1:
             raise ConfigurationError(
                 f"relative permittivity must exceed 1, got {self.relative_permittivity}")
-        if not self.permeability > 0:
-            raise ConfigurationError(f"permeability must be positive, got {self.permeability}")
-        if not self.speed_of_light > 0:
-            raise ConfigurationError(f"speed of light must be positive, got {self.speed_of_light}")
-        if not self.antenna_factor > 0:
-            raise ConfigurationError(f"antenna factor must be positive, got {self.antenna_factor}")
         if not self.noise_power > 0:
             raise ConfigurationError(f"noise power must be positive, got {self.noise_power}")
 

@@ -20,7 +20,7 @@ from polarlink.channel import ChannelMatrix
 from polarlink.harness import (make_scenario, quantized_record,
                                random_initial_layout, record_from_result,
                                run_configuration, _rng)
-from polarlink.medium import MediumParams
+from polarlink.medium import ANTENNA_FACTOR, SPEED_OF_LIGHT, VACUUM_PERMEABILITY, MediumParams
 from polarlink.optimizer import optimize
 
 CAMPAIGN_CONFIG = OptimizerConfig(max_outer_iterations=25, convergence_tol=1e-3)
@@ -223,8 +223,8 @@ def _grid_search_single_link_db(medium, total_power):
     """
     r = float(np.linalg.norm(RX_POSITION))
     u = RX_POSITION / r
-    const = 2.0 * medium.speed_of_light * medium.permeability \
-        / (medium.antenna_factor * 4.0 * math.pi * r)
+    const = 2.0 * SPEED_OF_LIGHT * VACUUM_PERMEABILITY \
+        / (ANTENNA_FACTOR * 4.0 * math.pi * r)
 
     polar = np.deg2rad(np.arange(0.0, 91.0))
     azimuthal = np.deg2rad(np.arange(0.0, 360.0))

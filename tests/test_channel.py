@@ -9,7 +9,7 @@ from polarlink import (AntennaPose, ChannelMatrix, channel_matrix, element_gain,
                        link_terms, radiation_factor, reflection_coefficients)
 from polarlink.channel import gain_matrix
 from polarlink.errors import UnsupportedConfigurationError
-from polarlink.medium import MediumParams
+from polarlink.medium import ANTENNA_FACTOR, SPEED_OF_LIGHT, VACUUM_PERMEABILITY, MediumParams
 
 RX = np.array([75.0, -40.0, 50.0])
 RX_NORM = math.sqrt(9725.0)
@@ -41,8 +41,8 @@ def _oracle_gain_magnitude(tx_dir, rx_pos, rx_dir, medium):
     g_perp = (root - ct) / (root + ct)
     cos_a = float(np.dot(field, rx_dir))
     match = math.sqrt(1.0 - g_par**2 * cos_a**2 - g_perp**2 * (1.0 - cos_a**2))
-    const = 2.0 * medium.speed_of_light * medium.permeability \
-        / (medium.antenna_factor * 4.0 * math.pi * r)
+    const = 2.0 * SPEED_OF_LIGHT * VACUUM_PERMEABILITY \
+        / (ANTENNA_FACTOR * 4.0 * math.pi * r)
     return const * abs(rad) * match
 
 
@@ -284,8 +284,8 @@ def test_link_terms_recompose_gain(seed, force_degenerate):
     assert np.all(terms.gains[terms.tx.degenerate] == 0.0)
     if force_degenerate:
         assert terms.tx.degenerate[2, 1]
-    const = 2.0 * medium.speed_of_light * medium.permeability \
-        / (medium.antenna_factor * 4.0 * np.pi * np.linalg.norm(rx_p, axis=1))
+    const = 2.0 * SPEED_OF_LIGHT * VACUUM_PERMEABILITY \
+        / (ANTENNA_FACTOR * 4.0 * np.pi * np.linalg.norm(rx_p, axis=1))
     rad = radiation_factor(np.arccos(np.clip(terms.tx.cos_emission, -1.0, 1.0)))
     expected = np.where(terms.tx.degenerate, 0.0,
                         const[:, None] * np.abs(rad) * terms.matching)

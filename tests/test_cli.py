@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -110,6 +111,18 @@ def test_channel_eval_coincident_positions_is_infeasible(capsys):
                  "--rx-pos", "0,0,0", "--rx-dir", "0,0,1"])
     assert code == 4
     assert "invalid geometry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tx_pos, rx_pos", [("1e300,0,0", "1e200,2,3"),    # distance
+                                            ("1e300,0,0", "1e10,2,3")])    # phase
+def test_channel_eval_overflowing_geometry_is_infeasible(capsys, tx_pos, rx_pos):
+    code = main(["channel-eval", "--tx-pos", tx_pos, "--tx-dir", "0,0,1",
+                 "--rx-pos", rx_pos, "--rx-dir", "0,0,1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid geometry")
+    assert len(captured.err.splitlines()) == 1           # no numpy overflow warnings
 
 
 def test_channel_eval_malformed_triple_is_usage_error(capsys):
@@ -255,10 +268,11 @@ def test_run_nonpositive_reps_override_exits_2(tmp_path, capsys, reps):
 
 
 def test_run_invalid_config_key_exits_2(tmp_path, capsys):
-    # The line-search step constants and the deleted sphere-uniform Monte
-    # Carlo switch are not configuration keys.
+    # The line-search step constants, the deleted sphere-uniform Monte Carlo
+    # switch and the gain-scale constants are not configuration keys.
     for key in ("not_a_key", "inner_steps", "initial_step_angle",
-                "monte_carlo_sphere_uniform"):
+                "monte_carlo_sphere_uniform", "permeability", "antenna_factor",
+                "frequency_hz"):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({key: 1}))
         out = tmp_path / "x.csv"
@@ -282,6 +296,20 @@ def test_run_invalid_config_key_exits_2(tmp_path, capsys):
     ("optimize", {"user_count": 9}, 2),
     # Only the cube's corner tips lie 1 m out: the draws give up.
     ("optimize", {"coverage_half_side_m": 0.58}, 4),
+    # A value of the wrong JSON type: an integer takes no fraction or boolean,
+    # a number no string, and a list is checked per element.
+    ("optimize", {"max_outer_iterations": 2.5}, 2),
+    ("optimize", {"max_outer_iterations": True}, 2),
+    ("optimize", {"user_count": "8"}, 2),
+    ("optimize", {"total_power_w": "0.5"}, 2),
+    ("optimize", {"convergence_tol": "x"}, 2),
+    ("optimize", {"noise_power_dbm": "x"}, 2),
+    ("montecarlo", {"monte_carlo_samples": 10.5}, 2),
+    ("sweep-users", {"repetitions": 1.5}, 2),
+    ("optimize", {"seed": "x"}, 2),
+    ("montecarlo", {"seed": "x"}, 2),
+    ("sweep-users", {"seed": "x"}, 2),
+    ("sweep-users", {"users_grid": [1.5]}, 2),
 ])
 def test_run_exit_codes(tmp_path, capsys, experiment, overrides, code):
     # An invalid value is a usage error (2); a valid scenario that cannot be
@@ -331,8 +359,6 @@ def test_config_roundtrip_and_hash(tmp_path):
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
-        RunConfig(frequency_hz=30e9, wavelength_m=0.02)   # c mismatch
-    with pytest.raises(ConfigurationError):
         RunConfig(user_count=9, antenna_count=8)
     with pytest.raises(ConfigurationError):
         RunConfig(repetitions=0)
@@ -344,6 +370,13 @@ def test_readme_config_block_is_the_defaults(tmp_path):
     path = tmp_path / "readme.json"
     path.write_text(block)
     assert RunConfig.from_file(path) == RunConfig()
+
+
+def test_readme_documents_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    missing = [f.name for f in dataclasses.fields(RunConfig)
+               if f'"{f.name}"' not in readme and f"`{f.name}`" not in readme]
+    assert missing == []
 
 
 def test_config_default_medium_values():

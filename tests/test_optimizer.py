@@ -17,6 +17,7 @@ from polarlink.channel import (ChannelMatrix, gain_matrix, link_geometry, link_t
 from polarlink.errors import (ConfigurationError, InfeasibleLayoutError,
                               ProjectionError, SingularChannelError)
 from polarlink.geometry import angles_to_unit, unit_to_angles
+from polarlink.medium import ANTENNA_FACTOR, SPEED_OF_LIGHT, VACUUM_PERMEABILITY
 from polarlink.mimo import solve_beamforming
 from polarlink.optimizer import (BLOCK_ORDER, BLOCK_TX_ANGLES, _evaluate, _gradient,
                                  check_feasible, finite_difference_gradient)
@@ -589,6 +590,23 @@ def test_optimize_single_link_is_coplanar_at_convergence():
     assert residual < 1e-3
 
 
+def _matching_power(c, medium):
+    """f(c) = 1 - G_perp^2 + (G_perp^2 - G_par^2) c^2: the squared matching
+    efficiency m^2 at incidence cosine c where the matching angle is the
+    incidence angle, its best for that incidence."""
+    g_par, g_perp = reflection_coefficients(np.arccos(c), medium)
+    return 1.0 - g_perp**2 + (g_perp**2 - g_par**2) * c**2
+
+
+def _unit_matching_value(scenario):
+    """P L C^2 / sigma^2 for the one user (K = 1): the objective if every
+    antenna's pattern and matching efficiency were 1."""
+    medium, position = scenario.medium, scenario.user_poses[0].position
+    amplitude = (2.0 * SPEED_OF_LIGHT * VACUUM_PERMEABILITY
+                 / (ANTENNA_FACTOR * 4.0 * math.pi * np.linalg.norm(position)))
+    return scenario.total_power * scenario.antenna_count * amplitude**2 / medium.noise_power
+
+
 def _transmit_oracle(scenario, rx_axis):
     """Configuration 3's optimum for one user (K = 1) and its value J3*.
 
@@ -596,41 +614,87 @@ def _transmit_oracle(scenario, rx_axis):
     transmission, J = P C^2 sum_l rad_l^2 m_l^2 / sigma^2, which separates per
     antenna. Each term peaks where the transmit axis is the receive axis r
     projected off the path u and normalised: the pattern is 1 there and the
-    matching angle is the incidence angle, so m^2 = f(c) = 1 - G_perp^2 +
-    (G_perp^2 - G_par^2) c^2 with c = |r - (u . r) u|, and J3* = P L C^2 f(c) /
-    sigma^2. Every term is computed here, apart from the channel kernel.
+    matching angle is the incidence angle, so m^2 = f(c) with c = |r - (u . r)
+    u|, and J3* = P L C^2 f(c) / sigma^2. Every term is computed here, apart
+    from the channel kernel.
     """
-    medium, position = scenario.medium, scenario.user_poses[0].position
+    position = scenario.user_poses[0].position
     u = position / np.linalg.norm(position)
     projected = rx_axis - (u @ rx_axis) * u
-    c = np.linalg.norm(projected)
-    g_par, g_perp = reflection_coefficients(math.acos(c), medium)
-    amplitude = (2.0 * medium.speed_of_light * medium.permeability
-                 / (medium.antenna_factor * 4.0 * math.pi * np.linalg.norm(position)))
-    f = 1.0 - g_perp**2 + (g_perp**2 - g_par**2) * c**2
-    value = (scenario.total_power * scenario.antenna_count * amplitude**2 * f
-             / medium.noise_power)
+    value = _unit_matching_value(scenario) * _matching_power(
+        np.linalg.norm(projected), scenario.medium)
     return np.tile(unit_to_angles(projected), (scenario.antenna_count, 1)), value
+
+
+def _joint_oracle(scenario, rx_axis):
+    """Configuration 5's optimum for one user (K = 1) and its value J5*.
+
+    J3* = P L C^2 f(c) / sigma^2 bounds J at the receive axis's incidence
+    cosine c, so over both blocks J5* = P L C^2 max_c f(c) / sigma^2. It is
+    reached by every transmit axis at a unit e normal to the path u (here the
+    given receive axis projected off u) and the receive axis r = c* e +
+    sqrt(1 - c*^2) u, where f peaks at c*: the pattern is 1 and the matching
+    angle is the incidence angle. c* is found on two grids, the second 2e-5
+    wide around the first's best, so it is within 1e-8 of the peak.
+    """
+    position = scenario.user_poses[0].position
+    u = position / np.linalg.norm(position)
+    e = rx_axis - (u @ rx_axis) * u
+    e /= np.linalg.norm(e)
+    coarse = np.linspace(0.0, 1.0, 100_001)
+    fine = coarse[np.argmax(_matching_power(coarse, scenario.medium))] \
+        + np.linspace(-1e-5, 1e-5, 2001)
+    c_star = fine[np.argmax(_matching_power(fine, scenario.medium))]
+    r = c_star * e + math.sqrt(1.0 - c_star**2) * u
+    value = _unit_matching_value(scenario) * _matching_power(c_star, scenario.medium)
+    return (np.tile(unit_to_angles(e), (scenario.antenna_count, 1)),
+            unit_to_angles(r)[None, :], c_star, value)
+
+
+def _single_user_start(seed, config_id):
+    scenario = harness.make_scenario(1, seed)
+    layout = harness.random_initial_layout(scenario, np.random.default_rng([seed, 2]))
+    layout.optimize_tx_orientation, layout.optimize_rx_orientation = \
+        harness.CONFIGURATION_FLAGS[config_id]
+    return scenario, layout
+
+
+def _campaign_trace(scenario, layout):
+    result = optimize(layout, scenario.user_poses, scenario.medium, scenario.total_power,
+                      scenario.constraints,
+                      OptimizerConfig(max_outer_iterations=25, convergence_tol=1e-3))
+    return result.trace.total_sinr
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_single_user_transmit_optimum_bounds_configuration_3(seed):
     # The oracle layout evaluates to J3*, and no configuration-3 ascent at
     # the campaign's settings records a value above it.
-    scenario = harness.make_scenario(1, seed)
-    layout = harness.random_initial_layout(scenario, np.random.default_rng([seed, 2]))
-    layout.optimize_tx_orientation, layout.optimize_rx_orientation = \
-        harness.CONFIGURATION_FLAGS[3]
+    scenario, layout = _single_user_start(seed, 3)
     oracle_angles, best = _transmit_oracle(scenario, layout.rx_orientations()[0])
     oracle = layout.copy()
     oracle.tx_angles = oracle_angles
     value = objective(oracle, scenario.user_poses, scenario.medium, scenario.total_power)
     assert value == pytest.approx(best, rel=1e-12, abs=0.0)
-    result = optimize(layout, scenario.user_poses, scenario.medium, scenario.total_power,
-                      scenario.constraints,
-                      OptimizerConfig(max_outer_iterations=25, convergence_tol=1e-3))
-    assert max(result.trace.total_sinr) <= best * (1.0 + 1e-12)
-    assert result.trace.total_sinr[-1] > result.trace.total_sinr[0]
+    trace = _campaign_trace(scenario, layout)
+    assert max(trace) <= best * (1.0 + 1e-12)
+    assert trace[-1] > trace[0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_single_user_joint_optimum_bounds_configuration_5(seed):
+    # The oracle layout evaluates to J5*, and no configuration-5 ascent at
+    # the campaign's settings records a value above it.
+    scenario, layout = _single_user_start(seed, 5)
+    tx_angles, rx_angles, c_star, best = _joint_oracle(scenario, layout.rx_orientations()[0])
+    assert c_star == pytest.approx(0.8810, abs=1e-4)          # at relative permittivity 2
+    oracle = layout.copy()
+    oracle.tx_angles, oracle.rx_angles = tx_angles, rx_angles
+    value = objective(oracle, scenario.user_poses, scenario.medium, scenario.total_power)
+    assert value == pytest.approx(best, rel=1e-12, abs=0.0)
+    trace = _campaign_trace(scenario, layout)
+    assert max(trace) <= best * (1.0 + 1e-12)
+    assert trace[-1] > trace[0]
 
 
 def test_quantize_angles_identity_at_zero():
