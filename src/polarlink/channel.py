@@ -209,7 +209,7 @@ def combine_terms(geometry: LinkGeometry, tx: TransmitTerms, rx: ReceiveTerms) -
     match = np.sqrt(np.maximum(radicand, 0.0))
 
     gains = geometry.prefactor[:, None] * tx.pattern * match * geometry.phase
-    gains[tx.degenerate] = 0.0
+    np.copyto(gains, 0.0, where=tx.degenerate)
     return LinkTerms(geometry, tx, rx, cos_a, match, gains)
 
 
@@ -219,7 +219,9 @@ def link_terms(tx_positions, tx_orientations, rx_positions, rx_orientations,
     are built from.
 
     tx_positions and tx_orientations: (L, 3); rx_positions and
-    rx_orientations: (K, 3). Orientations must be unit vectors. Degenerate
+    rx_orientations: (K, 3). A single (1, 3) position on either side
+    broadcasts against that side's N axes, giving the same gains as the
+    position repeated N times. Orientations must be unit vectors. Degenerate
     transmit-axis/propagation alignments yield exactly zero gains; at grazing
     incidence (cos_incidence == 0) the user's row is exactly zero. The
     composition of link_geometry, transmit_terms, receive_terms and
@@ -234,7 +236,8 @@ def link_terms(tx_positions, tx_orientations, rx_positions, rx_orientations,
 
 def gain_matrix(tx_positions, tx_orientations, rx_positions, rx_orientations,
                 medium: MediumParams) -> np.ndarray:
-    """(K, L) complex gains: the gains of link_terms."""
+    """(K, L) complex gains: the gains of link_terms. A (1, 3) position on
+    either side broadcasts against that side's N axes."""
     return link_terms(tx_positions, tx_orientations, rx_positions, rx_orientations,
                       medium).gains
 

@@ -25,7 +25,11 @@ _JSON_TYPES = {list: "array", str: "string", int: "number", float: "number",
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0) / 1000.0
+    """The power of dbm in watts; ConfigurationError if it overflows a float."""
+    try:
+        return 10.0 ** (dbm / 10.0) / 1000.0
+    except OverflowError:
+        raise ConfigurationError(f"{dbm} dBm overflows a power in watts") from None
 
 
 def _has_type(value, hint) -> bool:
@@ -72,6 +76,7 @@ class RunConfig:
                 raise ConfigurationError(f"{users} users exceed {self.antenna_count} antennas")
         if self.repetitions < 1:
             raise ConfigurationError("repetitions must be at least 1")
+        self.medium()                     # checks the medium's values
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":

@@ -202,10 +202,8 @@ def _half_energy_magnitudes(kind: str, polar, azimuthal, medium: MediumParams) -
         gains = gain_matrix(_REFERENCE_TX[None, :], flat, _REFERENCE_RX[None, :],
                             _VERTICAL[None, :], medium)[0]
     elif kind == "rx_random":
-        # One receiver per sampled orientation, same position.
-        rx_pos = np.tile(_REFERENCE_RX, (flat.shape[0], 1))
         gains = gain_matrix(_REFERENCE_TX[None, :], _VERTICAL[None, :],
-                            rx_pos, flat, medium)[:, 0]
+                            _REFERENCE_RX[None, :], flat, medium)[:, 0]
     else:
         raise ConfigurationError(f"unknown scenario kind {kind!r}")
     return np.abs(gains).reshape(np.shape(polar))
@@ -213,8 +211,13 @@ def _half_energy_magnitudes(kind: str, polar, azimuthal, medium: MediumParams) -
 
 def reference_link_peak(kind: str, medium: Optional[MediumParams] = None,
                         grid_step_deg: float = 0.25) -> float:
-    """Peak |h| of the reference link over a dense orientation grid."""
-    medium = medium or MediumParams()
+    """Peak |h| of the reference link over a dense orientation grid. The grid
+    is computed once per process per (kind, medium, grid_step_deg)."""
+    return _grid_peak(kind, medium or MediumParams(), grid_step_deg)
+
+
+@functools.cache
+def _grid_peak(kind: str, medium: MediumParams, grid_step_deg: float) -> float:
     polar = np.deg2rad(np.arange(0.0, 180.0 + grid_step_deg / 2, grid_step_deg))
     azimuthal = np.deg2rad(np.arange(0.0, 360.0, grid_step_deg))
     pp, aa = np.meshgrid(polar, azimuthal, indexing="ij")
@@ -228,7 +231,9 @@ def monte_carlo_half_energy(scenario_kind: str, samples: int, seed: int,
 
     The fixed link places the transmitter at the origin and the receiver at
     (75, -40, 50) with the non-random antenna vertical. Angles are sampled
-    uniformly in (polar, azimuthal), one million at a time.
+    uniformly in (polar, azimuthal), one million at a time. The peak's grid
+    (reference_link_peak) is computed once per process per (kind, medium,
+    grid_step_deg).
     """
     if samples < 1:
         raise ConfigurationError("need at least one Monte Carlo sample")

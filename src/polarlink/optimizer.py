@@ -45,8 +45,8 @@ import numpy as np
 
 from .channel import (ChannelMatrix, LinkGeometry, LinkTerms, combine_terms, gain_matrix,
                       link_geometry, receive_terms, transmit_terms)
-from .errors import (ConfigurationError, InfeasibleLayoutError, ProjectionError,
-                     SingularChannelError)
+from .errors import (ConfigurationError, InfeasibleLayoutError, NumericalError,
+                     ProjectionError, SingularChannelError)
 from .geometry import AntennaPose, angles_to_unit, unit_to_angles
 from .medium import MediumParams
 from .mimo import BeamformingSolution, _water_level, _zf_svd, solve_beamforming
@@ -269,7 +269,8 @@ def _evaluate(layout: LayoutVariables, geometry: LinkGeometry, medium: MediumPar
     J = exp(mean log(1 + sinr)) - 1 has a closed form in the SVD H = U S V^H:
     t_k = sigma^2 sum_j |U_kj|^2 / S_j^2. One combine_terms call builds the
     channel and one _zf_svd call decides its singularity: raises
-    SingularChannelError when it fails the condition check.
+    SingularChannelError when it fails the condition check, and NumericalError
+    when J is not finite (a power budget that overflows the SINRs).
     """
     if not total_power > 0:
         raise ConfigurationError(f"total power must be positive, got {total_power}")
@@ -283,6 +284,8 @@ def _evaluate(layout: LayoutVariables, geometry: LinkGeometry, medium: MediumPar
     excess, level = _water_level(inv_snr, total_power)
     sinr = np.maximum(level - excess, 0.0) / inv_snr
     growth = float(np.exp(np.mean(np.log1p(sinr))))
+    if not math.isfinite(growth):
+        raise NumericalError(f"objective is not finite: {growth - 1.0}")
     return _Point(layout=layout, value=growth - 1.0, growth=growth, terms=terms,
                   svd=(U, S, Vh), level=level + inv_snr.min(), sinr=sinr)
 

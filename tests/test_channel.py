@@ -204,6 +204,23 @@ def test_gain_matrix_matches_element_gain(medium):
             assert gains[k, ell] == pytest.approx(single, rel=1e-12)
 
 
+def test_one_receiver_position_broadcasts_against_its_axes(medium):
+    # One receiver position (1, 3) against N receive axes builds the same
+    # gains, bit for bit, as the position repeated N times; a transmit axis
+    # along the path gives exactly zero gains either way.
+    rng = np.random.default_rng(7)
+    rx_n = rng.standard_normal((200, 3))
+    rx_n /= np.linalg.norm(rx_n, axis=1, keepdims=True)
+    tx_p = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0]])
+    tx_n = np.stack([VERTICAL, RX / RX_NORM])
+    one = gain_matrix(tx_p, tx_n, RX[None, :], rx_n, medium)
+    tiled = gain_matrix(tx_p, tx_n, np.tile(RX, (len(rx_n), 1)), rx_n, medium)
+    assert one.shape == tiled.shape == (200, 2)
+    assert np.array_equal(one, tiled)
+    assert np.all(one[:, 0] != 0.0)
+    assert np.all(one[:, 1] == 0.0)
+
+
 def test_gain_matrix_antipodal_symmetry(medium):
     # |h| is invariant under flipping either dipole axis.
     rng = np.random.default_rng(11)

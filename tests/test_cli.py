@@ -310,6 +310,10 @@ def test_run_invalid_config_key_exits_2(tmp_path, capsys):
     ("montecarlo", {"seed": "x"}, 2),
     ("sweep-users", {"seed": "x"}, 2),
     ("sweep-users", {"users_grid": [1.5]}, 2),
+    # A noise power too large for a float is an invalid value.
+    ("optimize", {"noise_power_dbm": 4000}, 2),
+    # A power budget that overflows the SINRs leaves no finite objective.
+    ("optimize", {"total_power_w": 1e308, "user_count": 2, "max_outer_iterations": 3}, 5),
 ])
 def test_run_exit_codes(tmp_path, capsys, experiment, overrides, code):
     # An invalid value is a usage error (2); a valid scenario that cannot be

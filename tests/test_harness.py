@@ -8,7 +8,9 @@ from polarlink import (MediumParams, OptimizerConfig, Scenario,
                        make_scenario, monte_carlo_half_energy,
                        run_configuration, sweep)
 from polarlink import harness, optimizer
+from polarlink.channel import gain_matrix
 from polarlink.errors import ConfigurationError, UnsupportedConfigurationError
+from polarlink.geometry import angles_to_unit
 from polarlink.harness import (generate_users, quantized_record,
                                random_initial_layout, random_tx_positions,
                                reference_link_peak, _mix, _rng)
@@ -225,6 +227,45 @@ def test_reference_link_peaks():
     rx_peak = reference_link_peak("rx_random", medium, grid_step_deg=1.0)
     assert tx_peak >= 0.4872
     assert rx_peak >= 0.4872
+
+
+def test_reference_link_peak_builds_its_grid_once(monkeypatch):
+    builds = []
+
+    def counted(*args):
+        builds.append(1)
+        return gain_matrix(*args)
+
+    monkeypatch.setattr(harness, "gain_matrix", counted)
+    medium = MediumParams(wavelength=0.02)         # a key no other test asks for
+    first = reference_link_peak("tx_random", medium, grid_step_deg=6.0)
+    assert len(builds) == 1
+    assert reference_link_peak("tx_random", medium, grid_step_deg=6.0) == first
+    assert len(builds) == 1
+    assert first == harness._grid_peak.__wrapped__("tx_random", medium, 6.0)
+
+
+def test_reference_link_peak_depends_on_the_medium():
+    default = reference_link_peak("tx_random", MediumParams(), grid_step_deg=2.0)
+    other = reference_link_peak("tx_random", MediumParams(relative_permittivity=3.0),
+                                 grid_step_deg=2.0)
+    assert other != default
+
+
+def test_monte_carlo_rx_fraction_matches_tiled_receivers():
+    # rx_random broadcasts one receiver position against every sampled axis;
+    # the same draws with the position repeated per sample count the same hits.
+    samples, seed = 20_000, 4
+    rng = _rng(seed, 1)
+    polar = rng.uniform(0.0, np.pi, samples)
+    azimuthal = rng.uniform(0.0, 2.0 * np.pi, samples)
+    axes = angles_to_unit(polar, azimuthal)
+    gains = gain_matrix(harness._REFERENCE_TX[None, :], harness._VERTICAL[None, :],
+                        np.tile(harness._REFERENCE_RX, (samples, 1)), axes,
+                        MediumParams())[:, 0]
+    threshold = 0.5 * reference_link_peak("rx_random") ** 2
+    expected = int(np.sum(np.abs(gains) ** 2 >= threshold)) / samples
+    assert monte_carlo_half_energy("rx_random", samples, seed) == expected
 
 
 def test_monte_carlo_small_sample_determinism():
