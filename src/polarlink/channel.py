@@ -174,10 +174,13 @@ def link_geometry(tx_positions, rx_positions, medium: MediumParams) -> LinkGeome
 
 def transmit_terms(path_dir: np.ndarray, tx_n: np.ndarray) -> TransmitTerms:
     """Emission angle, field direction and dipole pattern of the unit transmit
-    axes tx_n (L, 3) toward the users along path_dir (K, 3)."""
+    axes tx_n (L, 3) toward the users along path_dir (K, 3). sin_emission is
+    the field direction's length, summed over its three components as
+    receive_terms does: np.linalg.norm's value, without its reduction over a
+    length-3 axis."""
     cos_e = path_dir @ tx_n.T                                    # (K, L)
     field_dir = tx_n[None, :, :] - cos_e[:, :, None] * path_dir[:, None, :]
-    sin_e = np.linalg.norm(field_dir, axis=-1)
+    sin_e = np.sqrt(field_dir[..., 0]**2 + field_dir[..., 1]**2 + field_dir[..., 2]**2)
     degenerate = sin_e < _DEGENERATE_TOL
     safe_sin_e = np.where(degenerate, 1.0, sin_e)
     field_dir /= safe_sin_e[:, :, None]

@@ -66,12 +66,14 @@ def unit_to_angles(vectors) -> np.ndarray:
 def angles_to_unit(polar, azimuthal) -> np.ndarray:
     """Array-friendly orientation construction; accepts any real angles.
 
-    Returns an array of shape broadcast(polar, azimuthal).shape + (3,).
+    Returns an array of shape broadcast(polar, azimuthal).shape + (3,), each
+    component written once into it (a 0-d pair gives shape (3,)).
     """
     polar = np.asarray(polar, dtype=float)
     azimuthal = np.asarray(azimuthal, dtype=float)
+    out = np.empty(np.broadcast_shapes(polar.shape, azimuthal.shape) + (3,))
     st = np.sin(polar)
-    return np.stack(
-        [st * np.cos(azimuthal), st * np.sin(azimuthal), np.cos(polar) * np.ones_like(azimuthal)],
-        axis=-1,
-    )
+    np.multiply(st, np.cos(azimuthal), out=out[..., 0])
+    np.multiply(st, np.sin(azimuthal), out=out[..., 1])
+    out[..., 2] = np.cos(polar)
+    return out

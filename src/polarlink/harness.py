@@ -44,6 +44,7 @@ _VERTICAL = np.array([0.0, 0.0, 1.0])
 _USER_DRAW_ROUNDS = 100_000
 _TX_PLACEMENT_ATTEMPTS = 10_000
 _MONTE_CARLO_BATCH = 1_000_000
+_KERNEL_BLOCK = 1 << 14             # orientations per kernel call: block-sized temporaries
 
 
 @dataclass(frozen=True)
@@ -195,24 +196,38 @@ def make_scenario(user_count: int, seed: int, medium: Optional[MediumParams] = N
 
 
 def _half_energy_magnitudes(kind: str, polar, azimuthal, medium: MediumParams) -> np.ndarray:
-    """|h| for the fixed reference link with one antenna swept over orientations."""
-    directions = angles_to_unit(np.asarray(polar, float), np.asarray(azimuthal, float))
-    flat = directions.reshape(-1, 3)
-    if kind == "tx_random":
-        gains = gain_matrix(_REFERENCE_TX[None, :], flat, _REFERENCE_RX[None, :],
-                            _VERTICAL[None, :], medium)[0]
-    elif kind == "rx_random":
-        gains = gain_matrix(_REFERENCE_TX[None, :], _VERTICAL[None, :],
-                            _REFERENCE_RX[None, :], flat, medium)[:, 0]
-    else:
+    """|h| for the fixed reference link with one antenna swept over orientations.
+
+    polar and azimuthal broadcast together; the result has their shape. The
+    orientations go through the kernel in blocks of _KERNEL_BLOCK, one
+    angles_to_unit and one gain_matrix call each, so every temporary stays
+    block-sized and only the magnitudes are full-sized; a kernel entry depends
+    on its own orientation alone, so the blocks give the whole-array values.
+    """
+    if kind not in ("tx_random", "rx_random"):
         raise ConfigurationError(f"unknown scenario kind {kind!r}")
-    return np.abs(gains).reshape(np.shape(polar))
+    polar, azimuthal = np.broadcast_arrays(polar, azimuthal)
+    shape = polar.shape
+    polar, azimuthal = polar.ravel(), azimuthal.ravel()
+    out = np.empty(polar.size)
+    for start in range(0, polar.size, _KERNEL_BLOCK):
+        block = slice(start, start + _KERNEL_BLOCK)
+        axes = angles_to_unit(polar[block], azimuthal[block])
+        if kind == "tx_random":
+            gains = gain_matrix(_REFERENCE_TX[None, :], axes, _REFERENCE_RX[None, :],
+                                _VERTICAL[None, :], medium)[0]
+        else:
+            gains = gain_matrix(_REFERENCE_TX[None, :], _VERTICAL[None, :],
+                                _REFERENCE_RX[None, :], axes, medium)[:, 0]
+        np.abs(gains, out=out[block])
+    return out.reshape(shape)
 
 
 def reference_link_peak(kind: str, medium: Optional[MediumParams] = None,
                         grid_step_deg: float = 0.25) -> float:
-    """Peak |h| of the reference link over a dense orientation grid. The grid
-    is computed once per process per (kind, medium, grid_step_deg)."""
+    """Peak |h| of the reference link over a dense orientation grid, streamed
+    through the kernel in blocks like the Monte Carlo samples. The grid is
+    computed once per process per (kind, medium, grid_step_deg)."""
     return _grid_peak(kind, medium or MediumParams(), grid_step_deg)
 
 
@@ -231,9 +246,11 @@ def monte_carlo_half_energy(scenario_kind: str, samples: int, seed: int,
 
     The fixed link places the transmitter at the origin and the receiver at
     (75, -40, 50) with the non-random antenna vertical. Angles are sampled
-    uniformly in (polar, azimuthal), one million at a time. The peak's grid
-    (reference_link_peak) is computed once per process per (kind, medium,
-    grid_step_deg).
+    uniformly in (polar, azimuthal), drawn one million at a time (all polar
+    angles of a draw, then its azimuths) and evaluated in blocks of
+    _KERNEL_BLOCK (16,384) samples, so memory grows with the draw, not with
+    the kernel's terms. The peak's grid (reference_link_peak) is computed once
+    per process per (kind, medium, grid_step_deg).
     """
     if samples < 1:
         raise ConfigurationError("need at least one Monte Carlo sample")
@@ -249,7 +266,7 @@ def monte_carlo_half_energy(scenario_kind: str, samples: int, seed: int,
         polar = rng.uniform(0.0, np.pi, n)
         azimuthal = rng.uniform(0.0, 2.0 * np.pi, n)
         mags = _half_energy_magnitudes(scenario_kind, polar, azimuthal, medium)
-        hits += int(np.sum(mags**2 >= threshold))
+        hits += int(np.count_nonzero(np.square(mags, out=mags) >= threshold))
         remaining -= n
     return hits / samples
 

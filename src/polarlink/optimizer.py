@@ -282,8 +282,9 @@ def _evaluate(layout: LayoutVariables, geometry: LinkGeometry, medium: MediumPar
     U, S, Vh = _zf_svd(terms.gains)
     inv_snr = medium.noise_power * np.sum(np.abs(U)**2 / S**2, axis=-1)
     excess, level = _water_level(inv_snr, total_power)
-    sinr = np.maximum(level - excess, 0.0) / inv_snr
-    growth = float(np.exp(np.mean(np.log1p(sinr))))
+    with np.errstate(over="ignore"):   # an overflowing budget raises below
+        sinr = np.maximum(level - excess, 0.0) / inv_snr
+        growth = float(np.exp(np.mean(np.log1p(sinr))))
     if not math.isfinite(growth):
         raise NumericalError(f"objective is not finite: {growth - 1.0}")
     return _Point(layout=layout, value=growth - 1.0, growth=growth, terms=terms,

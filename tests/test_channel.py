@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from polarlink import (AntennaPose, ChannelMatrix, channel_matrix, element_gain,
                        link_terms, radiation_factor, reflection_coefficients)
-from polarlink.channel import gain_matrix
+from polarlink.channel import gain_matrix, link_geometry, transmit_terms
 from polarlink.errors import UnsupportedConfigurationError
 from polarlink.medium import ANTENNA_FACTOR, SPEED_OF_LIGHT, VACUUM_PERMEABILITY, MediumParams
 
@@ -219,6 +219,21 @@ def test_one_receiver_position_broadcasts_against_its_axes(medium):
     assert np.array_equal(one, tiled)
     assert np.all(one[:, 0] != 0.0)
     assert np.all(one[:, 1] == 0.0)
+
+
+@pytest.mark.parametrize("users, antennas", [(1, 1), (1, 8), (8, 1), (8, 8),
+                                             (1, 1 << 14), (1 << 14, 1)])
+def test_sin_emission_is_the_norm_of_the_field_direction(medium, users, antennas):
+    # The explicit sum of squared components rounds as np.linalg.norm does.
+    rng = np.random.default_rng(users + 31 * antennas)
+    rx_pos = rng.uniform(-100.0, 100.0, (users, 3))
+    tx_n = rng.standard_normal((antennas, 3))
+    tx_n /= np.linalg.norm(tx_n, axis=1, keepdims=True)
+    path_dir = link_geometry(np.zeros((1, 3)), rx_pos, medium).path_dir
+    cos_e = path_dir @ tx_n.T
+    unnormalized = tx_n[None, :, :] - cos_e[:, :, None] * path_dir[:, None, :]
+    expected = np.linalg.norm(unnormalized, axis=-1)
+    assert transmit_terms(path_dir, tx_n).sin_emission.tobytes() == expected.tobytes()
 
 
 def test_gain_matrix_antipodal_symmetry(medium):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -317,10 +318,14 @@ def test_run_invalid_config_key_exits_2(tmp_path, capsys):
 ])
 def test_run_exit_codes(tmp_path, capsys, experiment, overrides, code):
     # An invalid value is a usage error (2); a valid scenario that cannot be
-    # placed is infeasible (4).
+    # placed is infeasible (4). Each failure is reported by its exit code and
+    # error line alone, with no numpy warning on the way.
     cfg = _fast_config(tmp_path, **overrides)
     out = tmp_path / "x.csv"
-    assert main(["run", experiment, "--config", cfg, "--out", str(out)]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", experiment, "--config", cfg, "--out", str(out)]) == code
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 

@@ -60,6 +60,29 @@ def test_angles_to_unit_broadcasts():
     assert np.allclose(out[1], [0.0, 1.0, 0.0], atol=1e-15)
 
 
+def _stacked_angles_to_unit(polar, azimuthal):
+    """The np.stack construction angles_to_unit replaced."""
+    polar = np.asarray(polar, dtype=float)
+    azimuthal = np.asarray(azimuthal, dtype=float)
+    st = np.sin(polar)
+    return np.stack([st * np.cos(azimuthal), st * np.sin(azimuthal),
+                     np.cos(polar) * np.ones_like(azimuthal)], axis=-1)
+
+
+def test_angles_to_unit_matches_the_stacked_formula_bit_for_bit():
+    rng = np.random.default_rng(3)
+    polar = rng.uniform(-4.0, 4.0, 1000)
+    azimuthal = rng.uniform(-7.0, 7.0, 1000)
+    grid_polar, grid_azimuthal = np.meshgrid(polar[:37], azimuthal[:41], indexing="ij")
+    for args in ((polar, azimuthal), (0.7, azimuthal), (polar, 0.7),
+                 (grid_polar, grid_azimuthal), (polar[:37, None], azimuthal[None, :41]),
+                 (polar[0], azimuthal[0]), (0.0, 0.3)):
+        expected = _stacked_angles_to_unit(*args)
+        got = angles_to_unit(*args)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
 def _assert_canonical(angles):
     assert np.all((angles[..., 0] >= 0.0) & (angles[..., 0] <= math.pi))
     assert np.all((angles[..., 1] >= 0.0) & (angles[..., 1] < 2.0 * math.pi))

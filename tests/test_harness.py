@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,10 +269,64 @@ def test_monte_carlo_rx_fraction_matches_tiled_receivers():
     assert monte_carlo_half_energy("rx_random", samples, seed) == expected
 
 
+def _whole_array_magnitudes(kind, polar, azimuthal):
+    """|h| of every orientation from one gain_matrix call."""
+    axes = angles_to_unit(polar, azimuthal).reshape(-1, 3)
+    tx, rx = harness._REFERENCE_TX[None, :], harness._REFERENCE_RX[None, :]
+    fixed = harness._VERTICAL[None, :]
+    if kind == "tx_random":
+        gains = gain_matrix(tx, axes, rx, fixed, MediumParams())[0]
+    else:
+        gains = gain_matrix(tx, fixed, rx, axes, MediumParams())[:, 0]
+    return np.abs(gains).reshape(np.shape(polar))
+
+
+@pytest.mark.parametrize("kind", ["tx_random", "rx_random"])
+def test_blocked_magnitudes_equal_one_whole_array_call(monkeypatch, kind):
+    block = harness._KERNEL_BLOCK
+    rng = np.random.default_rng(8)
+    polar = rng.uniform(0.0, np.pi, 2 * block + 17)
+    azimuthal = rng.uniform(0.0, 2.0 * np.pi, 2 * block + 17)
+    grid = np.meshgrid(np.deg2rad(np.arange(0.0, 180.5, 1.0)),
+                       np.deg2rad(np.arange(0.0, 360.0, 1.0)), indexing="ij")
+    expected = [_whole_array_magnitudes(kind, polar, azimuthal),
+                _whole_array_magnitudes(kind, *grid)]
+
+    sizes = []
+
+    def counted(tx_p, tx_n, rx_p, rx_n, medium):
+        sizes.append(max(len(tx_n), len(rx_n)))
+        return gain_matrix(tx_p, tx_n, rx_p, rx_n, medium)
+
+    monkeypatch.setattr(harness, "gain_matrix", counted)
+    streamed = [harness._half_energy_magnitudes(kind, polar, azimuthal, MediumParams()),
+                harness._half_energy_magnitudes(kind, *grid, MediumParams())]
+    for got, want in zip(streamed, expected):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert sizes[:3] == [block, block, 17]
+    assert max(sizes) <= block
+
+
+@pytest.mark.parametrize("kind", ["tx_random", "rx_random"])
+def test_monte_carlo_memory_does_not_scale_with_the_kernel_terms(kind):
+    # The draws and the magnitudes are 24 B per sample; the kernel's
+    # block-sized temporaries must not add a full-sized term on top.
+    samples = 200_000
+    reference_link_peak(kind)                        # warm the grid first
+    tracemalloc.start()
+    try:
+        monte_carlo_half_energy(kind, samples, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / samples <= 48.0
+
+
 def test_monte_carlo_small_sample_determinism():
     a = monte_carlo_half_energy("tx_random", 20_000, seed=1)
     b = monte_carlo_half_energy("tx_random", 20_000, seed=1)
-    assert a == b
+    assert a == b and type(a) is float
     assert 0.5 < a < 0.85
 
 
