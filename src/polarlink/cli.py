@@ -28,7 +28,7 @@ from .errors import (ConfigurationError, GeometryError, InfeasibleLayoutError,
 from .geometry import AntennaPose
 from .harness import (RunRecord, make_scenario, monte_carlo_half_energy,
                       reference_link_peak, run_configuration, sweep,
-                      _half_energy_magnitudes)
+                      _half_energy_magnitudes, _usable_cpu_count)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -71,6 +71,7 @@ def write_sidecar(out_path, config: RunConfig, subcommand: str, reps: int,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
+            "usable_cpu_count": _usable_cpu_count(),   # the Monte Carlo's thread count
         },
     }
     if extra:

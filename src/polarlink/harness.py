@@ -13,6 +13,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -195,48 +196,105 @@ def make_scenario(user_count: int, seed: int, medium: Optional[MediumParams] = N
                     antenna_count=antenna_count, total_power=total_power, seed=seed)
 
 
+def _usable_cpu_count() -> int:
+    """CPUs this process may run on: the reference-link blocks' thread count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_blocks(task: Callable[[int, int], object], size: int,
+                block: int = _KERNEL_BLOCK) -> list:
+    """[task(start, stop) for each block of at most `block` of range(size)].
+
+    The blocks run on a thread pool made for this call, one thread per
+    usable CPU and at most one per block; numpy releases the GIL inside a
+    block's kernel, so they run in parallel. Results come back in block order,
+    and the first block's exception (in that order) propagates unchanged
+    after every thread has ended.
+    """
+    bounds = [(start, min(start + block, size)) for start in range(0, size, block)]
+    workers = min(_usable_cpu_count(), len(bounds))
+    if workers <= 1:
+        return [task(start, stop) for start, stop in bounds]
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task, *zip(*bounds)))
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in ("tx_random", "rx_random"):
+        raise ConfigurationError(f"unknown scenario kind {kind!r}")
+
+
+def _block_magnitudes(kind: str, polar, azimuthal, medium: MediumParams) -> np.ndarray:
+    """|h| of one block of orientations, flattened: one angles_to_unit and one
+    gain_matrix call. A kernel entry depends on its own orientation alone, so
+    any split into blocks gives the whole-array values."""
+    axes = angles_to_unit(polar, azimuthal).reshape(-1, 3)
+    if kind == "tx_random":
+        gains = gain_matrix(_REFERENCE_TX[None, :], axes, _REFERENCE_RX[None, :],
+                            _VERTICAL[None, :], medium)[0]
+    else:
+        gains = gain_matrix(_REFERENCE_TX[None, :], _VERTICAL[None, :],
+                            _REFERENCE_RX[None, :], axes, medium)[:, 0]
+    return np.abs(gains)
+
+
 def _half_energy_magnitudes(kind: str, polar, azimuthal, medium: MediumParams) -> np.ndarray:
     """|h| for the fixed reference link with one antenna swept over orientations.
 
     polar and azimuthal broadcast together; the result has their shape. The
-    orientations go through the kernel in blocks of _KERNEL_BLOCK, one
-    angles_to_unit and one gain_matrix call each, so every temporary stays
-    block-sized and only the magnitudes are full-sized; a kernel entry depends
-    on its own orientation alone, so the blocks give the whole-array values.
+    orientations go through the kernel in blocks of _KERNEL_BLOCK on the
+    block thread pool (_map_blocks), each block writing its slice of the
+    result, so every temporary stays block-sized.
     """
-    if kind not in ("tx_random", "rx_random"):
-        raise ConfigurationError(f"unknown scenario kind {kind!r}")
+    _check_kind(kind)
     polar, azimuthal = np.broadcast_arrays(polar, azimuthal)
     shape = polar.shape
     polar, azimuthal = polar.ravel(), azimuthal.ravel()
     out = np.empty(polar.size)
-    for start in range(0, polar.size, _KERNEL_BLOCK):
-        block = slice(start, start + _KERNEL_BLOCK)
-        axes = angles_to_unit(polar[block], azimuthal[block])
-        if kind == "tx_random":
-            gains = gain_matrix(_REFERENCE_TX[None, :], axes, _REFERENCE_RX[None, :],
-                                _VERTICAL[None, :], medium)[0]
-        else:
-            gains = gain_matrix(_REFERENCE_TX[None, :], _VERTICAL[None, :],
-                                _REFERENCE_RX[None, :], axes, medium)[:, 0]
-        np.abs(gains, out=out[block])
+
+    def fill(start: int, stop: int) -> None:
+        out[start:stop] = _block_magnitudes(kind, polar[start:stop], azimuthal[start:stop],
+                                            medium)
+
+    _map_blocks(fill, polar.size)
     return out.reshape(shape)
 
 
 def reference_link_peak(kind: str, medium: Optional[MediumParams] = None,
                         grid_step_deg: float = 0.25) -> float:
-    """Peak |h| of the reference link over a dense orientation grid, streamed
-    through the kernel in blocks like the Monte Carlo samples. The grid is
-    computed once per process per (kind, medium, grid_step_deg)."""
+    """Peak |h| of the reference link over a dense orientation grid.
+
+    The grid goes through the kernel a block of whole polar rows at a time
+    (at most _KERNEL_BLOCK orientations, unless one row is longer) on the
+    block thread pool, each block keeping only its maximum. It is computed
+    once per process per (kind, medium, grid_step_deg).
+    """
     return _grid_peak(kind, medium or MediumParams(), grid_step_deg)
 
 
 @functools.cache
 def _grid_peak(kind: str, medium: MediumParams, grid_step_deg: float) -> float:
+    _check_kind(kind)
     polar = np.deg2rad(np.arange(0.0, 180.0 + grid_step_deg / 2, grid_step_deg))
     azimuthal = np.deg2rad(np.arange(0.0, 360.0, grid_step_deg))
-    pp, aa = np.meshgrid(polar, azimuthal, indexing="ij")
-    return float(_half_energy_magnitudes(kind, pp, aa, medium).max())
+
+    def block_peak(start: int, stop: int) -> float:
+        # (rows, 1) polar angles broadcast against the azimuths: a row's
+        # sines and cosines are taken once, not once per grid point.
+        return _block_magnitudes(kind, polar[start:stop, None], azimuthal, medium).max()
+
+    rows = max(1, _KERNEL_BLOCK // azimuthal.size)
+    return float(np.max(_map_blocks(block_peak, polar.size, rows)))
+
+
+def _generator_at(state: dict, offset: int) -> np.random.Generator:
+    """A generator started from a PCG64 `state` advanced by `offset` draws."""
+    bit_generator = np.random.PCG64(0)     # any seed: the state replaces it
+    bit_generator.state = state
+    return np.random.Generator(bit_generator.advance(offset))
 
 
 def monte_carlo_half_energy(scenario_kind: str, samples: int, seed: int,
@@ -246,11 +304,14 @@ def monte_carlo_half_energy(scenario_kind: str, samples: int, seed: int,
 
     The fixed link places the transmitter at the origin and the receiver at
     (75, -40, 50) with the non-random antenna vertical. Angles are sampled
-    uniformly in (polar, azimuthal), drawn one million at a time (all polar
-    angles of a draw, then its azimuths) and evaluated in blocks of
-    _KERNEL_BLOCK (16,384) samples, so memory grows with the draw, not with
-    the kernel's terms. The peak's grid (reference_link_peak) is computed once
-    per process per (kind, medium, grid_step_deg).
+    uniformly in (polar, azimuthal) from _rng(seed, 1), one million at a time:
+    all polar angles of a batch, then its azimuths. The batch's blocks of
+    _KERNEL_BLOCK samples run on the block thread pool, and each draws its own
+    angles from a copy of the generator advanced to its place in the batch (a
+    uniform double takes exactly one 64-bit draw, so the values are those of
+    the whole-batch draws) and returns its hit count; nothing full-sized is
+    kept. The peak's grid (reference_link_peak) is computed once per process
+    per (kind, medium, grid_step_deg).
     """
     if samples < 1:
         raise ConfigurationError("need at least one Monte Carlo sample")
@@ -258,16 +319,20 @@ def monte_carlo_half_energy(scenario_kind: str, samples: int, seed: int,
     peak = reference_link_peak(scenario_kind, medium, grid_step_deg)
     threshold = 0.5 * peak**2
 
-    rng = _rng(seed, 1)
+    state = _rng(seed, 1).bit_generator.state
     hits = 0
-    remaining = samples
-    while remaining > 0:
-        n = min(_MONTE_CARLO_BATCH, remaining)
-        polar = rng.uniform(0.0, np.pi, n)
-        azimuthal = rng.uniform(0.0, 2.0 * np.pi, n)
-        mags = _half_energy_magnitudes(scenario_kind, polar, azimuthal, medium)
-        hits += int(np.count_nonzero(np.square(mags, out=mags) >= threshold))
-        remaining -= n
+    for first in range(0, samples, _MONTE_CARLO_BATCH):
+        n = min(_MONTE_CARLO_BATCH, samples - first)
+        drawn = 2 * first                      # each earlier batch drew 2 per sample
+
+        def block_hits(start: int, stop: int) -> int:
+            polar = _generator_at(state, drawn + start).uniform(0.0, np.pi, stop - start)
+            azimuthal = _generator_at(state, drawn + n + start).uniform(
+                0.0, 2.0 * np.pi, stop - start)
+            mags = _block_magnitudes(scenario_kind, polar, azimuthal, medium)
+            return int(np.count_nonzero(np.square(mags, out=mags) >= threshold))
+
+        hits += sum(_map_blocks(block_hits, n))
     return hits / samples
 
 

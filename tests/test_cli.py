@@ -178,7 +178,8 @@ def test_run_montecarlo_sidecar(tmp_path):
     assert meta["config_hash"] == RunConfig.from_file(cfg).config_hash()
     assert meta["config"]["monte_carlo_samples"] == 20000
     assert meta["environment"] == {"python": platform.python_version(),
-                                   "numpy": np.__version__, "cpu_count": os.cpu_count()}
+                                   "numpy": np.__version__, "cpu_count": os.cpu_count(),
+                                   "usable_cpu_count": len(os.sched_getaffinity(0))}
 
 
 def test_run_optimize_trace_monotone(tmp_path):

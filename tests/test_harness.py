@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,7 @@ from polarlink import (MediumParams, OptimizerConfig, Scenario,
                        run_configuration, sweep)
 from polarlink import harness, optimizer
 from polarlink.channel import gain_matrix
-from polarlink.errors import ConfigurationError, UnsupportedConfigurationError
+from polarlink.errors import ConfigurationError, NumericalError, UnsupportedConfigurationError
 from polarlink.geometry import angles_to_unit
 from polarlink.harness import (generate_users, quantized_record,
                                random_initial_layout, random_tx_positions,
@@ -304,23 +306,98 @@ def test_blocked_magnitudes_equal_one_whole_array_call(monkeypatch, kind):
     for got, want in zip(streamed, expected):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    assert sizes[:3] == [block, block, 17]
+    assert sorted(sizes[:3]) == [17, block, block]
     assert max(sizes) <= block
 
 
+def _with_workers(monkeypatch, workers):
+    """Size the block thread pool as if the process could use `workers` CPUs."""
+    monkeypatch.setattr(harness, "_usable_cpu_count", lambda: workers)
+
+
 @pytest.mark.parametrize("kind", ["tx_random", "rx_random"])
-def test_monte_carlo_memory_does_not_scale_with_the_kernel_terms(kind):
-    # The draws and the magnitudes are 24 B per sample; the kernel's
-    # block-sized temporaries must not add a full-sized term on top.
-    samples = 200_000
-    reference_link_peak(kind)                        # warm the grid first
+def test_pool_size_does_not_change_any_value(monkeypatch, kind):
+    # More threads than most hosts' cores, switching as often as possible,
+    # must give the one-thread values bit for bit.
+    rng = np.random.default_rng(9)
+    polar = rng.uniform(0.0, np.pi, 3 * harness._KERNEL_BLOCK + 17)
+    azimuthal = rng.uniform(0.0, 2.0 * np.pi, polar.size)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 4):
+            _with_workers(monkeypatch, workers)
+            results.append((
+                harness._half_energy_magnitudes(kind, polar, azimuthal,
+                                                MediumParams()).tobytes(),
+                harness._grid_peak.__wrapped__(kind, MediumParams(), 0.5).hex(),
+                monte_carlo_half_energy(kind, 5 * harness._KERNEL_BLOCK + 3, seed=6)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("kind", ["tx_random", "rx_random"])
+def test_streamed_draws_equal_whole_batch_draws(monkeypatch, kind):
+    # Each block draws its own angles from an advanced copy of the generator;
+    # the values must be those of all polar angles of a batch, then all its
+    # azimuths, batch after batch.
+    batch = 2 * harness._KERNEL_BLOCK + 5
+    samples, seed = 2 * batch + 1001, 3
+    monkeypatch.setattr(harness, "_MONTE_CARLO_BATCH", batch)
+    _with_workers(monkeypatch, 4)
+    threshold = 0.5 * reference_link_peak(kind) ** 2
+    rng = _rng(seed, 1)
+    hits = 0
+    for first in range(0, samples, batch):
+        n = min(batch, samples - first)
+        polar = rng.uniform(0.0, np.pi, n)
+        azimuthal = rng.uniform(0.0, 2.0 * np.pi, n)
+        hits += int(np.sum(_whole_array_magnitudes(kind, polar, azimuthal) ** 2 >= threshold))
+    assert monte_carlo_half_energy(kind, samples, seed) == hits / samples
+
+
+def _traced_peak(kind, samples):
     tracemalloc.start()
     try:
         monte_carlo_half_energy(kind, samples, 1)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / samples <= 48.0
+
+
+@pytest.mark.parametrize("kind", ["tx_random", "rx_random"])
+def test_monte_carlo_memory_does_not_scale_with_the_kernel_terms(monkeypatch, kind):
+    # Every block draws, evaluates and counts its own samples through
+    # block-sized kernel temporaries, so nothing is full-sized (a million
+    # doubles are 8 MB). With one thread the peak is one block's, whatever
+    # the sample count; with more, at most a few MB per thread (how many
+    # threads hold their peak at once is up to the scheduler).
+    _with_workers(monkeypatch, 1)
+    monte_carlo_half_energy(kind, 1000, 1)           # build the grid first
+    assert _traced_peak(kind, 2_000_000) <= _traced_peak(kind, 200_000) + 500_000
+    workers = 4
+    _with_workers(monkeypatch, workers)
+    assert _traced_peak(kind, 2_000_000) <= workers * 3_000_000
+
+
+def test_block_error_propagates_after_every_thread_ends(monkeypatch):
+    error = NumericalError("non-finite gain")
+
+    def failing(tx_p, tx_n, rx_p, rx_n, medium):
+        if len(tx_n) == 17:                          # the last block of the batch
+            raise error
+        return gain_matrix(tx_p, tx_n, rx_p, rx_n, medium)
+
+    reference_link_peak("tx_random")                 # warm the grid first
+    _with_workers(monkeypatch, 4)
+    monkeypatch.setattr(harness, "gain_matrix", failing)
+    threads = threading.active_count()
+    with pytest.raises(NumericalError) as raised:
+        monte_carlo_half_energy("tx_random", 3 * harness._KERNEL_BLOCK + 17, seed=1)
+    assert raised.value is error
+    assert threading.active_count() == threads
 
 
 def test_monte_carlo_small_sample_determinism():
