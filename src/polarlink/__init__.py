@@ -11,8 +11,7 @@ from .medium import MediumParams
 from .mimo import (BeamformingSolution, LinkMetrics, Precoder, PowerAllocation,
                    link_metrics, solve_beamforming, water_filling, zf_precoder)
 from .optimizer import (Constraints, ConvergenceTrace, LayoutVariables, OptimizerConfig,
-                        OptimizeResult, objective, optimize, quantize_angles,
-                        separation_projection)
+                        OptimizeResult, objective, optimize, quantize_angles)
 
 __all__ = [
     "AntennaPose", "BeamformingSolution", "ChannelMatrix", "Constraints",
@@ -21,6 +20,5 @@ __all__ = [
     "RunRecord", "Scenario", "channel_matrix", "element_gain", "link_metrics",
     "link_terms", "make_scenario", "monte_carlo_half_energy", "objective", "optimize",
     "quantize_angles", "radiation_factor", "reflection_coefficients",
-    "run_configuration", "separation_projection", "solve_beamforming", "sweep",
-    "water_filling", "zf_precoder",
+    "run_configuration", "solve_beamforming", "sweep", "water_filling", "zf_precoder",
 ]

@@ -27,8 +27,8 @@ from .errors import (ConfigurationError, GeometryError, InfeasibleLayoutError,
                      UnsupportedConfigurationError)
 from .geometry import AntennaPose
 from .harness import (RunRecord, make_scenario, monte_carlo_half_energy,
-                      reference_link_peak, run_configuration, sweep,
-                      _half_energy_magnitudes, _usable_cpu_count)
+                      reference_link_map, reference_link_peak, run_configuration, sweep,
+                      _usable_cpu_count)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -181,13 +181,9 @@ def cmd_run(args) -> int:
     try:
         if sub in ("scenario1", "scenario2"):
             kind = "tx_random" if sub == "scenario1" else "rx_random"
-            step = 1.0
-            polar = np.deg2rad(np.arange(0.0, 180.0 + step / 2, step))
-            azimuthal = np.deg2rad(np.arange(0.0, 360.0, step))
-            pp, aa = np.meshgrid(polar, azimuthal, indexing="ij")
-            mags = _half_energy_magnitudes(kind, pp, aa, medium)
+            polar, azimuthal, mags = reference_link_map(kind, medium)
             rows = [[np.rad2deg(p), np.rad2deg(a), m, m * m]
-                    for p, a, m in zip(pp.ravel(), aa.ravel(), mags.ravel())]
+                    for p, row in zip(polar, mags) for a, m in zip(azimuthal, row)]
             write_csv(args.out, ["polar_deg", "azimuthal_deg", "gain_magnitude",
                                  "gain_power"], rows)
             write_sidecar(args.out, config, sub, 1,

@@ -1,9 +1,9 @@
 """Desk-scale experiment harness: scenarios, movement configurations, sweeps.
 
-Reproduces the headline experiments: the rotatable-link Monte Carlo
-half-energy fractions, the five antenna-movement configurations compared over
-random user drops, and sweeps over user count, transmit power and rotation
-granularity. All randomness flows from explicit seeds through counter-derived
+Reproduces the headline experiments: the rotatable-link gain maps and Monte
+Carlo half-energy fractions, the five antenna-movement configurations compared
+over random user drops, and sweeps over user count, transmit power and
+rotation granularity. All randomness flows from explicit seeds through counter-derived
 generators, so every record is reproducible.
 """
 
@@ -46,6 +46,7 @@ _USER_DRAW_ROUNDS = 100_000
 _TX_PLACEMENT_ATTEMPTS = 10_000
 _MONTE_CARLO_BATCH = 1_000_000
 _KERNEL_BLOCK = 1 << 14             # orientations per kernel call: block-sized temporaries
+_MAP_STEP_DEG = 1.0                 # the gain map's grid step (reference_link_map)
 
 
 @dataclass(frozen=True)
@@ -222,11 +223,6 @@ def _map_blocks(task: Callable[[int, int], object], size: int,
         return list(pool.map(task, *zip(*bounds)))
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in ("tx_random", "rx_random"):
-        raise ConfigurationError(f"unknown scenario kind {kind!r}")
-
-
 def _block_magnitudes(kind: str, polar, azimuthal, medium: MediumParams) -> np.ndarray:
     """|h| of one block of orientations, flattened: one angles_to_unit and one
     gain_matrix call. A kernel entry depends on its own orientation alone, so
@@ -241,53 +237,51 @@ def _block_magnitudes(kind: str, polar, azimuthal, medium: MediumParams) -> np.n
     return np.abs(gains)
 
 
-def _half_energy_magnitudes(kind: str, polar, azimuthal, medium: MediumParams) -> np.ndarray:
-    """|h| for the fixed reference link with one antenna swept over orientations.
+def _grid_blocks(kind: str, medium: MediumParams, grid_step_deg: float,
+                 keep: Callable[[np.ndarray], object]):
+    """(polar, azimuthal, [keep(|h| of each block)]) over the orientation grid
+    of polar 0..180 and azimuth 0..<360 degrees in steps of grid_step_deg.
 
-    polar and azimuthal broadcast together; the result has their shape. The
-    orientations go through the kernel in blocks of _KERNEL_BLOCK on the
-    block thread pool (_map_blocks), each block writing its slice of the
-    result, so every temporary stays block-sized.
+    The grid goes through the kernel a block of whole polar rows at a time
+    (at most _KERNEL_BLOCK orientations, unless one row is longer) on the
+    block thread pool, and keep sees each block's |h| flattened, polar-major.
     """
-    _check_kind(kind)
-    polar, azimuthal = np.broadcast_arrays(polar, azimuthal)
-    shape = polar.shape
-    polar, azimuthal = polar.ravel(), azimuthal.ravel()
-    out = np.empty(polar.size)
+    if kind not in ("tx_random", "rx_random"):
+        raise ConfigurationError(f"unknown scenario kind {kind!r}")
+    polar = np.deg2rad(np.arange(0.0, 180.0 + grid_step_deg / 2, grid_step_deg))
+    azimuthal = np.deg2rad(np.arange(0.0, 360.0, grid_step_deg))
 
-    def fill(start: int, stop: int) -> None:
-        out[start:stop] = _block_magnitudes(kind, polar[start:stop], azimuthal[start:stop],
-                                            medium)
+    def block(start: int, stop: int):
+        # (rows, 1) polar angles broadcast against the azimuths: a row's
+        # sines and cosines are taken once, not once per grid point.
+        return keep(_block_magnitudes(kind, polar[start:stop, None], azimuthal, medium))
 
-    _map_blocks(fill, polar.size)
-    return out.reshape(shape)
+    rows = max(1, _KERNEL_BLOCK // azimuthal.size)
+    return polar, azimuthal, _map_blocks(block, polar.size, rows)
+
+
+def reference_link_map(kind: str, medium: Optional[MediumParams] = None):
+    """(polar, azimuthal, |h| (P, A)): the reference link's gain over the
+    _MAP_STEP_DEG orientation grid, angles in radians (see _grid_blocks)."""
+    polar, azimuthal, blocks = _grid_blocks(kind, medium or MediumParams(), _MAP_STEP_DEG,
+                                            lambda mags: mags)
+    return polar, azimuthal, np.concatenate(blocks).reshape(polar.size, azimuthal.size)
 
 
 def reference_link_peak(kind: str, medium: Optional[MediumParams] = None,
                         grid_step_deg: float = 0.25) -> float:
     """Peak |h| of the reference link over a dense orientation grid.
 
-    The grid goes through the kernel a block of whole polar rows at a time
-    (at most _KERNEL_BLOCK orientations, unless one row is longer) on the
-    block thread pool, each block keeping only its maximum. It is computed
-    once per process per (kind, medium, grid_step_deg).
+    Each block of the grid (_grid_blocks) keeps only its maximum, so nothing
+    grid-sized is built. It is computed once per process per (kind, medium,
+    grid_step_deg).
     """
     return _grid_peak(kind, medium or MediumParams(), grid_step_deg)
 
 
 @functools.cache
 def _grid_peak(kind: str, medium: MediumParams, grid_step_deg: float) -> float:
-    _check_kind(kind)
-    polar = np.deg2rad(np.arange(0.0, 180.0 + grid_step_deg / 2, grid_step_deg))
-    azimuthal = np.deg2rad(np.arange(0.0, 360.0, grid_step_deg))
-
-    def block_peak(start: int, stop: int) -> float:
-        # (rows, 1) polar angles broadcast against the azimuths: a row's
-        # sines and cosines are taken once, not once per grid point.
-        return _block_magnitudes(kind, polar[start:stop, None], azimuthal, medium).max()
-
-    rows = max(1, _KERNEL_BLOCK // azimuthal.size)
-    return float(np.max(_map_blocks(block_peak, polar.size, rows)))
+    return float(np.max(_grid_blocks(kind, medium, grid_step_deg, np.max)[2]))
 
 
 def _generator_at(state: dict, offset: int) -> np.random.Generator:

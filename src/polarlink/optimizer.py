@@ -29,8 +29,9 @@ configuration 2 (translation only) reproduces configuration 1, which is what
 acceptance criterion 3 encodes. With K >= 2 users the phase exp(j k u_k . p_l)
 differs per user, so a live translation would change the channel; that
 extension is not modelled. check_feasible validates the given placement
-against the movement box and the minimum separation; separation_projection
-stays available to callers that move antennas themselves.
+against the movement box and the minimum separation. separation_projection
+is not part of the ascent or the package's exports; it stays only because
+the benchmark's traced run (perfbench) names it.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ _ARMIJO_C = 1e-4
 _SHRINK_FACTOR = 0.5
 _ARMIJO_FLOOR = 1e-12
 
+# A block's name is the LayoutVariables attribute that holds its angles.
 BLOCK_RX_ANGLES = "rx_angles"
 BLOCK_TX_ANGLES = "tx_angles"
 BLOCK_ORDER = (BLOCK_RX_ANGLES, BLOCK_TX_ANGLES)
@@ -181,32 +183,13 @@ def objective(layout: LayoutVariables, users: Sequence[AntennaPose],
     return _evaluate(layout, geometry, medium, total_power).value
 
 
-def _block_vector(layout: LayoutVariables, block: str) -> np.ndarray:
-    if block == BLOCK_TX_ANGLES:
-        return layout.tx_angles.ravel().copy()
-    if block == BLOCK_RX_ANGLES:
-        return layout.rx_angles.ravel().copy()
-    raise ConfigurationError(f"unknown block {block!r}")
-
-
-def _with_block_vector(layout: LayoutVariables, block: str, vec: np.ndarray) -> LayoutVariables:
-    """A copy of layout with the block set from vec, flat or in (n, 2) rows."""
-    out = layout.copy()
-    if block == BLOCK_TX_ANGLES:
-        out.tx_angles = vec.reshape(out.tx_angles.shape)
-    elif block == BLOCK_RX_ANGLES:
-        out.rx_angles = vec.reshape(out.rx_angles.shape)
-    else:
-        raise ConfigurationError(f"unknown block {block!r}")
-    return out
-
-
 def finite_difference_gradient(layout: LayoutVariables, block: str,
                                func: Callable[[LayoutVariables], float],
                                fd_step: float) -> np.ndarray:
     """Central-difference gradient of func over one variable block of n coordinates.
 
-    The reference the tests check _gradient against; optimize does not
+    block is a BLOCK_ORDER name; any other raises ConfigurationError. The
+    reference the tests check _gradient against; optimize does not
     call it (the benchmark's traced run still wraps it by name). func is
     called 2n times, on one layout per probe, each bumping one coordinate up
     or down; an error func raises on a probe, such as SingularChannelError,
@@ -214,14 +197,16 @@ def finite_difference_gradient(layout: LayoutVariables, block: str,
     ranges during the probe; the orientation parameterization is periodic, so
     no wrapping is needed for the evaluation itself.
     """
-    base = _block_vector(layout, block)
+    if block not in BLOCK_ORDER:
+        raise ConfigurationError(f"unknown block {block!r}")
+    base = getattr(layout, block)
     grad = np.empty(base.size)
     for i in range(base.size):
         up, down = base.copy(), base.copy()
-        up[i] += fd_step
-        down[i] -= fd_step
-        grad[i] = (func(_with_block_vector(layout, block, up))
-                   - func(_with_block_vector(layout, block, down))) / (2.0 * fd_step)
+        up.flat[i] += fd_step
+        down.flat[i] -= fd_step
+        grad[i] = (func(dataclasses.replace(layout, **{block: up}))
+                   - func(dataclasses.replace(layout, **{block: down}))) / (2.0 * fd_step)
     return grad
 
 
@@ -502,8 +487,8 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
                 step = _INITIAL_STEP_ANGLE / math.sqrt(grad_sq)
                 accepted = False
                 while _ARMIJO_C * step * grad_sq > _ARMIJO_FLOOR * abs(point.value):
-                    trial = _with_block_vector(point.layout, block,
-                                               unit_to_angles(base + step * grad))
+                    trial = dataclasses.replace(
+                        point.layout, **{block: unit_to_angles(base + step * grad)})
                     trace.evaluations += 1
                     try:
                         trial_point = _evaluate(trial, geometry, medium, total_power,

@@ -10,11 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from polarlink import harness
 from polarlink.cli import main
 from polarlink.config import RunConfig, dbm_to_watts
 from polarlink.errors import ConfigurationError
 
 RX = "75,-40,50"
+SWEEP_HEADER = ["grid_value", "configuration", "users", "antennas", "power_w",
+                "gamma_total", "gamma_total_db", "average_rate", "iterations",
+                "scenario_hash", "seed", "failure", "trace_db"]
 
 
 def _channel_eval(capsys, tx_dir="0,0,1", rx_dir="0,0,1", rx_pos=RX):
@@ -201,13 +205,51 @@ def test_run_sweep_users_csv_schema(tmp_path):
     assert main(["run", "sweep-users", "--config", cfg, "--out", str(out),
                  "--reps", "1"]) == 0
     rows = _read_csv(out)
-    assert rows[0] == ["grid_value", "configuration", "users", "antennas",
-                       "power_w", "gamma_total", "gamma_total_db", "average_rate",
-                       "iterations", "scenario_hash", "seed", "failure", "trace_db"]
+    assert rows[0] == SWEEP_HEADER
     # 2 grid points x 1 rep x 2 configurations
     assert len(rows) == 1 + 4
     assert [r[0] for r in rows[1:]] == ["1", "1", "2", "2"]
     assert all(r[11] == "" for r in rows[1:])        # no failures
+
+
+def test_run_convergence_runs_configurations_1_and_5_at_user_count(tmp_path):
+    cfg = _fast_config(tmp_path)
+    out = tmp_path / "conv.csv"
+    assert main(["run", "convergence", "--config", cfg, "--out", str(out)]) == 0
+    rows = _read_csv(out)
+    assert rows[0] == SWEEP_HEADER
+    # 2 repetitions x configurations 1 and 5, all at user_count = 2
+    assert [r[1] for r in rows[1:]] == ["1", "5", "1", "5"]
+    assert all(r[0] == r[2] == "2" for r in rows[1:])
+    assert all(r[11] == "" for r in rows[1:])        # no failures
+
+
+@pytest.mark.parametrize("experiment, peak", [("scenario1", 0.600539),
+                                              ("scenario2", 0.487240)])
+def test_run_scenario_gain_map(tmp_path, monkeypatch, experiment, peak):
+    # The 1-degree map, polar-major: polar 0..180 by azimuth 0..359.
+    texts = []
+    for workers in (1, 4):
+        monkeypatch.setattr(harness, "_usable_cpu_count", lambda: workers)
+        out = tmp_path / f"{experiment}_{workers}.csv"
+        assert main(["run", experiment, "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]                      # any block pool size, same bytes
+
+    rows = _read_csv(out)
+    assert rows[0] == ["polar_deg", "azimuthal_deg", "gain_magnitude", "gain_power"]
+    assert len(rows) == 1 + 181 * 360 == 65_161
+    values = np.array([[float(v) for v in r] for r in rows[1:]])
+    assert values[:, 0] == pytest.approx(np.repeat(np.arange(181.0), 360), abs=1e-9)
+    assert values[:, 1] == pytest.approx(np.tile(np.arange(360.0), 181), abs=1e-9)
+    assert values[:, 3] == pytest.approx(values[:, 2] ** 2, rel=1e-11)
+    # The sidecar's peak is the 0.25-degree grid's, whose points include the map's.
+    meta = json.loads((tmp_path / f"{experiment}_4.csv.meta.json").read_text())
+    assert meta["subcommand"] == experiment
+    top = values[:, 2].max()
+    assert top <= meta["peak_gain"]
+    assert top == pytest.approx(meta["peak_gain"], rel=1e-4)
+    assert meta["peak_gain"] == pytest.approx(peak, abs=1e-6)
 
 
 def test_run_seed_override_changes_output(tmp_path):
@@ -380,6 +422,17 @@ def test_readme_config_block_is_the_defaults(tmp_path):
     path = tmp_path / "readme.json"
     path.write_text(block)
     assert RunConfig.from_file(path) == RunConfig()
+
+
+def test_readme_sweep_schema_is_the_written_header(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Sweep CSV schema\n", 1)[1]
+    block = section.split("```\n", 1)[1].split("```", 1)[0]
+    cfg = _fast_config(tmp_path, users_grid=[1])
+    out = tmp_path / "users.csv"
+    assert main(["run", "sweep-users", "--config", cfg, "--out", str(out),
+                 "--reps", "1"]) == 0
+    assert [name.strip() for name in block.split(",")] == _read_csv(out)[0]
 
 
 def test_readme_documents_every_config_key():

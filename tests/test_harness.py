@@ -285,15 +285,12 @@ def _whole_array_magnitudes(kind, polar, azimuthal):
 
 @pytest.mark.parametrize("kind", ["tx_random", "rx_random"])
 def test_blocked_magnitudes_equal_one_whole_array_call(monkeypatch, kind):
+    # The gain map and the Monte Carlo go through the kernel in blocks of at
+    # most _KERNEL_BLOCK orientations; the map's values must be those of one
+    # gain_matrix call over its whole grid, bit for bit (the Monte Carlo's,
+    # test_streamed_draws_equal_whole_batch_draws).
     block = harness._KERNEL_BLOCK
-    rng = np.random.default_rng(8)
-    polar = rng.uniform(0.0, np.pi, 2 * block + 17)
-    azimuthal = rng.uniform(0.0, 2.0 * np.pi, 2 * block + 17)
-    grid = np.meshgrid(np.deg2rad(np.arange(0.0, 180.5, 1.0)),
-                       np.deg2rad(np.arange(0.0, 360.0, 1.0)), indexing="ij")
-    expected = [_whole_array_magnitudes(kind, polar, azimuthal),
-                _whole_array_magnitudes(kind, *grid)]
-
+    reference_link_peak(kind)                        # warm the peak's grid first
     sizes = []
 
     def counted(tx_p, tx_n, rx_p, rx_n, medium):
@@ -301,13 +298,17 @@ def test_blocked_magnitudes_equal_one_whole_array_call(monkeypatch, kind):
         return gain_matrix(tx_p, tx_n, rx_p, rx_n, medium)
 
     monkeypatch.setattr(harness, "gain_matrix", counted)
-    streamed = [harness._half_energy_magnitudes(kind, polar, azimuthal, MediumParams()),
-                harness._half_energy_magnitudes(kind, *grid, MediumParams())]
-    for got, want in zip(streamed, expected):
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-    assert sorted(sizes[:3]) == [17, block, block]
-    assert max(sizes) <= block
+    polar, azimuthal, mags = harness.reference_link_map(kind)
+    assert polar.tobytes() == np.deg2rad(np.arange(0.0, 180.5, 1.0)).tobytes()
+    assert azimuthal.tobytes() == np.deg2rad(np.arange(0.0, 360.0, 1.0)).tobytes()
+    want = _whole_array_magnitudes(kind, *np.meshgrid(polar, azimuthal, indexing="ij"))
+    assert mags.shape == want.shape == (181, 360)
+    assert mags.tobytes() == want.tobytes()
+    assert len(sizes) > 1 and sum(sizes) == mags.size and max(sizes) <= block
+
+    sizes.clear()
+    monte_carlo_half_energy(kind, 2 * block + 17, seed=8)
+    assert sorted(sizes) == [17, block, block]
 
 
 def _with_workers(monkeypatch, workers):
@@ -319,9 +320,6 @@ def _with_workers(monkeypatch, workers):
 def test_pool_size_does_not_change_any_value(monkeypatch, kind):
     # More threads than most hosts' cores, switching as often as possible,
     # must give the one-thread values bit for bit.
-    rng = np.random.default_rng(9)
-    polar = rng.uniform(0.0, np.pi, 3 * harness._KERNEL_BLOCK + 17)
-    azimuthal = rng.uniform(0.0, 2.0 * np.pi, polar.size)
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -329,8 +327,7 @@ def test_pool_size_does_not_change_any_value(monkeypatch, kind):
         for workers in (1, 4):
             _with_workers(monkeypatch, workers)
             results.append((
-                harness._half_energy_magnitudes(kind, polar, azimuthal,
-                                                MediumParams()).tobytes(),
+                harness.reference_link_map(kind)[2].tobytes(),
                 harness._grid_peak.__wrapped__(kind, MediumParams(), 0.5).hex(),
                 monte_carlo_half_energy(kind, 5 * harness._KERNEL_BLOCK + 3, seed=6)))
     finally:

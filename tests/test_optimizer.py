@@ -7,8 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polarlink import (AntennaPose, Constraints, LayoutVariables, MediumParams,
-                       OptimizerConfig, harness, objective, optimize, quantize_angles,
-                       separation_projection)
+                       OptimizerConfig, harness, objective, optimize, quantize_angles)
 from polarlink import channel as channel_module
 from polarlink import mimo as mimo_module
 from polarlink import optimizer as optimizer_module
@@ -20,7 +19,8 @@ from polarlink.geometry import angles_to_unit, unit_to_angles
 from polarlink.medium import ANTENNA_FACTOR, SPEED_OF_LIGHT, VACUUM_PERMEABILITY
 from polarlink.mimo import solve_beamforming
 from polarlink.optimizer import (BLOCK_ORDER, BLOCK_TX_ANGLES, _evaluate, _gradient,
-                                 check_feasible, finite_difference_gradient)
+                                 check_feasible, finite_difference_gradient,
+                                 separation_projection)
 
 MEDIUM = MediumParams()
 USER_A = AntennaPose(position=[75.0, -40.0, 50.0], orientation=[0.0, 0.0, 1.0])
@@ -98,8 +98,10 @@ def test_finite_difference_gradient_constant_objective():
 
 
 def test_finite_difference_gradient_unknown_block():
-    with pytest.raises(ConfigurationError):
-        finite_difference_gradient(_layout(), "nonsense", lambda probe: 0.0, 1e-5)
+    # tx_positions is a LayoutVariables attribute but not a block.
+    for block in ("nonsense", "tx_positions"):
+        with pytest.raises(ConfigurationError):
+            finite_difference_gradient(_layout(), block, lambda probe: 0.0, 1e-5)
 
 
 def _users(rng, count):
@@ -353,7 +355,7 @@ def test_a_trial_reusing_the_unmoved_side_is_a_fresh_build(block, edge):
             layout.tx_angles[0] = unit_to_angles(USER_A.position)
         else:
             layout.rx_angles[0] = [0.0, 0.0]
-    trial = optimizer_module._with_block_vector(start, block, getattr(moved, block))
+    trial = dataclasses.replace(start, **{block: getattr(moved, block)})
     geometry = link_geometry(trial.tx_positions, _rx_positions(users), MEDIUM)
     point = _evaluate(trial, geometry, MEDIUM, 0.5, _point(start, users), block)
     fresh = link_terms(trial.tx_positions, trial.tx_orientations(), _rx_positions(users),
