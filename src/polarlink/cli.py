@@ -71,7 +71,7 @@ def write_sidecar(out_path, config: RunConfig, subcommand: str, reps: int,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
-            "usable_cpu_count": _usable_cpu_count(),   # the Monte Carlo's thread count
+            "usable_cpu_count": _usable_cpu_count(),   # the block threads and sweep processes
         },
     }
     if extra:
@@ -222,7 +222,7 @@ def cmd_run(args) -> int:
                             optimizer_config, antenna_count=config.antenna_count,
                             total_power=config.total_power_w, user_count=config.user_count,
                             configurations=configurations,
-                            workers=max(args.threads, 1),
+                            workers=_usable_cpu_count(),
                             cube_half_side=config.coverage_half_side_m,
                             region_half_side=config.region_half_side_m)
             header, rows = _record_rows(records)
@@ -260,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, help="output CSV path")
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.add_argument("--reps", type=int, default=None, help="override repetitions")
-    run.add_argument("--threads", type=int, default=1, help="parallel workers for sweeps")
     run.set_defaults(func=cmd_run)
     return parser
 

@@ -76,6 +76,8 @@ class RunConfig:
                 raise ConfigurationError(f"{users} users exceed {self.antenna_count} antennas")
         if self.repetitions < 1:
             raise ConfigurationError("repetitions must be at least 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed}")
         self.medium()                     # checks the medium's values
 
     @classmethod

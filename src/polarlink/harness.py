@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -198,29 +198,40 @@ def make_scenario(user_count: int, seed: int, medium: Optional[MediumParams] = N
 
 
 def _usable_cpu_count() -> int:
-    """CPUs this process may run on: the reference-link blocks' thread count."""
+    """CPUs this process may run on: the block threads' and sweep processes' count."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _ordered_map(task: Callable, arguments: Sequence[tuple], workers: int,
+                 processes: bool = False) -> list:
+    """[task(*a) for a in arguments], in order.
+
+    It runs inline when min(workers, len(arguments)) <= 1, and otherwise on a
+    pool of that many threads (or processes) made for this call. The first
+    exception in task order propagates after every worker has ended.
+    """
+    workers = min(workers, len(arguments))
+    if workers <= 1:
+        return [task(*a) for a in arguments]
+    import concurrent.futures
+    # concurrent.futures imports each pool's module on first use: threads load no multiprocessing.
+    executor = (concurrent.futures.ProcessPoolExecutor if processes
+                else concurrent.futures.ThreadPoolExecutor)
+    with executor(max_workers=workers) as pool:
+        return list(pool.map(task, *zip(*arguments)))
 
 
 def _map_blocks(task: Callable[[int, int], object], size: int,
                 block: int = _KERNEL_BLOCK) -> list:
     """[task(start, stop) for each block of at most `block` of range(size)].
 
-    The blocks run on a thread pool made for this call, one thread per
-    usable CPU and at most one per block; numpy releases the GIL inside a
-    block's kernel, so they run in parallel. Results come back in block order,
-    and the first block's exception (in that order) propagates unchanged
-    after every thread has ended.
+    The blocks run through _ordered_map on one thread per usable CPU; numpy
+    releases the GIL inside a block's kernel, so they run in parallel.
     """
     bounds = [(start, min(start + block, size)) for start in range(0, size, block)]
-    workers = min(_usable_cpu_count(), len(bounds))
-    if workers <= 1:
-        return [task(start, stop) for start, stop in bounds]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, *zip(*bounds)))
+    return _ordered_map(task, bounds, _usable_cpu_count())
 
 
 def _block_magnitudes(kind: str, polar, azimuthal, medium: MediumParams) -> np.ndarray:
@@ -354,7 +365,7 @@ def run_configuration(scenario: Scenario, config_id: int,
     try:
         result = optimize(layout, scenario.user_poses, scenario.medium,
                           scenario.total_power, scenario.constraints, optimizer_config)
-    except (PolarlinkError, np.linalg.LinAlgError) as exc:  # anything else is a bug: raise
+    except PolarlinkError as exc:  # anything else is a bug: raise
         return RunRecord(
             scenario_hash=scenario.fingerprint(), configuration=config_id,
             user_count=scenario.user_count, antenna_count=scenario.antenna_count,
@@ -394,34 +405,17 @@ def record_from_result(scenario: Scenario, config_id: int,
 SWEEP_KINDS = ("users", "power", "granularity")
 
 
-def _sweep_cell(grid_index: int, repetition: int, *, kind: str, grid: Sequence[float],
-                seed: int, scenario_at: Callable[..., Scenario],
-                optimizer_config: OptimizerConfig, total_power: float, user_count: int,
+def _sweep_cell(scenario: Scenario, grid_value: Optional[float], *, kind: str,
+                grid: Sequence[float], optimizer_config: OptimizerConfig,
                 config_ids: Sequence[int]) -> List[RunRecord]:
     """All records for one (grid point, repetition) cell, in a fixed order."""
-    if kind == "granularity":  # one full-precision optimization, quantized per resolution
-        scenario = scenario_at(user_count, seed=int(_mix(seed, 0, repetition)),
-                               total_power=total_power)
-        layout = random_initial_layout(scenario, _rng(scenario.seed, 2))  # all blocks active
+    layout = random_initial_layout(scenario, _rng(scenario.seed, 2))
+    if kind == "granularity":  # one optimization of all blocks, quantized per resolution
         result = optimize(layout, scenario.user_poses, scenario.medium,
                           scenario.total_power, scenario.constraints, optimizer_config)
         return [quantized_record(scenario, result, float(resolution)) for resolution in grid]
-
-    if kind == "power":
-        k_users, power = user_count, float(grid[grid_index])
-        grid_value = power
-    else:  # users: the grid value is the user count
-        k_users, power = int(grid[grid_index]), total_power
-        grid_value = float(k_users)
-    scenario = scenario_at(k_users, seed=int(_mix(seed, grid_index, repetition)),
-                           total_power=power)
-    layout = random_initial_layout(scenario, _rng(scenario.seed, 2))
-    records = []
-    for cid in config_ids:
-        rec = run_configuration(scenario, cid, optimizer_config, layout)
-        rec.grid_value = grid_value
-        records.append(rec)
-    return records
+    return [replace(run_configuration(scenario, cid, optimizer_config, layout),
+                    grid_value=grid_value) for cid in config_ids]
 
 
 def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int,
@@ -441,39 +435,33 @@ def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int,
                  precision optimization per repetition is quantized at each
                  resolution and re-evaluated.
 
-    Cells own counter-derived random streams and results are aggregated in a
-    fixed index order, so the output is independent of the worker count.
+    Each (grid point, repetition) cell draws its scenario here from its own
+    counter-derived seed, and the cells run through _ordered_map on at most
+    `workers` processes, never more than there are cells. Records come back
+    in cell order, so the output is independent of the worker count.
     """
     if kind not in SWEEP_KINDS:
         raise ConfigurationError(f"unknown sweep kind {kind!r}")
     if len(grid) == 0:
         raise ConfigurationError("sweep grid must be nonempty")
-    if configurations:
-        config_ids: Sequence[int] = tuple(configurations)
-    elif kind == "users":
-        config_ids = (1, 2, 3, 4, 5)
-    else:
-        config_ids = (1, 5)
+    if configurations is None:
+        configurations = (1, 2, 3, 4, 5) if kind == "users" else (1, 5)
+    if len(configurations) == 0:
+        raise ConfigurationError("configurations must be nonempty")
 
-    scenario_at = functools.partial(make_scenario, medium=medium or MediumParams(),
-                                    antenna_count=antenna_count,
-                                    cube_half_side=cube_half_side,
-                                    region_half_side=region_half_side)
-    cell = functools.partial(_sweep_cell, kind=kind, grid=tuple(grid), seed=seed,
-                             scenario_at=scenario_at,
+    cells = []
+    for gi in range(1 if kind == "granularity" else len(grid)):
+        users = int(grid[gi]) if kind == "users" else user_count
+        power = float(grid[gi]) if kind == "power" else total_power
+        grid_value = {"users": float(users), "power": power}.get(kind)  # granularity: per record
+        cells += [(make_scenario(users, _mix(seed, gi, rep), medium, antenna_count, power,
+                                 cube_half_side, region_half_side), grid_value)
+                  for rep in range(repetitions)]
+    cell = functools.partial(_sweep_cell, kind=kind, grid=tuple(grid),
                              optimizer_config=optimizer_config or OptimizerConfig(),
-                             total_power=total_power, user_count=user_count,
-                             config_ids=config_ids)
-    points = 1 if kind == "granularity" else len(grid)
-    grid_indices = [gi for gi in range(points) for _ in range(repetitions)]
-    repetition_ids = [rep for _ in range(points) for rep in range(repetitions)]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cell_lists = list(pool.map(cell, grid_indices, repetition_ids))
-    else:
-        cell_lists = list(map(cell, grid_indices, repetition_ids))
-    return [rec for records in cell_lists for rec in records]
+                             config_ids=tuple(configurations))
+    return [rec for records in _ordered_map(cell, cells, workers, processes=True)
+            for rec in records]
 
 
 def quantized_record(scenario: Scenario, result: OptimizeResult,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelMatrix
-from .errors import ConfigurationError, SingularChannelError
+from .errors import ConfigurationError, NumericalError, SingularChannelError
 
 CONDITION_LIMIT = 1e12
 
@@ -62,9 +62,12 @@ def _zf_svd(entries: np.ndarray):
     """(U, S, Vh): the thin SVD H = U S Vh behind zero forcing.
 
     Raises SingularChannelError when the K x L channel is rank deficient or
-    its condition number exceeds 1e12.
+    its condition number exceeds 1e12, and NumericalError when the SVD fails.
     """
-    U, S, Vh = np.linalg.svd(entries, full_matrices=False)
+    try:
+        U, S, Vh = np.linalg.svd(entries, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"channel SVD failed: {exc}") from exc
     smallest, largest = S[-1], S[0]
     if smallest <= 0.0 or largest / smallest > CONDITION_LIMIT:
         raise SingularChannelError(

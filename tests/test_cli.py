@@ -4,13 +4,14 @@ import json
 import math
 import os
 import platform
+import re
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polarlink import harness
+from polarlink import cli, harness
 from polarlink.cli import main
 from polarlink.config import RunConfig, dbm_to_watts
 from polarlink.errors import ConfigurationError
@@ -265,6 +266,19 @@ def test_run_seed_override_changes_output(tmp_path):
     assert meta["seed"] == 99
 
 
+@pytest.mark.parametrize("experiment", ["sweep-users", "sweep-granularity"])
+def test_run_sweep_csv_is_the_same_for_any_worker_count(tmp_path, monkeypatch, experiment):
+    # The CLI sizes the sweep's process pool by the usable CPU count.
+    cfg = _fast_config(tmp_path)
+    texts = []
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpu_count", lambda: workers)
+        out = tmp_path / f"{experiment}_{workers}.csv"
+        assert main(["run", experiment, "--config", cfg, "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+
+
 def test_run_granularity_quantization_never_gains(tmp_path):
     cfg = _fast_config(tmp_path)
     out = tmp_path / "gran.csv"
@@ -309,6 +323,14 @@ def test_run_nonpositive_reps_override_exits_2(tmp_path, capsys, reps):
     assert "repetitions must be at least 1" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "users.csv.meta.json").exists()
+
+
+def test_run_negative_seed_override_exits_2(tmp_path, capsys):
+    cfg = _fast_config(tmp_path)
+    out = tmp_path / "opt.csv"
+    assert main(["run", "optimize", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_invalid_config_key_exits_2(tmp_path, capsys):
@@ -358,6 +380,10 @@ def test_run_invalid_config_key_exits_2(tmp_path, capsys):
     ("optimize", {"noise_power_dbm": 4000}, 2),
     # A power budget that overflows the SINRs leaves no finite objective.
     ("optimize", {"total_power_w": 1e308, "user_count": 2, "max_outer_iterations": 3}, 5),
+    # A seed is a non-negative integer, and the configurations a nonempty list.
+    ("optimize", {"seed": -1}, 2),
+    ("montecarlo", {"seed": -3}, 2),
+    ("sweep-users", {"configurations": []}, 2),
 ])
 def test_run_exit_codes(tmp_path, capsys, experiment, overrides, code):
     # An invalid value is a usage error (2); a valid scenario that cannot be
@@ -440,6 +466,15 @@ def test_readme_documents_every_config_key():
     missing = [f.name for f in dataclasses.fields(RunConfig)
                if f'"{f.name}"' not in readme and f"`{f.name}`" not in readme]
     assert missing == []
+
+
+def test_readme_documents_every_run_flag(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    common = readme.split("Common flags:", 1)[1].split("\n\n", 1)[0]
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    defined = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+    assert set(re.findall(r"`(--[a-z-]+)", common)) == defined
 
 
 def test_config_default_medium_values():

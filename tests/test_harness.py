@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import sys
@@ -10,7 +11,7 @@ import pytest
 from polarlink import (MediumParams, OptimizerConfig, Scenario,
                        make_scenario, monte_carlo_half_energy,
                        run_configuration, sweep)
-from polarlink import harness, optimizer
+from polarlink import harness, mimo, optimizer
 from polarlink.channel import gain_matrix
 from polarlink.errors import ConfigurationError, NumericalError, UnsupportedConfigurationError
 from polarlink.geometry import angles_to_unit
@@ -159,6 +160,20 @@ def test_run_raises_programming_errors(monkeypatch):
         run_configuration(sc, 5, FAST)
 
 
+def test_linalg_errors_become_numerical_error_rows(monkeypatch):
+    # A failed SVD is a package error: NumericalError, and so a failure row.
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    sc = make_scenario(2, seed=0)
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(NumericalError, match="SVD did not converge"):
+        mimo._zf_svd(np.eye(2))
+    rec = run_configuration(sc, 5, FAST)
+    assert rec.failure.startswith("NumericalError: ")
+    assert math.isnan(rec.gamma_total)
+
+
 def test_users_sweep_shape_and_grid_values():
     records = sweep("users", [1, 2], repetitions=2, seed=3,
                     optimizer_config=FAST, configurations=(1, 3))
@@ -176,6 +191,32 @@ def test_sweep_deterministic_and_worker_invariant():
     parallel = sweep("users", workers=2, **kwargs)
     assert serial == again
     assert serial == parallel
+
+
+def test_sweep_pool_never_outnumbers_its_cells(monkeypatch):
+    # A stand-in pool that starts no process records its size and runs the
+    # cells inline: a 2-cell sweep asks for 2 workers, whatever `workers` is.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, task, *iterables):
+            return map(task, *iterables)
+
+    kwargs = dict(grid=[1, 2], repetitions=1, seed=3, optimizer_config=FAST,
+                  configurations=(1,))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    pooled = sweep("users", workers=10_000, **kwargs)
+    assert sizes == [2]
+    assert pooled == sweep("users", **kwargs)
 
 
 def test_power_sweep_uses_grid_for_budget():
@@ -203,6 +244,8 @@ def test_sweep_input_validation():
         sweep("bogus", [1], repetitions=1, seed=0)
     with pytest.raises(ConfigurationError):
         sweep("users", [], repetitions=1, seed=0)
+    with pytest.raises(ConfigurationError, match="configurations must be nonempty"):
+        sweep("users", [1], repetitions=1, seed=0, configurations=[])
 
 
 def test_quantized_record_zero_resolution_matches_full():
