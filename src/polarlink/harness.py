@@ -24,19 +24,20 @@ from .errors import ConfigurationError, PolarlinkError, UnsupportedConfiguration
 from .geometry import AntennaPose, angles_to_unit, unit_to_angles
 from .medium import ANTENNA_FACTOR, MediumParams
 from .mimo import LinkMetrics, solve_beamforming
-from .optimizer import (Constraints, ConvergenceTrace, LayoutVariables, OptimizeResult,
-                        OptimizerConfig, optimize, quantize_angles)
+from .optimizer import (BLOCK_ORDER, BLOCK_RX_ANGLES, BLOCK_TX_ANGLES, Constraints,
+                        ConvergenceTrace, LayoutVariables, OptimizeResult, OptimizerConfig,
+                        optimize, quantize_angles)
 
-# (transmit orientation, receive orientation) blocks per configuration.
+# The optimizer blocks each configuration moves (optimize's `blocks`).
 # Transmit positions are never moved (see the optimizer module docstring), so
 # configuration 2 (translation) optimizes nothing, like 1, and configuration 3
 # (translation + rotation) optimizes the transmit orientations only.
-CONFIGURATION_FLAGS = {
-    1: (False, False),   # nothing optimized
-    2: (False, False),   # transmit positions
-    3: (True, False),    # transmit positions + orientations
-    4: (False, True),    # receive orientations
-    5: (True, True),     # everything
+CONFIGURATION_BLOCKS = {
+    1: (),                  # nothing optimized
+    2: (),                  # transmit positions
+    3: (BLOCK_TX_ANGLES,),  # transmit positions + orientations
+    4: (BLOCK_RX_ANGLES,),  # receive orientations
+    5: BLOCK_ORDER,         # everything
 }
 
 _REFERENCE_TX = np.array([0.0, 0.0, 0.0])
@@ -111,6 +112,9 @@ class RunRecord:
 
 
 def _rng(*key) -> np.random.Generator:
+    """The generator of a (seed, stream) key; a negative seed is an error."""
+    if min(key) < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {key[0]}")
     return np.random.default_rng(list(key))
 
 
@@ -320,11 +324,11 @@ def monte_carlo_half_energy(scenario_kind: str, samples: int, seed: int,
     """
     if samples < 1:
         raise ConfigurationError("need at least one Monte Carlo sample")
+    state = _rng(seed, 1).bit_generator.state
     medium = medium or MediumParams()
     peak = reference_link_peak(scenario_kind, medium, grid_step_deg)
     threshold = 0.5 * peak**2
 
-    state = _rng(seed, 1).bit_generator.state
     hits = 0
     for first in range(0, samples, _MONTE_CARLO_BATCH):
         n = min(_MONTE_CARLO_BATCH, samples - first)
@@ -353,18 +357,19 @@ def evaluate_layout(layout: LayoutVariables, scenario: Scenario):
 def run_configuration(scenario: Scenario, config_id: int,
                       optimizer_config: Optional[OptimizerConfig] = None,
                       initial_layout: Optional[LayoutVariables] = None) -> RunRecord:
-    """Apply one movement configuration to a scenario and record the outcome."""
-    if config_id not in CONFIGURATION_FLAGS:
+    """Apply one movement configuration to a scenario and record the outcome:
+    optimize moves the blocks CONFIGURATION_BLOCKS[config_id] from
+    initial_layout (default: the scenario-seeded random layout)."""
+    if config_id not in CONFIGURATION_BLOCKS:
         raise ConfigurationError(f"configuration id must be 1..5, got {config_id}")
     optimizer_config = optimizer_config or OptimizerConfig()
-    layout = initial_layout.copy() if initial_layout is not None \
+    layout = initial_layout if initial_layout is not None \
         else random_initial_layout(scenario, _rng(scenario.seed, 2))
-    layout.optimize_tx_orientation, layout.optimize_rx_orientation = \
-        CONFIGURATION_FLAGS[config_id]
 
     try:
         result = optimize(layout, scenario.user_poses, scenario.medium,
-                          scenario.total_power, scenario.constraints, optimizer_config)
+                          scenario.total_power, scenario.constraints, optimizer_config,
+                          CONFIGURATION_BLOCKS[config_id])
     except PolarlinkError as exc:  # anything else is a bug: raise
         return RunRecord(
             scenario_hash=scenario.fingerprint(), configuration=config_id,
@@ -444,6 +449,10 @@ def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int,
         raise ConfigurationError(f"unknown sweep kind {kind!r}")
     if len(grid) == 0:
         raise ConfigurationError("sweep grid must be nonempty")
+    if repetitions < 1:
+        raise ConfigurationError(f"repetitions must be at least 1, got {repetitions}")
+    if seed < 0:    # _mix would turn it into valid cell seeds
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
     if configurations is None:
         configurations = (1, 2, 3, 4, 5) if kind == "users" else (1, 5)
     if len(configurations) == 0:

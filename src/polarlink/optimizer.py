@@ -1,12 +1,13 @@
 """Alternating gradient ascent over antenna orientations.
 
 Maximizes the equivalent total SINR of the zero-forcing + water-filling link
-by cycling through two variable blocks (receive orientations, transmit
-orientations). An orientation is a unit axis on the sphere: each ascent step
-moves a block's axes in their tangent planes and maps the moved vectors back
-to canonical (polar, azimuthal) angles with one arctan2 (a retraction; Absil,
-Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 4),
-so the angles serve only for storage, quantization and display, and the
+by cycling through the variable blocks that optimize's `blocks` names
+(receive orientations, transmit orientations, or both). An orientation is a
+unit axis on the sphere: each ascent step moves a block's axes in their
+tangent planes and maps the moved vectors back to canonical (polar,
+azimuthal) angles with one arctan2 (a retraction; Absil, Mahony &
+Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 4), so the
+angles serve only for storage, quantization and display, and the
 poles are ordinary points. Under ideal zero forcing the objective has a
 closed form in the channel's SVD, so one point is evaluated once: _evaluate
 builds the channel with one channel.combine_terms call, takes one SVD and
@@ -88,19 +89,17 @@ class Constraints:
 
 @dataclass
 class LayoutVariables:
-    """Optimization variables: angles per antenna plus the active-block flags.
+    """Optimization variables: antenna angles and transmit positions.
 
     tx_angles is (L, 2) of (polar, azimuthal) and rx_angles (K, 2): the
-    stored form of the unit axes the optimizer steps. tx_positions is (L, 3)
-    in meters, used as given and never moved by the optimizer (see the module
-    docstring).
+    stored form of the unit axes the optimizer steps (those optimize's
+    `blocks` names). tx_positions is (L, 3) in meters, used as given and
+    never moved by the optimizer (see the module docstring).
     """
 
     tx_angles: np.ndarray
     tx_positions: np.ndarray
     rx_angles: np.ndarray
-    optimize_tx_orientation: bool = True
-    optimize_rx_orientation: bool = True
 
     def __post_init__(self):
         self.tx_angles = np.array(self.tx_angles, dtype=float)
@@ -417,13 +416,15 @@ def check_feasible(positions: np.ndarray, constraints: Constraints) -> bool:
 
 def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
              medium: MediumParams, total_power: float, constraints: Constraints,
-             config: OptimizerConfig) -> OptimizeResult:
+             config: OptimizerConfig, blocks: Sequence[str] = BLOCK_ORDER) -> OptimizeResult:
     """Alternating gradient ascent on the total-SINR objective.
 
-    Blocks run in BLOCK_ORDER, skipping those whose optimize_* flag is off; an
-    outer sweep with no active block still records one iteration. The
-    position factors are built once (link_geometry) and the start is
-    evaluated once (_evaluate). Each gradient is exact and comes from the
+    blocks names the blocks that move; they run in BLOCK_ORDER whatever
+    their given order, and a name outside BLOCK_ORDER raises
+    ConfigurationError before anything is evaluated. With no block, an outer
+    sweep still records one iteration. The initial layout is copied, never
+    modified. The position factors are built once (link_geometry) and the
+    start is evaluated once (_evaluate). Each gradient is exact and comes from the
     current evaluated point (_gradient: no channel build, no SVD); the
     backtracking line search then tries one step at a time along it, each
     trial's moved axes converted to canonical angles (unit_to_angles) and
@@ -437,12 +438,12 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
     one full outer sweep improves the objective by less than the relative
     convergence tolerance. The starting layout's channel must be regular: a
     singular one raises SingularChannelError. Angles are never rewritten
-    except by a step, so a block that takes none keeps its input angles. The returned beamforming solution is the
-    full zero-forcing + water-filling solve of the final layout, so its
-    metrics report any residual leakage; its total SINR matches the trace's
-    last value up to that leakage.
+    except by a step, so a block that takes none keeps its input angles. The
+    returned beamforming solution is the full zero-forcing + water-filling
+    solve of the final layout, so its metrics report any residual leakage;
+    its total SINR matches the trace's last value up to that leakage.
 
-    Each active block takes up to _INNER_STEPS (3) steps per sweep. A search's
+    Each moving block takes up to _INNER_STEPS (3) steps per sweep. A search's
     first trial moves the block's axes by a tangent step whose norm over the
     whole block is _INITIAL_STEP_ANGLE (0.1; one axis moved that far turns by
     arctan 0.1 rad), the Armijo test asks for a rise of _ARMIJO_C (1e-4) *
@@ -457,6 +458,10 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
     singular: a start there raises SingularChannelError and a trial there is
     a rejected step. A random drop lands there with probability 0.
     """
+    for block in blocks:
+        if block not in BLOCK_ORDER:
+            raise ConfigurationError(f"unknown block {block!r}")
+    moving = [block for block in BLOCK_ORDER if block in blocks]
     layout = initial_layout.copy()
     if not check_feasible(layout.tx_positions, constraints):
         raise InfeasibleLayoutError("initial transmit positions violate the constraints")
@@ -467,16 +472,9 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
     point = _evaluate(layout, geometry, medium, total_power)
     trace = ConvergenceTrace(total_sinr=[point.value], evaluations=1)
 
-    active = {
-        BLOCK_RX_ANGLES: layout.optimize_rx_orientation,
-        BLOCK_TX_ANGLES: layout.optimize_tx_orientation,
-    }
-
     for _ in range(config.max_outer_iterations):
         sweep_start = point.value
-        for block in BLOCK_ORDER:
-            if not active[block]:
-                continue
+        for block in moving:
             for _ in range(_INNER_STEPS):
                 grad = _gradient(point, block, medium)
                 trace.gradients += 1

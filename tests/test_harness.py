@@ -111,6 +111,24 @@ def test_configuration_ordering_with_shared_start():
     assert g[5] >= g[3] >= g[1]
 
 
+def test_run_configuration_moves_its_blocks_and_keeps_the_start(monkeypatch):
+    sc = make_scenario(2, seed=5)
+    layout = random_initial_layout(sc, _rng(sc.seed, 2))
+    start = layout.copy()
+    moved, real_optimize = [], harness.optimize
+
+    def recording_optimize(*args):
+        moved.append(args[-1])
+        return real_optimize(*args)
+    monkeypatch.setattr(harness, "optimize", recording_optimize)
+    for cid in (1, 2, 3, 4, 5):
+        assert run_configuration(sc, cid, FAST, layout).failure is None
+    assert moved == [(), (), (optimizer.BLOCK_TX_ANGLES,), (optimizer.BLOCK_RX_ANGLES,),
+                     optimizer.BLOCK_ORDER]
+    for name in ("tx_angles", "tx_positions", "rx_angles"):
+        assert np.array_equal(getattr(layout, name), getattr(start, name))
+
+
 def test_configuration_two_matches_one():
     # Positions are never moved, so translation alone optimizes nothing.
     sc = make_scenario(4, seed=33)
@@ -246,12 +264,23 @@ def test_sweep_input_validation():
         sweep("users", [], repetitions=1, seed=0)
     with pytest.raises(ConfigurationError, match="configurations must be nonempty"):
         sweep("users", [1], repetitions=1, seed=0, configurations=[])
+    with pytest.raises(ConfigurationError, match="repetitions must be at least 1"):
+        sweep("users", [1], repetitions=0, seed=1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: make_scenario(2, -1),
+    lambda: monte_carlo_half_energy("tx_random", 10, -1),
+    lambda: sweep("users", [1], repetitions=1, seed=-1),   # not mixed into valid cell seeds
+], ids=["make_scenario", "monte_carlo_half_energy", "sweep"])
+def test_negative_seed_raises_configuration_error(call):
+    with pytest.raises(ConfigurationError, match="seed must be non-negative"):
+        call()
 
 
 def test_quantized_record_zero_resolution_matches_full():
     sc = make_scenario(2, seed=14)
     layout = random_initial_layout(sc, _rng(sc.seed, 2))
-    layout.optimize_rx_orientation = True
     result = optimize(layout, sc.user_poses, sc.medium, sc.total_power,
                       sc.constraints, FAST)
     rec = quantized_record(sc, result, 0.0)

@@ -18,8 +18,8 @@ from polarlink.errors import (ConfigurationError, InfeasibleLayoutError,
 from polarlink.geometry import angles_to_unit, unit_to_angles
 from polarlink.medium import ANTENNA_FACTOR, SPEED_OF_LIGHT, VACUUM_PERMEABILITY
 from polarlink.mimo import solve_beamforming
-from polarlink.optimizer import (BLOCK_ORDER, BLOCK_TX_ANGLES, _evaluate, _gradient,
-                                 check_feasible, finite_difference_gradient,
+from polarlink.optimizer import (BLOCK_ORDER, BLOCK_RX_ANGLES, BLOCK_TX_ANGLES, _evaluate,
+                                 _gradient, check_feasible, finite_difference_gradient,
                                  separation_projection)
 
 MEDIUM = MediumParams()
@@ -274,8 +274,6 @@ def _count_calls(monkeypatch, module, names, counts, fail_on_call=None):
 def _campaign_layout():
     scenario = harness.make_scenario(4, 3, antenna_count=4)
     layout = harness.random_initial_layout(scenario, np.random.default_rng([3, 2]))
-    layout.optimize_tx_orientation, layout.optimize_rx_orientation = \
-        harness.CONFIGURATION_FLAGS[5]
     return scenario, layout
 
 
@@ -475,8 +473,6 @@ def test_records_do_not_depend_on_the_objective_rounding(monkeypatch, users, see
     # past that floor.
     scenario = harness.make_scenario(users, seed)
     layout = harness.random_initial_layout(scenario, np.random.default_rng([seed, 2]))
-    layout.optimize_tx_orientation, layout.optimize_rx_orientation = \
-        harness.CONFIGURATION_FLAGS[5]
 
     def trace():
         return optimize(layout, scenario.user_poses, scenario.medium, scenario.total_power,
@@ -550,13 +546,50 @@ def test_check_feasible():
 
 def test_optimize_all_blocks_disabled_returns_initial():
     layout = _layout()
-    layout.optimize_tx_orientation = False
-    layout.optimize_rx_orientation = False
     initial = objective(layout, [USER_A, USER_B], MEDIUM, 0.5)
     result = optimize(layout, [USER_A, USER_B], MEDIUM, 0.5, _constraints(),
-                      OptimizerConfig(max_outer_iterations=5))
+                      OptimizerConfig(max_outer_iterations=5), blocks=())
     assert result.beamforming.metrics.total_sinr == pytest.approx(initial, rel=1e-12)
     assert np.array_equal(result.layout.tx_angles, layout.tx_angles)
+
+
+def test_layout_holds_only_the_variables():
+    assert [f.name for f in dataclasses.fields(LayoutVariables)] == \
+        ["tx_angles", "tx_positions", "rx_angles"]
+
+
+@pytest.mark.parametrize("blocks", [("tx_positions",),
+                                    (BLOCK_RX_ANGLES, "tx_orientation"),
+                                    BLOCK_RX_ANGLES])   # a bare name is not a sequence of names
+def test_optimize_rejects_an_unknown_block_before_any_evaluation(monkeypatch, blocks):
+    evaluated = []
+    monkeypatch.setattr(optimizer_module, "_evaluate", lambda *args: evaluated.append(args))
+    with pytest.raises(ConfigurationError, match="unknown block"):
+        optimize(_layout(), [USER_A, USER_B], MEDIUM, 0.5, _constraints(),
+                 OptimizerConfig(max_outer_iterations=2), blocks)
+    assert evaluated == []
+
+
+def test_optimize_runs_the_given_blocks_in_block_order():
+    def run(blocks):
+        return optimize(_layout(seed=3), [USER_A, USER_B], MEDIUM, 0.5, _constraints(),
+                        OptimizerConfig(max_outer_iterations=5), blocks)
+    given, default = run((BLOCK_TX_ANGLES, BLOCK_RX_ANGLES)), run(BLOCK_ORDER)
+    assert dataclasses.replace(given.trace, wall_time=0.0) == \
+        dataclasses.replace(default.trace, wall_time=0.0)
+    for name in BLOCK_ORDER:
+        assert np.array_equal(getattr(given.layout, name), getattr(default.layout, name))
+
+
+@pytest.mark.parametrize("block", BLOCK_ORDER)
+def test_optimize_moves_only_the_given_block(block):
+    layout = _layout(seed=3)
+    result = optimize(layout, [USER_A, USER_B], MEDIUM, 0.5, _constraints(),
+                      OptimizerConfig(max_outer_iterations=5), (block,))
+    assert result.trace.total_sinr[-1] > result.trace.total_sinr[0]
+    for name in BLOCK_ORDER:
+        assert np.array_equal(getattr(result.layout, name), getattr(layout, name)) \
+            == (name != block)
 
 
 def test_optimize_infeasible_start_raises():
@@ -656,15 +689,13 @@ def _joint_oracle(scenario, rx_axis):
 def _single_user_start(seed, config_id):
     scenario = harness.make_scenario(1, seed)
     layout = harness.random_initial_layout(scenario, np.random.default_rng([seed, 2]))
-    layout.optimize_tx_orientation, layout.optimize_rx_orientation = \
-        harness.CONFIGURATION_FLAGS[config_id]
-    return scenario, layout
+    return scenario, layout, harness.CONFIGURATION_BLOCKS[config_id]
 
 
-def _campaign_trace(scenario, layout):
+def _campaign_trace(scenario, layout, blocks):
     result = optimize(layout, scenario.user_poses, scenario.medium, scenario.total_power,
                       scenario.constraints,
-                      OptimizerConfig(max_outer_iterations=25, convergence_tol=1e-3))
+                      OptimizerConfig(max_outer_iterations=25, convergence_tol=1e-3), blocks)
     return result.trace.total_sinr
 
 
@@ -672,13 +703,13 @@ def _campaign_trace(scenario, layout):
 def test_single_user_transmit_optimum_bounds_configuration_3(seed):
     # The oracle layout evaluates to J3*, and no configuration-3 ascent at
     # the campaign's settings records a value above it.
-    scenario, layout = _single_user_start(seed, 3)
+    scenario, layout, blocks = _single_user_start(seed, 3)
     oracle_angles, best = _transmit_oracle(scenario, layout.rx_orientations()[0])
     oracle = layout.copy()
     oracle.tx_angles = oracle_angles
     value = objective(oracle, scenario.user_poses, scenario.medium, scenario.total_power)
     assert value == pytest.approx(best, rel=1e-12, abs=0.0)
-    trace = _campaign_trace(scenario, layout)
+    trace = _campaign_trace(scenario, layout, blocks)
     assert max(trace) <= best * (1.0 + 1e-12)
     assert trace[-1] > trace[0]
 
@@ -687,14 +718,14 @@ def test_single_user_transmit_optimum_bounds_configuration_3(seed):
 def test_single_user_joint_optimum_bounds_configuration_5(seed):
     # The oracle layout evaluates to J5*, and no configuration-5 ascent at
     # the campaign's settings records a value above it.
-    scenario, layout = _single_user_start(seed, 5)
+    scenario, layout, blocks = _single_user_start(seed, 5)
     tx_angles, rx_angles, c_star, best = _joint_oracle(scenario, layout.rx_orientations()[0])
     assert c_star == pytest.approx(0.8810, abs=1e-4)          # at relative permittivity 2
     oracle = layout.copy()
     oracle.tx_angles, oracle.rx_angles = tx_angles, rx_angles
     value = objective(oracle, scenario.user_poses, scenario.medium, scenario.total_power)
     assert value == pytest.approx(best, rel=1e-12, abs=0.0)
-    trace = _campaign_trace(scenario, layout)
+    trace = _campaign_trace(scenario, layout, blocks)
     assert max(trace) <= best * (1.0 + 1e-12)
     assert trace[-1] > trace[0]
 
