@@ -36,11 +36,35 @@ EXIT_IO = 3
 EXIT_INFEASIBLE = 4
 EXIT_NUMERICAL = 5
 
+
+class _ConfigReadError(Exception):
+    """A configuration file that cannot be read or decoded."""
+
+
+# The exit code and message prefix of each error a command may end with; an
+# error takes the entry of its most specific class, and any other is a bug.
+EXIT_CODES = {
+    _ConfigReadError: (EXIT_IO, "cannot read config: "),
+    OSError: (EXIT_IO, "cannot write output: "),
+    ConfigurationError: (EXIT_USAGE, ""),
+    GeometryError: (EXIT_INFEASIBLE, "invalid geometry: "),
+    InfeasibleLayoutError: (EXIT_INFEASIBLE, "infeasible scenario: "),
+    UnsupportedConfigurationError: (EXIT_INFEASIBLE, "infeasible scenario: "),
+    SingularChannelError: (EXIT_NUMERICAL, "numerical failure: "),
+    NumericalError: (EXIT_NUMERICAL, "numerical failure: "),
+    PolarlinkError: (EXIT_NUMERICAL, ""),
+}
+
 RUN_SUBCOMMANDS = ("scenario1", "scenario2", "montecarlo", "optimize",
                    "sweep-users", "sweep-power", "sweep-granularity", "convergence")
 
 
 def _fmt(value) -> str:
+    """A CSV cell: None is empty, a list is its cells joined by ';', a float has 12 digits."""
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ";".join(map(_fmt, value))
     if isinstance(value, float):
         if math.isnan(value):
             return "nan"
@@ -101,32 +125,22 @@ def _parse_triple(text: str, flag: str) -> np.ndarray:
         raise ConfigurationError(f"{flag}: {exc}") from None
 
 
-def _load_config(path: Optional[str]) -> Optional[RunConfig]:
-    """The configuration in the file at `path` (defaults without one), or None
-    after reporting a file that cannot be read."""
+def _load_config(path: Optional[str]) -> RunConfig:
+    """The configuration in the file at `path`, or the defaults without one."""
     try:
         return RunConfig.from_file(path) if path else RunConfig()
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return None
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise _ConfigReadError(exc) from exc
 
 
 def cmd_channel_eval(args) -> int:
-    config = _load_config(args.config)
-    if config is None:
-        return EXIT_IO
-    medium = config.medium()
-    try:
-        tx = AntennaPose(position=_parse_triple(args.tx_pos, "--tx-pos"),
-                         orientation=_parse_triple(args.tx_dir, "--tx-dir"))
-        rx = AntennaPose(position=_parse_triple(args.rx_pos, "--rx-pos"),
-                         orientation=_parse_triple(args.rx_dir, "--rx-dir"))
-        terms = link_terms(tx.position[None, :], tx.orientation[None, :],
-                           rx.position[None, :], rx.orientation[None, :], medium)
-    except GeometryError as exc:
-        print(f"error: invalid geometry: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-
+    medium = _load_config(args.config).medium()
+    tx = AntennaPose(position=_parse_triple(args.tx_pos, "--tx-pos"),
+                     orientation=_parse_triple(args.tx_dir, "--tx-dir"))
+    rx = AntennaPose(position=_parse_triple(args.rx_pos, "--rx-pos"),
+                     orientation=_parse_triple(args.rx_dir, "--rx-dir"))
+    terms = link_terms(tx.position[None, :], tx.orientation[None, :],
+                       rx.position[None, :], rx.orientation[None, :], medium)
     gain = complex(terms.gains[0, 0])
     tx_t, rx_t = terms.tx, terms.rx
     if tx_t.degenerate[0, 0]:
@@ -151,26 +165,23 @@ def cmd_channel_eval(args) -> int:
     return EXIT_OK
 
 
+# The sweep CSV's columns in order, each with the RunRecord field it holds.
+SWEEP_COLUMNS = {
+    "grid_value": "grid_value", "configuration": "configuration", "users": "user_count",
+    "antennas": "antenna_count", "power_w": "total_power", "gamma_total": "gamma_total",
+    "gamma_total_db": "gamma_total_db", "average_rate": "average_rate",
+    "iterations": "iterations", "scenario_hash": "scenario_hash", "seed": "seed",
+    "failure": "failure", "trace_db": "trace_db",
+}
+
+
 def _record_rows(records: Sequence[RunRecord]):
-    header = ["grid_value", "configuration", "users", "antennas", "power_w",
-              "gamma_total", "gamma_total_db", "average_rate", "iterations",
-              "scenario_hash", "seed", "failure", "trace_db"]
-    rows = []
-    for rec in records:
-        rows.append([
-            rec.grid_value if rec.grid_value is not None else "",
-            rec.configuration, rec.user_count, rec.antenna_count, rec.total_power,
-            rec.gamma_total, rec.gamma_total_db, rec.average_rate, rec.iterations,
-            rec.scenario_hash, rec.seed, rec.failure or "",
-            ";".join(_fmt(v) for v in rec.trace_db),
-        ])
-    return header, rows
+    return list(SWEEP_COLUMNS), [[getattr(rec, name) for name in SWEEP_COLUMNS.values()]
+                                 for rec in records]
 
 
 def cmd_run(args) -> int:
     config = _load_config(args.config)
-    if config is None:
-        return EXIT_IO
     overrides = {"seed": args.seed, "repetitions": args.reps}
     config = dataclasses.replace(
         config, **{name: value for name, value in overrides.items() if value is not None})
@@ -178,65 +189,55 @@ def cmd_run(args) -> int:
     medium = config.medium()
     optimizer_config = config.optimizer()
     sub = args.experiment
-    try:
-        if sub in ("scenario1", "scenario2"):
-            kind = "tx_random" if sub == "scenario1" else "rx_random"
-            polar, azimuthal, mags = reference_link_map(kind, medium)
-            rows = [[np.rad2deg(p), np.rad2deg(a), m, m * m]
-                    for p, row in zip(polar, mags) for a, m in zip(azimuthal, row)]
-            write_csv(args.out, ["polar_deg", "azimuthal_deg", "gain_magnitude",
-                                 "gain_power"], rows)
-            write_sidecar(args.out, config, sub, 1,
-                          {"peak_gain": reference_link_peak(kind, medium)})
-        elif sub == "montecarlo":
-            rows = []
-            for kind in ("tx_random", "rx_random"):
-                frac = monte_carlo_half_energy(kind, config.monte_carlo_samples,
-                                               config.seed, medium)
-                rows.append([kind, config.monte_carlo_samples, frac])
-            write_csv(args.out, ["scenario_kind", "samples", "half_energy_fraction"], rows)
-            write_sidecar(args.out, config, sub, 1)
-        elif sub == "optimize":
-            scenario = make_scenario(config.user_count, seed=config.seed, medium=medium,
-                                     antenna_count=config.antenna_count,
-                                     total_power=config.total_power_w,
-                                     cube_half_side=config.coverage_half_side_m,
-                                     region_half_side=config.region_half_side_m)
-            record = run_configuration(scenario, 5, optimizer_config)
-            if record.failure:
-                print(f"error: optimization failed: {record.failure}", file=sys.stderr)
-                return EXIT_NUMERICAL
-            rows = [[i, db] for i, db in enumerate(record.trace_db)]
-            write_csv(args.out, ["iteration", "gamma_total_db"], rows)
-            write_sidecar(args.out, config, sub, 1,
-                          {"scenario_hash": record.scenario_hash,
-                           "gamma_total_db": record.gamma_total_db})
-        else:
-            kind, grid, configurations = {
-                "sweep-users": ("users", config.users_grid, config.configurations),
-                "sweep-power": ("power", config.power_grid_w, None),
-                "sweep-granularity": ("granularity", config.granularity_grid_deg, None),
-                "convergence": ("users", [config.user_count], (1, 5)),
-            }[sub]
-            records = sweep(kind, grid, config.repetitions, config.seed, medium,
-                            optimizer_config, antenna_count=config.antenna_count,
-                            total_power=config.total_power_w, user_count=config.user_count,
-                            configurations=configurations,
-                            workers=_usable_cpu_count(),
-                            cube_half_side=config.coverage_half_side_m,
-                            region_half_side=config.region_half_side_m)
-            header, rows = _record_rows(records)
-            write_csv(args.out, header, rows)
-            write_sidecar(args.out, config, sub, config.repetitions)
-    except (InfeasibleLayoutError, UnsupportedConfigurationError) as exc:
-        print(f"error: infeasible scenario: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (SingularChannelError, NumericalError) as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if sub in ("scenario1", "scenario2"):
+        kind = "tx_random" if sub == "scenario1" else "rx_random"
+        polar, azimuthal, mags = reference_link_map(kind, medium)
+        rows = [[np.rad2deg(p), np.rad2deg(a), m, m * m]
+                for p, row in zip(polar, mags) for a, m in zip(azimuthal, row)]
+        write_csv(args.out, ["polar_deg", "azimuthal_deg", "gain_magnitude",
+                             "gain_power"], rows)
+        write_sidecar(args.out, config, sub, 1,
+                      {"peak_gain": reference_link_peak(kind, medium)})
+    elif sub == "montecarlo":
+        rows = []
+        for kind in ("tx_random", "rx_random"):
+            frac = monte_carlo_half_energy(kind, config.monte_carlo_samples,
+                                           config.seed, medium)
+            rows.append([kind, config.monte_carlo_samples, frac])
+        write_csv(args.out, ["scenario_kind", "samples", "half_energy_fraction"], rows)
+        write_sidecar(args.out, config, sub, 1)
+    elif sub == "optimize":
+        scenario = make_scenario(config.user_count, seed=config.seed, medium=medium,
+                                 antenna_count=config.antenna_count,
+                                 total_power=config.total_power_w,
+                                 cube_half_side=config.coverage_half_side_m,
+                                 region_half_side=config.region_half_side_m)
+        record = run_configuration(scenario, 5, optimizer_config)
+        if record.failure:
+            print(f"error: optimization failed: {record.failure}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        rows = [[i, db] for i, db in enumerate(record.trace_db)]
+        write_csv(args.out, ["iteration", "gamma_total_db"], rows)
+        write_sidecar(args.out, config, sub, 1,
+                      {"scenario_hash": record.scenario_hash,
+                       "gamma_total_db": record.gamma_total_db})
+    else:
+        kind, grid, configurations = {
+            "sweep-users": ("users", config.users_grid, config.configurations),
+            "sweep-power": ("power", config.power_grid_w, None),
+            "sweep-granularity": ("granularity", config.granularity_grid_deg, None),
+            "convergence": ("users", [config.user_count], (1, 5)),
+        }[sub]
+        records = sweep(kind, grid, config.repetitions, config.seed, medium,
+                        optimizer_config, antenna_count=config.antenna_count,
+                        total_power=config.total_power_w, user_count=config.user_count,
+                        configurations=configurations,
+                        workers=_usable_cpu_count(),
+                        cube_half_side=config.coverage_half_side_m,
+                        region_half_side=config.region_half_side_m)
+        header, rows = _record_rows(records)
+        write_csv(args.out, header, rows)
+        write_sidecar(args.out, config, sub, config.repetitions)
     return EXIT_OK
 
 
@@ -265,16 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_triples(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_join_triples(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PolarlinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except tuple(EXIT_CODES) as exc:
+        code, prefix = next(EXIT_CODES[kind] for kind in type(exc).__mro__ if kind in EXIT_CODES)
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

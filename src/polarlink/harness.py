@@ -13,8 +13,9 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -90,22 +91,23 @@ class Scenario:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunRecord:
-    """Outcome of one optimization run, reproducible from (scenario, config, seed)."""
+    """Outcome of one optimization run, reproducible from (scenario, config, seed); the
+    outcome fields, sinr to trace_db, default to a failed run's: empty, nan or 0."""
 
     scenario_hash: str
     configuration: int
     user_count: int
     antenna_count: int
     total_power: float
-    sinr: List[float]
-    rates: List[float]
-    gamma_total: float
-    gamma_total_db: float
-    average_rate: float
-    iterations: int
-    trace_db: List[float]
+    sinr: List[float] = field(default_factory=list)
+    rates: List[float] = field(default_factory=list)
+    gamma_total: float = math.nan
+    gamma_total_db: float = math.nan
+    average_rate: float = math.nan
+    iterations: int = 0
+    trace_db: List[float] = field(default_factory=list)
     seed: int
     grid_value: Optional[float] = None
     failure: Optional[str] = None
@@ -135,19 +137,27 @@ def generate_users(user_count: int, cube_half_side: float,
 
     Positions closer than 1 m to the origin are redrawn, for at most 100,000
     rounds, so the far-field gain stays finite; a cube with no point that far
-    out, or users still that close, raises UnsupportedConfigurationError.
+    out, users still that close, or a distance too large for a float raises
+    UnsupportedConfigurationError.
     """
     if user_count < 1:
         raise ConfigurationError("need at least one user")
     if not math.sqrt(3.0) * cube_half_side > 1.0:
         raise UnsupportedConfigurationError(
             f"coverage half side {cube_half_side} m leaves no point 1 m from the origin")
+    overflow = f"coverage half side {cube_half_side} m: a user distance overflows a float"
+    if not math.isfinite(2.0 * cube_half_side):     # the draws' range itself overflows
+        raise UnsupportedConfigurationError(overflow)
     positions = np.empty((user_count, 3))
     too_close = np.ones(user_count, dtype=bool)
     for _ in range(_USER_DRAW_ROUNDS):
         positions[too_close] = rng.uniform(
             -cube_half_side, cube_half_side, size=(int(np.sum(too_close)), 3))
-        too_close = np.linalg.norm(positions, axis=1) < 1.0
+        with np.errstate(over="ignore"):          # an overflow raises below
+            distances = np.linalg.norm(positions, axis=1)
+        if not np.all(np.isfinite(distances)):
+            raise UnsupportedConfigurationError(overflow)
+        too_close = distances < 1.0
         if not np.any(too_close):
             break
     else:
@@ -371,40 +381,33 @@ def run_configuration(scenario: Scenario, config_id: int,
                           scenario.total_power, scenario.constraints, optimizer_config,
                           CONFIGURATION_BLOCKS[config_id])
     except PolarlinkError as exc:  # anything else is a bug: raise
-        return RunRecord(
-            scenario_hash=scenario.fingerprint(), configuration=config_id,
-            user_count=scenario.user_count, antenna_count=scenario.antenna_count,
-            total_power=scenario.total_power, sinr=[], rates=[],
-            gamma_total=math.nan, gamma_total_db=math.nan, average_rate=math.nan,
-            iterations=0, trace_db=[], seed=scenario.seed,
-            failure=f"{type(exc).__name__}: {exc}")
+        return _record(scenario, config_id, failure=f"{type(exc).__name__}: {exc}")
     return record_from_result(scenario, config_id, result)
 
 
-def _record(scenario: Scenario, config_id: int, metrics: LinkMetrics,
-            trace: ConvergenceTrace, grid_value: Optional[float] = None) -> RunRecord:
+def _record(scenario: Scenario, config_id: int, **fields) -> RunRecord:
+    """The record of a run of configuration config_id on scenario: the
+    scenario's fields, then `fields` (a failure row gives only `failure`)."""
+    return RunRecord(scenario_hash=scenario.fingerprint(), configuration=config_id,
+                     user_count=scenario.user_count, antenna_count=scenario.antenna_count,
+                     total_power=scenario.total_power, seed=scenario.seed, **fields)
+
+
+def _outcome(metrics: LinkMetrics, trace: ConvergenceTrace) -> dict:
+    """The outcome fields of a run that ended at metrics after trace."""
     gamma = metrics.total_sinr
-    return RunRecord(
-        scenario_hash=scenario.fingerprint(),
-        configuration=config_id,
-        user_count=scenario.user_count,
-        antenna_count=scenario.antenna_count,
-        total_power=scenario.total_power,
-        sinr=[float(v) for v in metrics.sinr],
-        rates=[float(v) for v in metrics.rates],
-        gamma_total=float(gamma),
-        gamma_total_db=10.0 * math.log10(gamma) if gamma > 0 else -math.inf,
-        average_rate=metrics.average_rate,
-        iterations=trace.iterations,
-        trace_db=list(trace.total_sinr_db),
-        seed=scenario.seed,
-        grid_value=grid_value,
-    )
+    return dict(sinr=[float(v) for v in metrics.sinr],
+                rates=[float(v) for v in metrics.rates],
+                gamma_total=float(gamma),
+                gamma_total_db=10.0 * math.log10(gamma) if gamma > 0 else -math.inf,
+                average_rate=metrics.average_rate,
+                iterations=trace.iterations,
+                trace_db=list(trace.total_sinr_db))
 
 
 def record_from_result(scenario: Scenario, config_id: int,
                        result: OptimizeResult) -> RunRecord:
-    return _record(scenario, config_id, result.beamforming.metrics, result.trace)
+    return _record(scenario, config_id, **_outcome(result.beamforming.metrics, result.trace))
 
 
 SWEEP_KINDS = ("users", "power", "granularity")
@@ -457,6 +460,9 @@ def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int,
         configurations = (1, 2, 3, 4, 5) if kind == "users" else (1, 5)
     if len(configurations) == 0:
         raise ConfigurationError("configurations must be nonempty")
+    for users in grid if kind == "users" else [user_count]:
+        if isinstance(users, bool) or not isinstance(users, numbers.Integral) or users < 1:
+            raise ConfigurationError(f"user count must be a positive integer, got {users!r}")
 
     cells = []
     for gi in range(1 if kind == "granularity" else len(grid)):
@@ -478,7 +484,8 @@ def quantized_record(scenario: Scenario, result: OptimizeResult,
     """Quantize an optimized layout's angles and re-evaluate the link metrics."""
     quantized = quantize_angles(result.layout, resolution_deg)
     solution = evaluate_layout(quantized, scenario)
-    return _record(scenario, 5, solution.metrics, result.trace, grid_value=resolution_deg)
+    return _record(scenario, 5, grid_value=resolution_deg,
+                   **_outcome(solution.metrics, result.trace))
 
 
 def _mix(seed: int, grid_index: int, repetition: int) -> int:

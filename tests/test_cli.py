@@ -14,7 +14,9 @@ import pytest
 from polarlink import cli, harness
 from polarlink.cli import main
 from polarlink.config import RunConfig, dbm_to_watts
-from polarlink.errors import ConfigurationError
+from polarlink.errors import (ConfigurationError, GeometryError, InfeasibleLayoutError,
+                              NumericalError, ProjectionError, SingularChannelError,
+                              UnsupportedConfigurationError)
 
 RX = "75,-40,50"
 SWEEP_HEADER = ["grid_value", "configuration", "users", "antennas", "power_w",
@@ -213,6 +215,25 @@ def test_run_sweep_users_csv_schema(tmp_path):
     assert all(r[11] == "" for r in rows[1:])        # no failures
 
 
+def test_run_sweep_csv_failure_rows(tmp_path):
+    # A power budget that overflows the SINRs leaves its cells failure rows:
+    # no objective, no iterations and no trace, and the error that ended them.
+    cfg = _fast_config(tmp_path, power_grid_w=[0.5, 1e308])
+    out = tmp_path / "power.csv"
+    assert main(["run", "sweep-power", "--config", cfg, "--out", str(out)]) == 0
+    rows = _read_csv(out)
+    assert rows[0] == SWEEP_HEADER
+    assert [(r[0], r[1]) for r in rows[1:]] == [("0.5", "1"), ("0.5", "5")] * 2 + [
+        ("1e+308", "1"), ("1e+308", "5")] * 2
+    for row in rows[1:5]:
+        assert row[11] == "" and row[12] != ""
+    for row in rows[5:]:
+        assert row[4] == "1e+308"
+        assert row[5:9] == ["nan", "nan", "nan", "0"]
+        assert row[11].startswith("NumericalError: ")
+        assert row[12] == ""
+
+
 def test_run_convergence_runs_configurations_1_and_5_at_user_count(tmp_path):
     cfg = _fast_config(tmp_path)
     out = tmp_path / "conv.csv"
@@ -303,15 +324,24 @@ def test_run_missing_config_exits_3(tmp_path, capsys):
                  "--out", str(out)]) == 3
 
 
-@pytest.mark.parametrize("payload", [None, "{not json"])
+@pytest.mark.parametrize("payload", [None, b"{not json", b'{"seed": 1, "x": "\xff"}'])
 def test_channel_eval_unreadable_config_exits_3(tmp_path, capsys, payload):
     path = tmp_path / "config.json"
     if payload is not None:
-        path.write_text(payload)
+        path.write_bytes(payload)
     code = main(["channel-eval", "--tx-pos", "0,0,0", "--tx-dir", "0,0,1",
                  "--rx-pos", RX, "--rx-dir", "0,0,1", "--config", str(path)])
     assert code == 3
     assert "error: cannot read config:" in capsys.readouterr().err
+
+
+def test_run_config_not_utf8_exits_3(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"seed": 1, "x": "\xff"}')
+    out = tmp_path / "x.csv"
+    assert main(["run", "montecarlo", "--config", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: cannot read config: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("reps", ["0", "-3"])
@@ -384,6 +414,10 @@ def test_run_invalid_config_key_exits_2(tmp_path, capsys):
     ("optimize", {"seed": -1}, 2),
     ("montecarlo", {"seed": -3}, 2),
     ("sweep-users", {"configurations": []}, 2),
+    # The users' distances overflow a float.
+    ("optimize", {"coverage_half_side_m": 1e300}, 4),
+    ("sweep-users", {"coverage_half_side_m": 1e300}, 4),
+    ("optimize", {"coverage_half_side_m": 1e308}, 4),
 ])
 def test_run_exit_codes(tmp_path, capsys, experiment, overrides, code):
     # An invalid value is a usage error (2); a valid scenario that cannot be
@@ -397,6 +431,39 @@ def test_run_exit_codes(tmp_path, capsys, experiment, overrides, code):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error, code, message", [
+    (GeometryError("g"), 4, "error: invalid geometry: g"),
+    (InfeasibleLayoutError("i"), 4, "error: infeasible scenario: i"),
+    (UnsupportedConfigurationError("u"), 4, "error: infeasible scenario: u"),
+    (ConfigurationError("c"), 2, "error: c"),
+    (SingularChannelError("s"), 5, "error: numerical failure: s"),
+    (NumericalError("n"), 5, "error: numerical failure: n"),
+    (ProjectionError("p"), 5, "error: p"),
+    (PermissionError("w"), 3, "error: cannot write output: w"),
+])
+def test_each_error_ends_a_run_with_its_exit_code(tmp_path, capsys, monkeypatch,
+                                                  error, code, message):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "monte_carlo_half_energy", fail)
+    assert main(["run", "montecarlo", "--out", str(tmp_path / "x.csv")]) == code
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_a_non_package_error_raises(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(cli, "monte_carlo_half_energy", fail)
+    with pytest.raises(TypeError, match="injected"):
+        main(["run", "montecarlo", "--out", str(tmp_path / "x.csv")])
+    monkeypatch.setattr(cli, "link_terms", fail)
+    with pytest.raises(TypeError, match="injected"):
+        main(["channel-eval", "--tx-pos", "0,0,0", "--tx-dir", "0,0,1",
+              "--rx-pos", RX, "--rx-dir", "0,0,1"])
 
 
 @pytest.mark.parametrize("key, value", [("coverage_half_side_m", 10.0),

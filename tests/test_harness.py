@@ -64,6 +64,14 @@ def test_generate_users_minimum_distance_and_determinism():
     assert all(np.array_equal(u.position, v.position) for u, v in zip(users, again))
 
 
+def test_make_scenario_overflowing_coverage_cube_raises():
+    # The distances' squares overflow, or the range of the draws itself: an
+    # infeasible scenario, with no numpy warning.
+    for half_side in (1e300, 1e308, math.inf):
+        with pytest.raises(UnsupportedConfigurationError, match="overflows a float"):
+            make_scenario(2, 1, cube_half_side=half_side)
+
+
 def test_random_tx_positions_respect_separation():
     sc = make_scenario(2, seed=0)
     pos = random_tx_positions(8, sc.constraints, _rng(0))
@@ -145,8 +153,12 @@ def test_run_records_failure_instead_of_raising():
     layout = random_initial_layout(sc, _rng(sc.seed, 2))
     layout.tx_positions[1] = layout.tx_positions[0]  # infeasible start
     rec = run_configuration(sc, 5, FAST, layout)
-    assert rec.failure is not None
-    assert math.isnan(rec.gamma_total)
+    assert rec.failure.startswith("InfeasibleLayoutError: ")
+    # A failure row keeps the scenario's fields and holds no outcome.
+    assert (rec.scenario_hash, rec.configuration, rec.user_count, rec.seed) == (
+        sc.fingerprint(), 5, 2, sc.seed)
+    assert (rec.sinr, rec.rates, rec.iterations, rec.trace_db) == ([], [], 0, [])
+    assert all(map(math.isnan, (rec.gamma_total, rec.gamma_total_db, rec.average_rate)))
 
 
 def test_run_raises_programming_errors(monkeypatch):
@@ -266,6 +278,15 @@ def test_sweep_input_validation():
         sweep("users", [1], repetitions=1, seed=0, configurations=[])
     with pytest.raises(ConfigurationError, match="repetitions must be at least 1"):
         sweep("users", [1], repetitions=0, seed=1)
+    # A user count, as a users grid entry or as user_count, is a positive integer.
+    for grid in ([1.5], [0], [True], [2, -1]):
+        with pytest.raises(ConfigurationError, match="user count must be a positive integer"):
+            sweep("users", grid, repetitions=1, seed=0)
+    with pytest.raises(ConfigurationError, match="user count must be a positive integer"):
+        sweep("power", [0.5], repetitions=1, seed=0, user_count=2.7)
+    records = sweep("users", np.array([1]), repetitions=1, seed=0, optimizer_config=FAST,
+                    configurations=(1,))
+    assert [(r.user_count, r.grid_value) for r in records] == [(1, 1.0)]
 
 
 @pytest.mark.parametrize("call", [
