@@ -196,18 +196,19 @@ def receive_terms(path_dir: np.ndarray, rx_n: np.ndarray,
     # near grazing, where sqrt(1 - sin_i^2) keeps half.
     sin_i = np.einsum("ki,ki->k", path_dir, rx_n)          # u . r, then its size
     cos_i = np.sqrt(sum((rx_n[:, i] - sin_i * path_dir[:, i])**2 for i in range(3)))
-    sin_i = np.clip(np.abs(sin_i), 0.0, 1.0)
+    sin_i = np.minimum(np.abs(sin_i), 1.0)
     return ReceiveTerms(rx_n, sin_i, cos_i, *_fresnel(cos_i, medium.relative_permittivity))
 
 
 def combine_terms(geometry: LinkGeometry, tx: TransmitTerms, rx: ReceiveTerms) -> LinkTerms:
     """The per-evaluation kernel: the matching terms and gains of the links
     whose positions gave geometry and whose axes gave tx and rx."""
-    cos_a = np.clip(np.einsum("kli,ki->kl", tx.field_dir, rx.axes), -1.0, 1.0)
+    cos_a = np.einsum("kli,ki->kl", tx.field_dir, rx.axes)
+    np.minimum(np.maximum(cos_a, -1.0, out=cos_a), 1.0, out=cos_a)
     cos2 = cos_a ** 2
     radicand = (1.0 - (rx.gamma_par**2)[:, None] * cos2
                 - (rx.gamma_perp**2)[:, None] * (1.0 - cos2))
-    if np.any(radicand < -_RADICAND_TOL):
+    if (radicand < -_RADICAND_TOL).any():
         raise NumericalError(f"matching-efficiency radicand fell below 0: min {np.min(radicand)}")
     match = np.sqrt(np.maximum(radicand, 0.0))
 

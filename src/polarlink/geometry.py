@@ -56,11 +56,13 @@ def unit_to_angles(vectors) -> np.ndarray:
     be unit. Near the poles it keeps every digit that arccos(z) would lose.
     """
     v = np.asarray(vectors, dtype=float)
-    polar = np.arctan2(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
-    azimuthal = np.mod(np.arctan2(v[..., 1], v[..., 0]), _TWO_PI)
+    out = np.empty(v.shape[:-1] + (2,))
+    np.arctan2(np.hypot(v[..., 0], v[..., 1]), v[..., 2], out=out[..., 0])
+    azimuthal = out[..., 1]
+    np.mod(np.arctan2(v[..., 1], v[..., 0]), _TWO_PI, out=azimuthal)
     # np.mod can round a tiny negative input up to the modulus itself.
-    azimuthal = np.where(azimuthal >= _TWO_PI, 0.0, azimuthal)
-    return np.stack([polar, azimuthal], axis=-1)
+    np.copyto(azimuthal, 0.0, where=azimuthal >= _TWO_PI)
+    return out
 
 
 def angles_to_unit(polar, azimuthal) -> np.ndarray:

@@ -97,14 +97,14 @@ def _water_level(inv_snr: np.ndarray, total_power: float):
     The funded powers are level - excess; the unshifted level is level plus
     the minimum.
     """
-    excess = inv_snr - inv_snr.min()
+    excess = inv_snr - np.minimum.reduce(inv_snr)
 
     # The counts m whose m-th sorted threshold lies below levels[m-1] form a
     # prefix: m = 1 always does (its threshold is 0), and once t_m >= level_m,
     # level_{m+1} = (m level_m + t_{m+1}) / (m+1) <= t_{m+1}.
     thresholds = np.sort(excess)
-    levels = (total_power + np.cumsum(thresholds)) / np.arange(1, inv_snr.size + 1)
-    return excess, levels[np.sum(thresholds < levels) - 1]
+    levels = (total_power + np.add.accumulate(thresholds)) / np.arange(1, inv_snr.size + 1)
+    return excess, levels[np.count_nonzero(thresholds < levels) - 1]
 
 
 def water_filling(diag_gains, total_power: float, noise_power: float) -> PowerAllocation:
@@ -121,7 +121,7 @@ def water_filling(diag_gains, total_power: float, noise_power: float) -> PowerAl
     gains = np.asarray(diag_gains, dtype=float)
     if gains.ndim != 1:
         raise ConfigurationError(f"post-precoding gains must be a (K,) vector, got {gains.shape}")
-    if np.any(gains <= 0):
+    if (gains <= 0).any():
         raise ConfigurationError("post-precoding gains must be positive")
     if not total_power > 0:
         raise ConfigurationError(f"total power must be positive, got {total_power}")
@@ -139,12 +139,13 @@ def link_metrics(H: ChannelMatrix, W: Precoder, allocation: PowerAllocation,
     """
     effective = H.entries @ W.columns                      # (K, K), entry (k, j)
     powers = allocation.powers
-    signal = powers * np.abs(np.diagonal(effective))**2
+    signal = powers * np.abs(effective.diagonal())**2
     cross = powers * np.abs(effective)**2
-    interference = np.sum(cross, axis=1) - np.diagonal(cross)
+    interference = np.add.reduce(cross, axis=1) - cross.diagonal()
     sinr = signal / (noise_power + interference)
     rates = 0.5 * np.log2(1.0 + sinr)
-    total_sinr = np.exp(np.mean(np.log1p(sinr))) - 1.0
+    log_growth = np.log1p(sinr)
+    total_sinr = np.exp(np.add.reduce(log_growth) / log_growth.size) - 1.0
     return LinkMetrics(sinr=sinr, rates=rates, total_sinr=float(total_sinr),
                        average_rate=float(0.5 * np.log2(1.0 + total_sinr)))
 

@@ -418,6 +418,8 @@ def test_run_invalid_config_key_exits_2(tmp_path, capsys):
     ("optimize", {"coverage_half_side_m": 1e300}, 4),
     ("sweep-users", {"coverage_half_side_m": 1e300}, 4),
     ("optimize", {"coverage_half_side_m": 1e308}, 4),
+    # Users so far out that the objective underflows to 0.
+    ("optimize", {"coverage_half_side_m": 1e150}, 5),
 ])
 def test_run_exit_codes(tmp_path, capsys, experiment, overrides, code):
     # An invalid value is a usage error (2); a valid scenario that cannot be

@@ -122,6 +122,26 @@ def test_unit_to_angles_edges(vector, expected):
     assert tuple(unit_to_angles(vector)) == expected
 
 
+def _stacked_unit_to_angles(vectors):
+    """The np.stack construction unit_to_angles replaced."""
+    v = np.asarray(vectors, dtype=float)
+    polar = np.arctan2(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
+    azimuthal = np.mod(np.arctan2(v[..., 1], v[..., 0]), 2.0 * np.pi)
+    azimuthal = np.where(azimuthal >= 2.0 * np.pi, 0.0, azimuthal)
+    return np.stack([polar, azimuthal], axis=-1)
+
+
+def test_unit_to_angles_matches_the_stacked_formula_bit_for_bit():
+    rng = np.random.default_rng(4)
+    edges = np.array(np.meshgrid(_EDGES, _EDGES, _EDGES, indexing="ij")).reshape(3, -1).T
+    for vectors in (rng.standard_normal((1000, 3)), rng.standard_normal((4, 5, 3)),
+                    edges, edges[17], [1.0, -1e-300, 0.0]):
+        expected = _stacked_unit_to_angles(vectors)
+        got = unit_to_angles(vectors)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_unit_to_angles_keeps_every_digit_near_a_pole():
     # arccos(z) of the same axes returns 0, 0 and pi: z rounds to +-1.
     for polar in (1e-16, 1e-9, math.pi - 1e-9):

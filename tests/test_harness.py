@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,18 @@ def test_run_records_failure_instead_of_raising():
         sc.fingerprint(), 5, 2, sc.seed)
     assert (rec.sinr, rec.rates, rec.iterations, rec.trace_db) == ([], [], 0, [])
     assert all(map(math.isnan, (rec.gamma_total, rec.gamma_total_db, rec.average_rate)))
+
+
+def test_run_records_an_underflowing_objective_as_a_failure():
+    # Users 1e150 m out leave every SINR below rounding beside 1, so the
+    # objective is exactly 0: a NumericalError, and no gradient is taken of it.
+    sc = make_scenario(8, 1, cube_half_side=1e150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for config_id in (1, 5):
+            rec = run_configuration(sc, config_id, FAST)
+            assert rec.failure == "NumericalError: objective underflows to 0"
+            assert (rec.sinr, rec.iterations, rec.trace_db) == ([], 0, [])
 
 
 def test_run_raises_programming_errors(monkeypatch):

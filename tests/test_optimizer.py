@@ -72,6 +72,20 @@ def test_objective_rejects_nonpositive_power(power):
         objective(_layout(), [USER_A, USER_B], MEDIUM, power)
 
 
+def test_axes_match_angles_to_unit_bit_for_bit():
+    # The optimizer converts its angles with _axes; a stored layout's axes
+    # (tx_orientations, quantize_angles) come from angles_to_unit.
+    rng = np.random.default_rng(5)
+    random = np.column_stack([rng.uniform(-4.0, 4.0, 1000), rng.uniform(-7.0, 7.0, 1000)])
+    special = np.array([[0.0, 0.0], [0.0, 2.0 * np.pi], [np.pi, 0.0], [np.pi, 2.0 * np.pi],
+                        [np.pi / 2, 2.0 * np.pi], [-0.0, -0.0], [2.0 * np.pi, np.pi]])
+    for angles in (random, special, special[:1]):
+        expected = angles_to_unit(angles[:, 0], angles[:, 1])
+        got = optimizer_module._axes(angles)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
 # finite_difference_gradient is the reference the exact gradient is tested
 # against; optimize does not call it.
 
