@@ -99,24 +99,27 @@ def reflection_coefficients(theta_i, medium: MediumParams) -> Tuple[np.ndarray, 
 
 class LinkGeometry(NamedTuple):
     """The position-only factors of the K x L links: path_dir (K, 3) holds the
-    unit direction u to each user, prefactor (K,) the spherical-spreading
-    constant and phase (K, L) the translation phase exp(j k u_k . p_l)."""
+    unit direction u to each user, and scale (K, L) the spherical-spreading
+    constant of each user times the translation phase exp(j k u_k . p_l), the
+    factor every gain of the link carries whatever the axes."""
 
     path_dir: np.ndarray
-    prefactor: np.ndarray
-    phase: np.ndarray
+    scale: np.ndarray
 
 
 class TransmitTerms(NamedTuple):
     """The terms of the unit transmit axes n, axes (L, 3), toward the path
     directions u, per link (K, L): cos_emission = u . n, sin_emission =
-    |n - (u . n) u|, degenerate (n along u) and the dipole pattern; field_dir
-    (K, L, 3) is n - (u . n) u over sin_emission. Where degenerate, pattern
-    and field_dir are meaningless."""
+    |n - (u . n) u|, degenerate (n along u), safe_sin_emission (sin_emission,
+    but 1 where degenerate: the divisor of field_dir and the pattern, and of
+    the optimizer's transmit gradient) and the dipole pattern; field_dir
+    (K, L, 3) is n - (u . n) u over safe_sin_emission. Where degenerate,
+    pattern and field_dir are meaningless."""
 
     axes: np.ndarray
     cos_emission: np.ndarray
     sin_emission: np.ndarray
+    safe_sin_emission: np.ndarray
     field_dir: np.ndarray
     degenerate: np.ndarray
     pattern: np.ndarray
@@ -124,14 +127,19 @@ class TransmitTerms(NamedTuple):
 
 class ReceiveTerms(NamedTuple):
     """The terms of the unit receive axes r, axes (K, 3), per user (K,):
-    sin_incidence = |u . r|, cos_incidence = |r - (u . r) u| and the signed
-    Fresnel coefficients gamma_par and gamma_perp at that incidence."""
+    sin_incidence = |u . r|, cos_incidence = |r - (u . r) u|, the signed
+    Fresnel coefficients gamma_par and gamma_perp at that incidence, and the
+    two factors of the squared matching efficiency they give,
+    m^2 = kept - spread cos^2 a: kept = 1 - gamma_perp^2 and spread =
+    gamma_par^2 - gamma_perp^2."""
 
     axes: np.ndarray
     sin_incidence: np.ndarray
     cos_incidence: np.ndarray
     gamma_par: np.ndarray
     gamma_perp: np.ndarray
+    kept: np.ndarray
+    spread: np.ndarray
 
 
 class LinkTerms(NamedTuple):
@@ -166,10 +174,11 @@ def link_geometry(tx_positions, rx_positions, medium: MediumParams) -> LinkGeome
         prefactor = (2j * SPEED_OF_LIGHT * VACUUM_PERMEABILITY / ANTENNA_FACTOR
                      * np.exp(-1j * wavenumber * rx_dist) / (4.0 * np.pi * rx_dist))
         phase = np.exp(1j * wavenumber * (rx_p @ tx_p.T) / rx_dist[:, None])
-    # A distance that overflowed to inf leaves the prefactor nan.
-    if not (np.isfinite(prefactor).all() and np.isfinite(phase).all()):
+        scale = prefactor[:, None] * phase
+    # A distance that overflowed to inf leaves the prefactor nan; |phase| is 1.
+    if not np.isfinite(scale).all():
         raise GeometryError("positions too far out for a finite link distance or phase")
-    return LinkGeometry(rx_p / rx_dist[:, None], prefactor, phase)
+    return LinkGeometry(rx_p / rx_dist[:, None], scale)
 
 
 def transmit_terms(path_dir: np.ndarray, tx_n: np.ndarray) -> TransmitTerms:
@@ -184,7 +193,7 @@ def transmit_terms(path_dir: np.ndarray, tx_n: np.ndarray) -> TransmitTerms:
     degenerate = sin_e < _DEGENERATE_TOL
     safe_sin_e = np.where(degenerate, 1.0, sin_e)
     field_dir /= safe_sin_e[:, :, None]
-    return TransmitTerms(tx_n, cos_e, sin_e, field_dir, degenerate,
+    return TransmitTerms(tx_n, cos_e, sin_e, safe_sin_e, field_dir, degenerate,
                          _dipole_pattern(cos_e, safe_sin_e))
 
 
@@ -197,22 +206,25 @@ def receive_terms(path_dir: np.ndarray, rx_n: np.ndarray,
     sin_i = np.einsum("ki,ki->k", path_dir, rx_n)          # u . r, then its size
     cos_i = np.sqrt(sum((rx_n[:, i] - sin_i * path_dir[:, i])**2 for i in range(3)))
     sin_i = np.minimum(np.abs(sin_i), 1.0)
-    return ReceiveTerms(rx_n, sin_i, cos_i, *_fresnel(cos_i, medium.relative_permittivity))
+    g_par, g_perp = _fresnel(cos_i, medium.relative_permittivity)
+    perp2 = g_perp * g_perp
+    return ReceiveTerms(rx_n, sin_i, cos_i, g_par, g_perp, 1.0 - perp2, g_par * g_par - perp2)
 
 
 def combine_terms(geometry: LinkGeometry, tx: TransmitTerms, rx: ReceiveTerms) -> LinkTerms:
     """The per-evaluation kernel: the matching terms and gains of the links
-    whose positions gave geometry and whose axes gave tx and rx."""
+    whose positions gave geometry and whose axes gave tx and rx. Only what
+    pairs the two sides is computed here: cos_a, m = sqrt(kept - spread
+    cos^2 a) from the receive side's Fresnel factors, and the gains
+    scale * (pattern * m)."""
     cos_a = np.einsum("kli,ki->kl", tx.field_dir, rx.axes)
     np.minimum(np.maximum(cos_a, -1.0, out=cos_a), 1.0, out=cos_a)
-    cos2 = cos_a ** 2
-    radicand = (1.0 - (rx.gamma_par**2)[:, None] * cos2
-                - (rx.gamma_perp**2)[:, None] * (1.0 - cos2))
+    radicand = rx.kept[:, None] - rx.spread[:, None] * (cos_a * cos_a)
     if (radicand < -_RADICAND_TOL).any():
         raise NumericalError(f"matching-efficiency radicand fell below 0: min {np.min(radicand)}")
-    match = np.sqrt(np.maximum(radicand, 0.0))
+    match = np.sqrt(np.maximum(radicand, 0.0, out=radicand), out=radicand)
 
-    gains = geometry.prefactor[:, None] * tx.pattern * match * geometry.phase
+    gains = geometry.scale * (tx.pattern * match)
     np.copyto(gains, 0.0, where=tx.degenerate)
     return LinkTerms(geometry, tx, rx, cos_a, match, gains)
 

@@ -74,6 +74,12 @@ class Scenario:
         return len(self.user_poses)
 
     def fingerprint(self) -> str:
+        """16 hex digits of SHA-256 over the scenario's canonical JSON; hashed
+        once per instance (_fingerprint), and a pickled copy carries it."""
+        return self._fingerprint
+
+    @functools.cached_property
+    def _fingerprint(self) -> str:
         payload = {
             "wavelength": self.medium.wavelength,
             "relative_permittivity": self.medium.relative_permittivity,

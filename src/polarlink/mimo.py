@@ -91,20 +91,22 @@ def zf_precoder(H: ChannelMatrix) -> Precoder:
 
 
 def _water_level(inv_snr: np.ndarray, total_power: float):
-    """(excess, level): the thresholds inv_snr (K,) shifted to their minimum,
-    and the water level above that minimum.
+    """(excess, level, floor): the thresholds inv_snr (K,) shifted to their
+    minimum floor, and the water level above that minimum.
 
     The funded powers are level - excess; the unshifted level is level plus
-    the minimum.
+    floor.
     """
-    excess = inv_snr - np.minimum.reduce(inv_snr)
+    floor = np.minimum.reduce(inv_snr)
+    excess = inv_snr - floor
 
     # The counts m whose m-th sorted threshold lies below levels[m-1] form a
     # prefix: m = 1 always does (its threshold is 0), and once t_m >= level_m,
     # level_{m+1} = (m level_m + t_{m+1}) / (m+1) <= t_{m+1}.
-    thresholds = np.sort(excess)
+    thresholds = excess.copy()
+    thresholds.sort()
     levels = (total_power + np.add.accumulate(thresholds)) / np.arange(1, inv_snr.size + 1)
-    return excess, levels[np.count_nonzero(thresholds < levels) - 1]
+    return excess, levels[np.count_nonzero(thresholds < levels) - 1], floor
 
 
 def water_filling(diag_gains, total_power: float, noise_power: float) -> PowerAllocation:
@@ -125,7 +127,7 @@ def water_filling(diag_gains, total_power: float, noise_power: float) -> PowerAl
         raise ConfigurationError("post-precoding gains must be positive")
     if not total_power > 0:
         raise ConfigurationError(f"total power must be positive, got {total_power}")
-    excess, level = _water_level(noise_power / gains**2, total_power)
+    excess, level, _ = _water_level(noise_power / gains**2, total_power)
     powers = np.maximum(level - excess, 0.0)
     return PowerAllocation(powers=powers, total_power=float(total_power))
 

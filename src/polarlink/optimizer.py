@@ -3,33 +3,49 @@
 Maximizes the equivalent total SINR of the zero-forcing + water-filling link
 by cycling through the variable blocks that optimize's `blocks` names
 (receive orientations, transmit orientations, or both). An orientation is a
-unit axis on the sphere: each ascent step moves a block's axes in their
-tangent planes and maps the moved vectors back to canonical (polar,
-azimuthal) angles with one arctan2 (a retraction; Absil, Mahony &
-Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 4), so the
-angles serve only for storage, quantization and display, and the
-poles are ordinary points. Under ideal zero forcing the objective has a
-closed form in the channel's SVD, so one point is evaluated once: _evaluate
-builds the channel with one channel.combine_terms call, takes one SVD and
-water-fills, and _gradient takes the exact derivative of that value in the
-axes through the same terms and SVD without building anything again. The
-positions never move, so their factors (channel.link_geometry) are built once
-per run; a step moves one block, so a line-search trial converts and builds
-the side terms (channel.transmit_terms or receive_terms) of the moved block
-only and takes the other block's, axes included, from the terms of the point
-it steps from. Each backtracking line-search trial is one _evaluate; the
-accepted trial is the point the next gradient starts from. A trial whose channel fails the
+unit axis on the sphere, and the ascent runs on the axes themselves: a step
+moves a block's axes a along their tangent gradient g and normalizes,
+normalize(a + step g), the projective retraction (Absil, Mahony & Sepulchre,
+Optimization Algorithms on Matrix Manifolds, 2008, section 4.1), so the poles
+are ordinary points. The stored (polar, azimuthal) angles of LayoutVariables
+serve only for the input, the result, quantization and display: optimize
+turns the start's angles into axes once per block and a moved block's final
+axes into canonical angles once, and no trial converts anything. The trace
+holds J at the ascent's axes; objective, at their stored angles, gives the
+same values to rounding (about 1e-13 relative).
+
+Under ideal zero forcing the objective has a closed form in the channel's
+SVD, so one point is evaluated once: _evaluate builds the channel with one
+channel.combine_terms call, takes one SVD and water-fills, and _gradient
+takes the exact derivative of that value in the axes through the same terms
+and SVD without building anything again. Each factor is built only when its
+inputs change:
+- once per optimize or objective call: the power check and the
+  floating-point state that lets an overflowing budget reach _evaluate's
+  check;
+- once per run: the position factors (channel.link_geometry), the path
+  directions and the spreading-times-phase scale of every gain;
+- once per change of a block's axes: that block's side terms
+  (channel.transmit_terms or receive_terms), including the Fresnel factors
+  of the matching efficiency and the guarded emission sine the transmit
+  gradient divides by. A step moves one block, so a trial builds the moved
+  block's side only and takes the other block's, axes included, from the
+  point it steps from (_trial).
+Each backtracking line-search trial is one _evaluate; the accepted trial is
+the point the next gradient starts from. A trial whose channel fails the
 condition check is a rejected step. The final record comes from the full
 beamforming solution, whose metrics keep the general interference
 expression.
 
-The per-point path (_evaluate, _gradient, _axes, the trial loop and the
-channel, mimo and geometry functions they call) calls ufuncs and their
-methods (np.add.reduce, np.add.accumulate, in-place np.minimum) rather than
-numpy's Python wrappers (np.sum, np.mean, np.clip, np.stack, np.cumsum): at
-K = L = 8 a wrapper costs more than its arithmetic, and calling the ufuncs,
-with the same operations in the same order, took one _evaluate from about
-160 to 120 us on a 2-core Xeon host with bit-identical results.
+The per-point path (_evaluate, _gradient, the trial loop and the channel and
+mimo functions they call) calls ufuncs and their methods (np.add.reduce,
+np.add.accumulate, in-place np.minimum) rather than numpy's Python wrappers
+(np.sum, np.mean, np.clip, np.stack, np.cumsum): at K = L = 8 a wrapper costs
+more than its arithmetic. On a 2-core Xeon host with one BLAS thread, at
+K = L = 8 and best of repeated timings, a line-search trial takes 76 to 79 us
+and a gradient 36 to 41 us; when each trial converted its axes to angles and
+back and rebuilt every factor, they took 101 to 103 and 42 to 45 us, and an
+acceptance-campaign drop ran about 1.2x slower.
 
 Transmit positions are fixed inputs: the channel is built from them as given
 and no block moves them. Under the plane-wave model a translation changes only
@@ -53,8 +69,8 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .channel import (ChannelMatrix, LinkGeometry, LinkTerms, combine_terms, gain_matrix,
-                      link_geometry, receive_terms, transmit_terms)
+from .channel import (ChannelMatrix, LinkGeometry, LinkTerms, ReceiveTerms, TransmitTerms,
+                      combine_terms, gain_matrix, link_geometry, receive_terms, transmit_terms)
 from .errors import (ConfigurationError, InfeasibleLayoutError, NumericalError,
                      ProjectionError, SingularChannelError)
 from .geometry import AntennaPose, angles_to_unit, unit_to_angles
@@ -182,12 +198,14 @@ def objective(layout: LayoutVariables, users: Sequence[AntennaPose],
     """Equivalent total SINR of the layout under zero forcing + water filling.
 
     The closed form of ideal zero forcing that optimize ascends and records
-    in its trace (see _evaluate): the interference is taken as exactly
-    nulled. The channel is built from the layout's positions and orientations
-    as given. Raises SingularChannelError when it fails the condition check.
+    in its trace (see _evaluate), here at the layout's stored angles: the
+    interference is taken as exactly nulled. The channel is built from the
+    layout's positions and orientations as given. Raises SingularChannelError
+    when it fails the condition check.
     """
     geometry = link_geometry(layout.tx_positions, [u.position for u in users], medium)
-    return _evaluate(layout, geometry, medium, total_power).value
+    with np.errstate(over="ignore"):   # an overflowing budget raises in _evaluate
+        return _layout_point(layout, geometry, medium, total_power).value
 
 
 def finite_difference_gradient(layout: LayoutVariables, block: str,
@@ -223,8 +241,9 @@ def _axes(angles: np.ndarray) -> np.ndarray:
 
     A separate copy so that angles_to_unit converts only the orientations of
     full channel builds (gain_matrix): the benchmark's traced run checks that
-    it is called exactly twice per gain_matrix call, while optimize converts
-    every evaluated point and quantize_angles every snapped layout.
+    it is called exactly twice per gain_matrix call, while optimize and
+    objective convert their layout's two blocks and quantize_angles every
+    snapped layout.
     """
     out = np.empty((angles.shape[0], 3))
     sin_p = np.sin(angles[:, 0])
@@ -234,12 +253,12 @@ def _axes(angles: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Point:
-    """One evaluated layout: the objective value and the factors its gradient
-    reads (the kernel's terms, the SVD and the water-filling state)."""
+    """One evaluated point of the ascent: the objective value and the factors
+    its gradient reads (the kernel's terms, axes included, the SVD and the
+    water-filling state)."""
 
-    layout: LayoutVariables
     value: float
     growth: float
     terms: LinkTerms
@@ -248,16 +267,17 @@ class _Point:
     sinr: np.ndarray
 
 
-def _evaluate(layout: LayoutVariables, geometry: LinkGeometry, medium: MediumParams,
-              total_power: float, current: _Point | None = None,
-              moved: str | None = None) -> _Point:
-    """The objective at layout, with what _gradient needs to differentiate it.
+def _evaluate(geometry: LinkGeometry, tx: TransmitTerms, rx: ReceiveTerms,
+              medium: MediumParams, total_power: float) -> _Point:
+    """The objective at the axes of tx and rx, with what _gradient needs to
+    differentiate it.
 
-    geometry holds the factors of layout's transmit positions and the users'
-    (channel.link_geometry). Given current, an evaluated point whose layout
-    differs from layout in the moved block only, the other block's side terms
-    (axes included) are current's: only the moved block's angles are converted
-    and its side built, so every axis is _axes of its stored angles either way.
+    geometry holds the factors of the transmit positions and the users'
+    (channel.link_geometry); tx and rx are the side terms of the two blocks'
+    axes, each built once per change of its axes and reused by every point
+    that shares them. The caller has checked that total_power is positive and
+    ignores floating-point overflow (optimize and objective do both once per
+    call): an overflowing budget raises here.
 
     Under zero forcing plus water filling, 1 + sinr_k = level / t_k for a
     funded user and 1 otherwise, with t_k = sigma^2 [(H H^H)^-1]_kk, so
@@ -269,26 +289,29 @@ def _evaluate(layout: LayoutVariables, geometry: LinkGeometry, medium: MediumPar
     (users so far out that the SINRs vanish beside 1), where _gradient would
     divide 0 by the underflowed S^3.
     """
-    if not total_power > 0:
-        raise ConfigurationError(f"total power must be positive, got {total_power}")
-    tx = (transmit_terms(geometry.path_dir, _axes(layout.tx_angles))
-          if current is None or moved == BLOCK_TX_ANGLES else current.terms.tx)
-    rx = (receive_terms(geometry.path_dir, _axes(layout.rx_angles), medium)
-          if current is None or moved == BLOCK_RX_ANGLES else current.terms.rx)
     terms = combine_terms(geometry, tx, rx)
     U, S, Vh = _zf_svd(terms.gains)
     inv_snr = medium.noise_power * np.add.reduce(np.abs(U)**2 / S**2, axis=-1)
-    excess, level = _water_level(inv_snr, total_power)
-    with np.errstate(over="ignore"):   # an overflowing budget raises below
-        sinr = np.maximum(level - excess, 0.0) / inv_snr
-        log_growth = np.log1p(sinr)
-        growth = float(np.exp(np.add.reduce(log_growth) / log_growth.size))
+    excess, level, floor = _water_level(inv_snr, total_power)
+    sinr = np.maximum(level - excess, 0.0) / inv_snr
+    log_growth = np.log1p(sinr)
+    growth = float(np.exp(np.add.reduce(log_growth) / log_growth.size))
     if not math.isfinite(growth):
         raise NumericalError(f"objective is not finite: {growth - 1.0}")
     if growth == 1.0:
         raise NumericalError("objective underflows to 0")
-    return _Point(layout=layout, value=growth - 1.0, growth=growth, terms=terms,
-                  svd=(U, S, Vh), level=level + np.minimum.reduce(inv_snr), sinr=sinr)
+    return _Point(growth - 1.0, growth, terms, (U, S, Vh), level + floor, sinr)
+
+
+def _layout_point(layout: LayoutVariables, geometry: LinkGeometry, medium: MediumParams,
+                  total_power: float) -> _Point:
+    """_evaluate at layout's stored angles, both sides built from their _axes,
+    after the power check that optimize and objective make once per call."""
+    if not total_power > 0:
+        raise ConfigurationError(f"total power must be positive, got {total_power}")
+    path = geometry.path_dir
+    return _evaluate(geometry, transmit_terms(path, _axes(layout.tx_angles)),
+                     receive_terms(path, _axes(layout.rx_angles), medium), medium, total_power)
 
 
 def _gradient(point: _Point, block: str, medium: MediumParams) -> np.ndarray:
@@ -316,24 +339,22 @@ def _gradient(point: _Point, block: str, medium: MediumParams) -> np.ndarray:
     """
     terms = point.terms
     gains = terms.gains
-    users = gains.shape[0]
     U, S, Vh = point.svd
-    # 1/level - 1/t_k = -sinr_k / level for funded users.
-    dj_dq = -point.growth * medium.noise_power * point.sinr / (users * point.level)
-    inner = (U.conj().T * dj_dq) @ U / (S[:, None]**2 * S[None, :])
-    gamma = -(U @ inner @ Vh)
+    # 1/level - 1/t_k = -sinr_k / level for funded users; the scalar folds
+    # that sign, Gamma's and the 2 of 2 Re into one.
+    scale = 2.0 * point.growth * medium.noise_power / (gains.shape[0] * point.level)
+    inner = (U.conj().T * (scale * point.sinr)) @ U / (S[:, None]**2 * S[None, :])
     # dJ = sum_kl weight_kl d log(rad_kl m_kl), a zero gain weighing 0.
-    weight = 2.0 * (np.conj(gamma) * gains).real
+    weight = (np.conj(U @ inner @ Vh) * gains).real
 
     tx, rx = terms.tx, terms.rx
     path, field_dir = terms.geometry.path_dir, tx.field_dir
     cos_e, cos_m = tx.cos_emission, terms.cos_matching
-    sin_e = np.where(tx.degenerate, 1.0, tx.sin_emission)
-    g_par, g_perp = rx.gamma_par[:, None], rx.gamma_perp[:, None]
-    # m^2 = 1 - g_perp^2 - (g_par^2 - g_perp^2) cos_a^2, so weight * d log m is
-    # weight / m^2 times d(m^2) / 2.
+    sin_e = tx.safe_sin_emission
+    # m^2 = kept - spread cos_a^2, so weight * d log m is weight / m^2 times
+    # d(m^2) / 2.
     per_m2 = weight / terms.matching**2
-    d_cos_m = -(g_par**2 - g_perp**2) * cos_m * per_m2
+    d_cos_m = -rx.spread[:, None] * cos_m * per_m2
 
     if block == BLOCK_TX_ANGLES:
         # log rad = log cos(pi c / 2) - log(1 - c^2) / 2, with 1 - c^2 = sin_e^2.
@@ -350,6 +371,7 @@ def _gradient(point: _Point, block: str, medium: MediumParams) -> np.ndarray:
         root = np.sqrt(eps - 1.0 + cos_i**2)
         d_par = (-2.0 * eps * (eps - 1.0) / (root * (root + eps * cos_i)**2))[:, None]
         d_perp = (-2.0 * (eps - 1.0) / (root * (root + cos_i)**2))[:, None]
+        g_par, g_perp = rx.gamma_par[:, None], rx.gamma_perp[:, None]
         d_cos_i = np.add.reduce(
             -(g_par * d_par * cos_m**2 + g_perp * d_perp * (1.0 - cos_m**2)) * per_m2,
             axis=-1)
@@ -420,15 +442,55 @@ def separation_projection(positions, previous, constraints: Constraints) -> np.n
 def check_feasible(positions: np.ndarray, constraints: Constraints) -> bool:
     """True when all positions sit in the box with pairwise separation respected."""
     pos = np.asarray(positions, dtype=float)
-    if np.any(pos < constraints.box_min - _FEASIBILITY_TOL) or \
-            np.any(pos > constraints.box_max + _FEASIBILITY_TOL):
+    if (pos < constraints.box_min - _FEASIBILITY_TOL).any() or \
+            (pos > constraints.box_max + _FEASIBILITY_TOL).any():
         return False
-    count = pos.shape[0]
-    for ell in range(count):
-        for i in range(ell + 1, count):
-            if np.linalg.norm(pos[ell] - pos[i]) < constraints.min_separation - _FEASIBILITY_TOL:
-                return False
-    return True
+    gaps = pos[:, None, :] - pos[None, :, :]
+    distances = np.sqrt(np.add.reduce(gaps * gaps, axis=-1))
+    distances.flat[::pos.shape[0] + 1] = np.inf      # an antenna is no pair with itself
+    return not (distances < constraints.min_separation - _FEASIBILITY_TOL).any()
+
+
+def _ascent_step(point: _Point, block: str, geometry: LinkGeometry, medium: MediumParams,
+                 total_power: float, trace: ConvergenceTrace) -> _Point | None:
+    """One gradient of block at point and the backtracking search along it
+    (see optimize): the accepted trial's point, or None when the gradient
+    vanishes or no trial passes before the floor. Counts the gradient, the
+    trials and the singular ones in trace.
+
+    A trial is the projective retraction normalize(a + step g) of the block's
+    axes a, evaluated straight from those axes (_trial).
+    """
+    grad = _gradient(point, block, medium)
+    trace.gradients += 1
+    grad_sq = float(np.add.reduce(grad * grad, axis=None))
+    if not math.isfinite(grad_sq) or grad_sq == 0.0:
+        return None
+    base = (point.terms.tx if block == BLOCK_TX_ANGLES else point.terms.rx).axes
+    step = _INITIAL_STEP_ANGLE / math.sqrt(grad_sq)
+    while _ARMIJO_C * step * grad_sq > _ARMIJO_FLOOR * abs(point.value):
+        axes = base + step * grad
+        axes /= np.sqrt(np.add.reduce(axes * axes, axis=-1))[:, None]
+        trace.evaluations += 1
+        try:
+            trial = _trial(point, block, axes, geometry, medium, total_power)
+            if trial.value >= point.value + _ARMIJO_C * step * grad_sq:
+                return trial
+        except SingularChannelError:  # rejected like a failed Armijo test
+            trace.singular_trials += 1
+        step *= _SHRINK_FACTOR
+    return None
+
+
+def _trial(point: _Point, block: str, axes: np.ndarray, geometry: LinkGeometry,
+           medium: MediumParams, total_power: float) -> _Point:
+    """_evaluate at point with block's axes replaced by the unit axes given:
+    builds that block's side terms only and takes the other block's from
+    point, whose terms hold their axes."""
+    tx, rx, path = point.terms.tx, point.terms.rx, geometry.path_dir
+    if block == BLOCK_TX_ANGLES:
+        return _evaluate(geometry, transmit_terms(path, axes), rx, medium, total_power)
+    return _evaluate(geometry, tx, receive_terms(path, axes, medium), medium, total_power)
 
 
 def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
@@ -439,26 +501,28 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
     blocks names the blocks that move; they run in BLOCK_ORDER whatever
     their given order, and a name outside BLOCK_ORDER raises
     ConfigurationError before anything is evaluated. With no block, an outer
-    sweep still records one iteration. The initial layout is copied, never
-    modified. The position factors are built once (link_geometry) and the
-    start is evaluated once (_evaluate). Each gradient is exact and comes from the
-    current evaluated point (_gradient: no channel build, no SVD); the
-    backtracking line search then tries one step at a time along it, each
-    trial's moved axes converted to canonical angles (unit_to_angles) and
-    evaluated once with the unmoved block's side taken from the current
-    point, and the accepted trial's evaluation becomes the current point. A
-    trial whose channel raises SingularChannelError is rejected like one
-    that fails the Armijo test, and the step shrinks; any other error
-    propagates. Each accepted step passes the Armijo test, so the recorded
-    trace, which holds the values objective returns, is non-decreasing; the
-    trace also counts evaluations, gradients and singular trials. Stops when
-    one full outer sweep improves the objective by less than the relative
-    convergence tolerance. The starting layout's channel must be regular: a
-    singular one raises SingularChannelError. Angles are never rewritten
-    except by a step, so a block that takes none keeps its input angles. The
-    returned beamforming solution is the full zero-forcing + water-filling
-    solve of the final layout, so its metrics report any residual leakage;
-    its total SINR matches the trace's last value up to that leakage.
+    sweep still records one iteration. The initial layout is never modified.
+    The power is checked and the position factors are built once
+    (link_geometry), and the start's angles become axes (_axes) and are
+    evaluated once. Each gradient is exact and comes from the current
+    evaluated point (_gradient: no channel build, no SVD); the backtracking
+    line search then tries one step at a time along it, each trial the
+    retraction normalize(a + step g) of the block's axes a, evaluated once
+    from those axes with the unmoved block's side taken from the current
+    point (_trial), and the accepted trial's evaluation becomes the current
+    point. A trial whose channel raises SingularChannelError is rejected
+    like one that fails the Armijo test, and the step shrinks; any other
+    error propagates. Each accepted step passes the Armijo test, so the
+    recorded trace, J at the ascent's axes, is non-decreasing; the trace also
+    counts evaluations, gradients and singular trials. Stops when one full
+    outer sweep improves the objective by less than the relative convergence
+    tolerance. The starting layout's channel must be regular: a singular one
+    raises SingularChannelError. A block that took a step has its final axes
+    stored as canonical angles (unit_to_angles, once); a block that took none
+    keeps its input angles bit for bit. The returned beamforming solution is
+    the full zero-forcing + water-filling solve of the returned layout, so its
+    metrics report any residual leakage; its total SINR matches the trace's
+    last value up to that leakage and the rounding of the stored angles.
 
     Each moving block takes up to _INNER_STEPS (3) steps per sweep. A search's
     first trial moves the block's axes by a tangent step whose norm over the
@@ -479,55 +543,35 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
         if block not in BLOCK_ORDER:
             raise ConfigurationError(f"unknown block {block!r}")
     moving = [block for block in BLOCK_ORDER if block in blocks]
-    layout = initial_layout.copy()
-    if not check_feasible(layout.tx_positions, constraints):
+    if not check_feasible(initial_layout.tx_positions, constraints):
         raise InfeasibleLayoutError("initial transmit positions violate the constraints")
 
     rx_positions = np.array([u.position for u in users])
     start_time = time.perf_counter()
-    geometry = link_geometry(layout.tx_positions, rx_positions, medium)
-    point = _evaluate(layout, geometry, medium, total_power)
-    trace = ConvergenceTrace(total_sinr=[point.value], evaluations=1)
-
-    for _ in range(config.max_outer_iterations):
-        sweep_start = point.value
-        for block in moving:
-            for _ in range(_INNER_STEPS):
-                grad = _gradient(point, block, medium)
-                trace.gradients += 1
-                grad_sq = float(np.add.reduce(grad * grad, axis=None))
-                if not math.isfinite(grad_sq) or grad_sq == 0.0:
-                    break
-                base = (point.terms.tx if block == BLOCK_TX_ANGLES else point.terms.rx).axes
-                step = _INITIAL_STEP_ANGLE / math.sqrt(grad_sq)
-                accepted = False
-                while _ARMIJO_C * step * grad_sq > _ARMIJO_FLOOR * abs(point.value):
-                    angles = unit_to_angles(base + step * grad)
-                    trial = LayoutVariables(
-                        tx_angles=angles if block == BLOCK_TX_ANGLES else point.layout.tx_angles,
-                        tx_positions=point.layout.tx_positions,
-                        rx_angles=angles if block == BLOCK_RX_ANGLES else point.layout.rx_angles)
-                    trace.evaluations += 1
-                    try:
-                        trial_point = _evaluate(trial, geometry, medium, total_power,
-                                                point, block)
-                        accepted = (trial_point.value
-                                    >= point.value + _ARMIJO_C * step * grad_sq)
-                    except SingularChannelError:  # rejected like a failed Armijo test
-                        trace.singular_trials += 1
-                    if accepted:
-                        point = trial_point
+    geometry = link_geometry(initial_layout.tx_positions, rx_positions, medium)
+    with np.errstate(over="ignore"):   # an overflowing budget raises in _evaluate
+        start = point = _layout_point(initial_layout, geometry, medium, total_power)
+        trace = ConvergenceTrace(total_sinr=[point.value], evaluations=1)
+        for _ in range(config.max_outer_iterations):
+            sweep_start = point.value
+            for block in moving:
+                for _ in range(_INNER_STEPS):
+                    stepped = _ascent_step(point, block, geometry, medium, total_power, trace)
+                    if stepped is None:
                         break
-                    step *= _SHRINK_FACTOR
-                if not accepted:
-                    break
-        trace.total_sinr.append(point.value)
-        if point.value - sweep_start <= config.convergence_tol * max(abs(sweep_start), 1e-300):
-            break
+                    point = stepped
+            trace.total_sinr.append(point.value)
+            if point.value - sweep_start <= config.convergence_tol * max(abs(sweep_start), 1e-300):
+                break
 
     trace.wall_time = time.perf_counter() - start_time
-    return OptimizeResult(layout=point.layout,
-                          beamforming=_solve(point.layout, rx_positions, medium, total_power),
+    tx, rx = point.terms.tx, point.terms.rx
+    layout = LayoutVariables(
+        tx_angles=initial_layout.tx_angles if tx is start.terms.tx else unit_to_angles(tx.axes),
+        tx_positions=initial_layout.tx_positions,
+        rx_angles=initial_layout.rx_angles if rx is start.terms.rx else unit_to_angles(rx.axes))
+    return OptimizeResult(layout=layout,
+                          beamforming=_solve(layout, rx_positions, medium, total_power),
                           trace=trace)
 
 

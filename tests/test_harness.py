@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -53,6 +54,20 @@ def test_scenario_fingerprint_stability():
     assert a.fingerprint() == b.fingerprint()
     assert a.fingerprint() != c.fingerprint()
     assert len(a.fingerprint()) == 16
+
+
+def test_scenario_fingerprint_is_hashed_once_and_travels_with_a_pickle():
+    # The hash is cached on the frozen instance: it equals a fresh
+    # computation and its value at earlier releases, and a pickled scenario,
+    # as a sweep hands its cells to worker processes, carries it along.
+    sc = make_scenario(2, 1)
+    first = sc.fingerprint()
+    assert first == type(sc)._fingerprint.func(sc) == "225ad4f66c76d57c"
+    assert sc.fingerprint() is first
+    restored = pickle.loads(pickle.dumps(sc))
+    assert restored.__dict__["_fingerprint"] == first
+    assert restored.fingerprint() == first
+    assert dataclasses.replace(sc, seed=2).fingerprint() != first
 
 
 def test_generate_users_minimum_distance_and_determinism():

@@ -18,9 +18,9 @@ from polarlink.errors import (ConfigurationError, InfeasibleLayoutError,
 from polarlink.geometry import angles_to_unit, unit_to_angles
 from polarlink.medium import ANTENNA_FACTOR, SPEED_OF_LIGHT, VACUUM_PERMEABILITY
 from polarlink.mimo import solve_beamforming
-from polarlink.optimizer import (BLOCK_ORDER, BLOCK_RX_ANGLES, BLOCK_TX_ANGLES, _evaluate,
-                                 _gradient, check_feasible, finite_difference_gradient,
-                                 separation_projection)
+from polarlink.optimizer import (BLOCK_ORDER, BLOCK_RX_ANGLES, BLOCK_TX_ANGLES, _gradient,
+                                 _layout_point, _trial, check_feasible,
+                                 finite_difference_gradient, separation_projection)
 
 MEDIUM = MediumParams()
 USER_A = AntennaPose(position=[75.0, -40.0, 50.0], orientation=[0.0, 0.0, 1.0])
@@ -128,10 +128,13 @@ def _rx_positions(users):
     return np.array([u.position for u in users])
 
 
+def _geometry(layout, users):
+    return link_geometry(layout.tx_positions, _rx_positions(users), MEDIUM)
+
+
 def _point(layout, users, total_power=0.5):
     """_evaluate at layout, both blocks' sides built from its angles."""
-    geometry = link_geometry(layout.tx_positions, _rx_positions(users), MEDIUM)
-    return _evaluate(layout, geometry, MEDIUM, total_power)
+    return _layout_point(layout, _geometry(layout, users), MEDIUM, total_power)
 
 
 def _reference_gradient(layout, block, users, total_power=0.5, step=1e-4):
@@ -344,6 +347,46 @@ def test_optimize_layer_call_counts(monkeypatch):
     assert "finite_difference_gradient" not in counts
 
 
+def _singular_after_start(monkeypatch):
+    """Make every SVD after the first (the start's) raise SingularChannelError;
+    returns the list of channels passed to it."""
+    real_svd, calls = optimizer_module._zf_svd, []
+
+    def singular_after_start(gains):
+        calls.append(gains)
+        if len(calls) > 1:
+            raise SingularChannelError("forced")
+        return real_svd(gains)
+    monkeypatch.setattr(optimizer_module, "_zf_svd", singular_after_start)
+    return calls
+
+
+@pytest.mark.parametrize("blocks, singular", [((), False), ((BLOCK_TX_ANGLES,), False),
+                                              ((BLOCK_RX_ANGLES,), False), (BLOCK_ORDER, False),
+                                              (BLOCK_ORDER, True)])
+def test_angles_are_converted_at_the_ends_of_the_ascent_only(monkeypatch, blocks, singular):
+    # The ascent runs on unit axes: the start's angles become axes once per
+    # block (_axes), and only a block that took a step has its final axes
+    # turned back into angles (unit_to_angles), once; no trial converts
+    # anything. With every trial singular no block steps.
+    counts = {}
+    _count_calls(monkeypatch, optimizer_module, ("_axes", "unit_to_angles", "_evaluate"),
+                 counts)
+    if singular:
+        _singular_after_start(monkeypatch)
+    scenario, layout = _campaign_layout()
+    result = optimize(layout, scenario.user_poses, scenario.medium, scenario.total_power,
+                      scenario.constraints, OptimizerConfig(), blocks)
+    assert counts["_evaluate"] == result.trace.evaluations
+    assert result.trace.evaluations > 1 or not blocks
+    assert counts["_axes"] == 2
+    stepped = [] if singular else list(blocks)
+    assert counts.get("unit_to_angles", 0) == len(stepped)
+    for name in BLOCK_ORDER:
+        assert np.array_equal(getattr(result.layout, name), getattr(layout, name)) \
+            == (name not in stepped)
+
+
 def _array_leaves(terms, prefix=""):
     """(dotted name, array) for every array in a nested tuple of terms."""
     for name, value in zip(terms._fields, terms):
@@ -356,10 +399,10 @@ def _array_leaves(terms, prefix=""):
 @pytest.mark.parametrize("edge", ["transmit axis along the path", "receive axis at a pole"])
 @pytest.mark.parametrize("block", BLOCK_ORDER)
 def test_a_trial_reusing_the_unmoved_side_is_a_fresh_build(block, edge):
-    # A trial builds the moved block's side and takes the other from the
-    # point it steps from; its terms must equal a full link_terms build on
-    # the trial's axes, array for array and bit for bit. Both the start and
-    # the moved angles hold the edge, so it is both rebuilt and reused.
+    # A trial builds the moved block's side from its axes and takes the other
+    # from the point it steps from; its terms must equal a full link_terms
+    # build on the trial's axes, array for array and bit for bit. Both the
+    # start and the moved axes hold the edge, so it is both rebuilt and reused.
     users = [USER_A, USER_B]
     start, moved = _layout(antennas=4, users=2, seed=1), _layout(antennas=4, users=2, seed=2)
     for layout in (start, moved):
@@ -368,23 +411,31 @@ def test_a_trial_reusing_the_unmoved_side_is_a_fresh_build(block, edge):
         else:
             layout.rx_angles[0] = [0.0, 0.0]
     trial = dataclasses.replace(start, **{block: getattr(moved, block)})
-    geometry = link_geometry(trial.tx_positions, _rx_positions(users), MEDIUM)
-    point = _evaluate(trial, geometry, MEDIUM, 0.5, _point(start, users), block)
+    axes = angles_to_unit(getattr(moved, block)[:, 0], getattr(moved, block)[:, 1])
+    point = _trial(_point(start, users), block, axes, _geometry(trial, users), MEDIUM, 0.5)
     fresh = link_terms(trial.tx_positions, trial.tx_orientations(), _rx_positions(users),
                        trial.rx_orientations(), MEDIUM)
     assert fresh.tx.degenerate[0, 0] == (edge == "transmit axis along the path")
     got, want = list(_array_leaves(point.terms)), list(_array_leaves(fresh))
-    assert [name for name, _ in got] == [name for name, _ in want] and len(want) == 17
+    assert [name for name, _ in got] == [name for name, _ in want] and len(want) == 19
     for (name, got_leaf), (_, want_leaf) in zip(got, want):
         assert np.array_equal(got_leaf, want_leaf), name
     assert point.value == _point(trial, users).value
 
 
-def _tan_of_rotation(start, moved):
-    """Per row, tan of the angle between the axes of two (n, 2) angle arrays."""
-    a = angles_to_unit(start[:, 0], start[:, 1])
-    b = angles_to_unit(moved[:, 0], moved[:, 1])
+def _tan_of_rotation(a, b):
+    """Per row, tan of the angle between two (n, 3) arrays of axes."""
     return np.linalg.norm(np.cross(a, b), axis=-1) / np.sum(a * b, axis=-1)
+
+
+def _record_trial_axes(monkeypatch, trials):
+    """Append a copy of every line-search trial's axes to trials."""
+    real_trial = optimizer_module._trial
+
+    def recording_trial(point, block, axes, *args):
+        trials.append(axes.copy())
+        return real_trial(point, block, axes, *args)
+    monkeypatch.setattr(optimizer_module, "_trial", recording_trial)
 
 
 def test_optimize_rejects_a_singular_trial(monkeypatch):
@@ -396,24 +447,20 @@ def test_optimize_rejects_a_singular_trial(monkeypatch):
     # and halves with the step.
     counts, trials = {}, []
     _count_evaluation_layers(monkeypatch, counts, fail_on_call=2)
-    real_evaluate = optimizer_module._evaluate
-
-    def recording_evaluate(layout, *args):
-        trials.append(layout.rx_angles.copy())
-        return real_evaluate(layout, *args)
-    monkeypatch.setattr(optimizer_module, "_evaluate", recording_evaluate)
+    _record_trial_axes(monkeypatch, trials)
     scenario, layout = _campaign_layout()
     result = optimize(layout, scenario.user_poses, scenario.medium, scenario.total_power,
                       scenario.constraints, OptimizerConfig())
-    first_step = _tan_of_rotation(trials[0], trials[1])
-    second_step = _tan_of_rotation(trials[0], trials[2])
+    start = angles_to_unit(layout.rx_angles[:, 0], layout.rx_angles[:, 1])
+    first_step = _tan_of_rotation(start, trials[0])
+    second_step = _tan_of_rotation(start, trials[1])
     assert np.all(first_step > 0.0)
     assert np.allclose(second_step, 0.5 * first_step, rtol=1e-9, atol=0.0)
     trace = result.trace
     assert all(b >= a for a, b in zip(trace.total_sinr, trace.total_sinr[1:]))
     assert trace.total_sinr[-1] > trace.total_sinr[0]
     assert trace.singular_trials == 1
-    assert trace.evaluations == len(trials)
+    assert trace.evaluations == 1 + len(trials)
     assert counts["combine_terms"] == counts["_zf_svd"] == trace.evaluations + 1
     assert counts["link_geometry"] == 1 + 1
     assert counts["gain_matrix"] == counts["solve_beamforming"] == 1
@@ -432,31 +479,18 @@ def test_an_axis_at_a_pole_steps_along_its_full_tangent_gradient(monkeypatch):
     grad = _gradient(point, "rx_angles", MEDIUM)
     assert abs(grad[0, 1]) > 0.1 * np.linalg.norm(grad[0])
     trials = []
-    real_evaluate = optimizer_module._evaluate
-
-    def recording_evaluate(trial, *args):
-        trials.append(trial.rx_angles.copy())
-        return real_evaluate(trial, *args)
-    monkeypatch.setattr(optimizer_module, "_evaluate", recording_evaluate)
+    _record_trial_axes(monkeypatch, trials)
     optimize(layout, users, MEDIUM, 0.5, _constraints(), OptimizerConfig(max_outer_iterations=1))
-    moved = angles_to_unit(trials[1][:, 0], trials[1][:, 1])
     expected = point.terms.rx.axes + 0.1 / np.linalg.norm(grad) * grad
     expected /= np.linalg.norm(expected, axis=-1, keepdims=True)
-    assert np.allclose(moved, expected, rtol=0.0, atol=1e-12)
-    assert abs(moved[0, 1]) > 1e-3
+    assert np.allclose(trials[0], expected, rtol=0.0, atol=1e-12)
+    assert abs(trials[0][0, 1]) > 1e-3
 
 
 def test_line_search_ends_at_its_floor_when_every_trial_is_singular(monkeypatch):
     # No trial count caps the line search; each trial halves the step, so the
     # search still ends, at the rounding floor, when every trial is singular.
-    real_svd, calls = optimizer_module._zf_svd, []
-
-    def singular_after_start(gains):
-        calls.append(gains)
-        if len(calls) > 1:
-            raise SingularChannelError("forced")
-        return real_svd(gains)
-    monkeypatch.setattr(optimizer_module, "_zf_svd", singular_after_start)
+    calls = _singular_after_start(monkeypatch)
     scenario, layout = _campaign_layout()
     trace = optimize(layout, scenario.user_poses, scenario.medium, scenario.total_power,
                      scenario.constraints, OptimizerConfig()).trace
@@ -501,15 +535,18 @@ def test_records_do_not_depend_on_the_objective_rounding(monkeypatch, users, see
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_trace_reads_the_objective(seed):
-    # The trace records the values objective returns, at canonical angles; the
-    # final record's general-interference total SINR differs by leakage only.
+    # The trace records the values objective returns, at canonical angles, to
+    # rounding; the final record's general-interference total SINR differs by
+    # leakage only.
     scenario = harness.make_scenario(8, seed)
     layout = harness.random_initial_layout(scenario, np.random.default_rng([seed, 2]))
     result = optimize(layout, scenario.user_poses, scenario.medium, scenario.total_power,
                       scenario.constraints, OptimizerConfig())
     final = objective(result.layout, scenario.user_poses, scenario.medium,
                       scenario.total_power)
-    assert result.trace.total_sinr[-1] == final
+    # The trace holds J at the ascent's axes and objective J at the stored
+    # angles of those axes, which round the axes by a few ulps.
+    assert result.trace.total_sinr[-1] == pytest.approx(final, rel=1e-11, abs=0.0)
     assert final == pytest.approx(result.beamforming.metrics.total_sinr, rel=1e-9)
     for angles in (result.layout.tx_angles, result.layout.rx_angles):
         assert np.all((angles[:, 0] >= 0.0) & (angles[:, 0] <= math.pi))
@@ -556,6 +593,41 @@ def test_check_feasible():
     assert check_feasible(good, cons)
     assert not check_feasible(close, cons)
     assert not check_feasible(outside, cons)
+
+
+def _loop_feasible(positions, constraints):
+    """check_feasible's verdict pair by pair, one np.linalg.norm per pair."""
+    pos = np.asarray(positions, dtype=float)
+    if np.any(pos < constraints.box_min - 1e-9) or np.any(pos > constraints.box_max + 1e-9):
+        return False
+    for ell in range(len(pos)):
+        for i in range(ell + 1, len(pos)):
+            if np.linalg.norm(pos[ell] - pos[i]) < constraints.min_separation - 1e-9:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("offset", [-1e-12, 1e-12])
+@pytest.mark.parametrize("antennas", [2, 3, 8])
+def test_check_feasible_matches_the_pairwise_loop(offset, antennas):
+    # One broadcast over the pairwise differences gives the loop's verdicts,
+    # also for a pair 1e-12 m either side of the tolerance edge.
+    cons = _constraints()
+    edge = cons.min_separation - 1e-9 + offset
+    rng = np.random.default_rng(antennas)
+    for trial in range(50):
+        positions = np.zeros((antennas, 3))
+        positions[:, 0] = np.arange(antennas) * 0.1 - 0.4
+        positions += rng.uniform(-0.01, 0.01, positions.shape)
+        i, j = rng.choice(antennas, 2, replace=False)
+        direction = rng.standard_normal(3)
+        positions[j] = positions[i] + edge * direction / np.linalg.norm(direction)
+        expected = _loop_feasible(positions, cons)
+        assert check_feasible(positions, cons) == expected
+        if antennas == 2:       # the one pair is the edge pair
+            assert expected == (offset > 0)
+    positions = rng.uniform(-0.2, 0.2, (antennas, 3))
+    assert check_feasible(positions, cons) == _loop_feasible(positions, cons)
 
 
 def test_optimize_all_blocks_disabled_returns_initial():
