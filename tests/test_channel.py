@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from polarlink import (AntennaPose, ChannelMatrix, channel_matrix, element_gain,
                        link_terms, radiation_factor, reflection_coefficients)
-from polarlink.channel import gain_matrix, link_geometry, transmit_terms
+from polarlink.channel import _dipole_pattern, gain_matrix, link_geometry, transmit_terms
 from polarlink.errors import UnsupportedConfigurationError
 from polarlink.medium import ANTENNA_FACTOR, SPEED_OF_LIGHT, VACUUM_PERMEABILITY, MediumParams
 
@@ -71,6 +71,30 @@ def test_radiation_factor_monotone_up_to_broadside():
     theta = np.linspace(0.0, math.pi / 2, 10_000)
     vals = radiation_factor(theta)
     assert np.all(np.diff(vals) >= -1e-15)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="np.longdouble is plain double here")
+def test_pattern_is_exact_near_the_axis():
+    # Long-double references that cancel nowhere: from sin t and 1 + |cos t|,
+    # and for radiation_factor from the half angle, 1 - |cos t| = 2 sin^2(t/2)
+    # or 2 cos^2(t/2). cos((pi/2) cos t) in double keeps no digit at 1e-8.
+    ld = np.longdouble
+    pi = 4 * np.arctan(ld(1))
+    sin_e = np.logspace(-8.0, 0.0, 801)
+    s = sin_e.astype(ld)
+    cos_l = np.sqrt(1 - s * s)
+    expected = np.sin(pi / 2 * s * s / (1 + cos_l)) / s
+    for sign in (1.0, -1.0):
+        got = _dipole_pattern(sign * cos_l.astype(float), sin_e)
+        assert np.allclose(got.astype(ld), expected, rtol=1e-14, atol=0.0)
+
+    near = np.arcsin(sin_e)
+    for theta in (near, np.pi - near):
+        t = theta.astype(ld)
+        half = np.where(t <= pi / 2, np.sin(t / 2), np.cos(t / 2))
+        expected = np.sin(pi * half * half) / np.sin(t)
+        assert np.allclose(radiation_factor(theta).astype(ld), expected, rtol=1e-14, atol=0.0)
 
 
 def test_reflection_at_normal_incidence(medium):
@@ -318,7 +342,7 @@ def test_link_terms_recompose_gain(seed, force_degenerate):
         assert terms.tx.degenerate[2, 1]
     const = 2.0 * SPEED_OF_LIGHT * VACUUM_PERMEABILITY \
         / (ANTENNA_FACTOR * 4.0 * np.pi * np.linalg.norm(rx_p, axis=1))
-    rad = radiation_factor(np.arccos(np.clip(terms.tx.cos_emission, -1.0, 1.0)))
+    rad = radiation_factor(np.arctan2(terms.tx.sin_emission, terms.tx.cos_emission))
     expected = np.where(terms.tx.degenerate, 0.0,
                         const[:, None] * np.abs(rad) * terms.matching)
     assert np.allclose(np.abs(terms.gains), expected, rtol=1e-12, atol=0.0)

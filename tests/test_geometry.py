@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,10 +61,21 @@ def test_angles_to_unit_broadcasts():
     assert np.allclose(out[1], [0.0, 1.0, 0.0], atol=1e-15)
 
 
+def _half_tangent_sin_cos(x):
+    """sin x and cos x as 2t / (1 + t^2) and (1 - t^2) / (1 + t^2), t = tan(x/2)."""
+    t = np.tan(np.asarray(x, dtype=float) / 2.0)
+    return 2.0 * t / (1.0 + t**2), (1.0 - t**2) / (1.0 + t**2)
+
+
 def _stacked_angles_to_unit(polar, azimuthal):
-    """The np.stack construction angles_to_unit replaced."""
-    polar = np.asarray(polar, dtype=float)
-    azimuthal = np.asarray(azimuthal, dtype=float)
+    """The half-angle tangent formula, stacked with np.stack."""
+    sin_p, cos_p = _half_tangent_sin_cos(polar)
+    sin_a, cos_a = _half_tangent_sin_cos(azimuthal)
+    return np.stack([sin_p * cos_a, sin_p * sin_a, cos_p * np.ones_like(cos_a)], axis=-1)
+
+
+def _sin_cos_angles_to_unit(polar, azimuthal):
+    """The unit axes from np.sin and np.cos."""
     st = np.sin(polar)
     return np.stack([st * np.cos(azimuthal), st * np.sin(azimuthal),
                      np.cos(polar) * np.ones_like(azimuthal)], axis=-1)
@@ -81,6 +93,33 @@ def test_angles_to_unit_matches_the_stacked_formula_bit_for_bit():
         got = angles_to_unit(*args)
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+
+
+def test_angles_to_unit_is_within_two_ulp_of_sin_and_cos():
+    rng = np.random.default_rng(4)
+    polar = rng.uniform(-1e3, 1e3, 100_000)
+    azimuthal = rng.uniform(-1e3, 1e3, 100_000)
+    got = angles_to_unit(polar, azimuthal)
+    assert np.max(np.abs(got - _sin_cos_angles_to_unit(polar, azimuthal))) <= 4.5e-16
+    assert np.max(np.abs(np.linalg.norm(got, axis=-1) - 1.0)) <= 4.5e-16
+
+
+def test_angles_to_unit_is_exact_at_the_pole():
+    azimuthal = np.array([0.0, 0.3, -2.0, math.pi, 1e3])
+    for pole in (0.0, -0.0):
+        assert np.array_equal(angles_to_unit(pole, azimuthal),
+                              np.tile([0.0, 0.0, 1.0], (azimuthal.size, 1)))
+
+
+def test_angles_to_unit_raises_no_warning_at_huge_and_special_angles():
+    angles = np.array([1e300, -1e300, math.pi, -math.pi, 2.0 * math.pi, -0.0,
+                       np.nextafter(math.pi, 0.0), np.nextafter(math.pi, 4.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v = angles_to_unit(angles[:, None], angles[None, :])
+    assert np.all(np.abs(np.linalg.norm(v, axis=-1) - 1.0) <= 4.5e-16)
+    # A signed zero comes out as np.sin and np.cos give it.
+    assert np.array_equal(np.signbit(v[5]), np.signbit(_sin_cos_angles_to_unit(-0.0, angles)))
 
 
 def _assert_canonical(angles):
