@@ -32,6 +32,12 @@ def dbm_to_watts(dbm: float) -> float:
         raise ConfigurationError(f"{dbm} dBm overflows a power in watts") from None
 
 
+def _non_standard_constant(token: str):
+    """Refuse the NaN, Infinity and -Infinity tokens that Python's json reads
+    but JSON does not define: a configuration value is a finite number."""
+    raise ConfigurationError(f"{token} is not a JSON number; values must be finite")
+
+
 def _has_type(value, hint) -> bool:
     """Whether a JSON value fits a RunConfig field's type hint: an int takes no float
     or bool, a float any number, a list checks each element, Optional takes null."""
@@ -83,7 +89,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_non_standard_constant)
         if not isinstance(raw, dict):
             raise ConfigurationError(
                 f"configuration must be a JSON object, got a JSON {_JSON_TYPES[type(raw)]}")

@@ -20,6 +20,8 @@ class MediumParams:
     wavelength            carrier wavelength in meters
     relative_permittivity antenna-to-air permittivity ratio, must exceed 1
     noise_power           receiver noise power in watts
+
+    Each value, and the wavenumber, must be finite.
     """
 
     wavelength: float = 0.01
@@ -27,13 +29,15 @@ class MediumParams:
     noise_power: float = 1e-5
 
     def __post_init__(self):
-        if not self.wavelength > 0:
-            raise ConfigurationError(f"wavelength must be positive, got {self.wavelength}")
-        if not self.relative_permittivity > 1:
+        if not 0 < self.wavelength < np.inf or not np.isfinite(self.wavenumber):
+            raise ConfigurationError(f"wavelength must be positive and finite, with a finite "
+                                     f"wavenumber, got {self.wavelength}")
+        if not 1 < self.relative_permittivity < np.inf:
+            raise ConfigurationError(f"relative permittivity must be finite and exceed 1, "
+                                     f"got {self.relative_permittivity}")
+        if not 0 < self.noise_power < np.inf:
             raise ConfigurationError(
-                f"relative permittivity must exceed 1, got {self.relative_permittivity}")
-        if not self.noise_power > 0:
-            raise ConfigurationError(f"noise power must be positive, got {self.noise_power}")
+                f"noise power must be positive and finite, got {self.noise_power}")
 
     @property
     def wavenumber(self) -> float:

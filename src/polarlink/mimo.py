@@ -6,7 +6,9 @@ the condition number; a channel that fails the condition check raises
 SingularChannelError. Water filling has no iteration: the water level is the
 closed form over the sorted, prefix-summed thresholds, which are shifted to
 their minimum so the powers spend the budget to rounding (within about 1e-15
-of it).
+of it). The optimizer's objective, ideal zero forcing in closed form
+(_ideal_zf), lives here too: it funds users through water_filling's
+_water_level and scores them with link_metrics' _growth.
 """
 
 from __future__ import annotations
@@ -91,12 +93,9 @@ def zf_precoder(H: ChannelMatrix) -> Precoder:
 
 
 def _water_level(inv_snr: np.ndarray, total_power: float):
-    """(excess, level, floor): the thresholds inv_snr (K,) shifted to their
-    minimum floor, and the water level above that minimum.
-
-    The funded powers are level - excess; the unshifted level is level plus
-    floor.
-    """
+    """(powers, level): the water-filling powers over the thresholds inv_snr
+    (K,), which are shifted to their minimum floor first, and the unshifted
+    water level (the shifted one plus floor)."""
     floor = np.minimum.reduce(inv_snr)
     excess = inv_snr - floor
 
@@ -106,7 +105,25 @@ def _water_level(inv_snr: np.ndarray, total_power: float):
     thresholds = excess.copy()
     thresholds.sort()
     levels = (total_power + np.add.accumulate(thresholds)) / np.arange(1, inv_snr.size + 1)
-    return excess, levels[np.count_nonzero(thresholds < levels) - 1], floor
+    level = levels[np.count_nonzero(thresholds < levels) - 1]
+    return np.maximum(level - excess, 0.0), level + floor
+
+
+def _growth(sinr: np.ndarray):
+    """1 + J, the geometric mean of 1 + sinr: exp(mean log1p(sinr)), J being
+    the equivalent total SINR."""
+    log_growth = np.log1p(sinr)
+    return np.exp(np.add.reduce(log_growth) / log_growth.size)
+
+
+def _ideal_zf(U: np.ndarray, S: np.ndarray, total_power: float, noise_power: float):
+    """(1 + J, unshifted water level, SINR (K,)) of ideal zero forcing plus
+    water filling on the channel H = U S V^H (_zf_svd): sinr_k = P_k / t_k
+    with t_k = sigma^2 [(H H^H)^-1]_kk = sigma^2 sum_j |U_kj|^2 / S_j^2."""
+    inv_snr = noise_power * np.add.reduce(np.abs(U)**2 / S**2, axis=-1)
+    powers, level = _water_level(inv_snr, total_power)
+    sinr = powers / inv_snr
+    return float(_growth(sinr)), level, sinr
 
 
 def water_filling(diag_gains, total_power: float, noise_power: float) -> PowerAllocation:
@@ -127,8 +144,7 @@ def water_filling(diag_gains, total_power: float, noise_power: float) -> PowerAl
         raise ConfigurationError("post-precoding gains must be positive")
     if not total_power > 0:
         raise ConfigurationError(f"total power must be positive, got {total_power}")
-    excess, level, _ = _water_level(noise_power / gains**2, total_power)
-    powers = np.maximum(level - excess, 0.0)
+    powers, _ = _water_level(noise_power / gains**2, total_power)
     return PowerAllocation(powers=powers, total_power=float(total_power))
 
 
@@ -146,8 +162,7 @@ def link_metrics(H: ChannelMatrix, W: Precoder, allocation: PowerAllocation,
     interference = np.add.reduce(cross, axis=1) - cross.diagonal()
     sinr = signal / (noise_power + interference)
     rates = 0.5 * np.log2(1.0 + sinr)
-    log_growth = np.log1p(sinr)
-    total_sinr = np.exp(np.add.reduce(log_growth) / log_growth.size) - 1.0
+    total_sinr = _growth(sinr) - 1.0
     return LinkMetrics(sinr=sinr, rates=rates, total_sinr=float(total_sinr),
                        average_rate=float(0.5 * np.log2(1.0 + total_sinr)))
 

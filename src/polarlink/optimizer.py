@@ -15,11 +15,11 @@ holds J at the ascent's axes; objective, at their stored angles, gives the
 same values to rounding (about 1e-13 relative).
 
 Under ideal zero forcing the objective has a closed form in the channel's
-SVD, so one point is evaluated once: _evaluate builds the channel with one
-channel.combine_terms call, takes one SVD and water-fills, and _gradient
-takes the exact derivative of that value in the axes through the same terms
-and SVD without building anything again. Each factor is built only when its
-inputs change:
+SVD, which mimo holds (mimo._ideal_zf), so one point is evaluated once:
+_evaluate builds the channel with one channel.combine_terms call, takes one
+SVD and applies that closed form, and _gradient takes the exact derivative
+of that value in the axes through the same terms and SVD without building
+anything again. Each factor is built only when its inputs change:
 - once per optimize or objective call: the power check and the
   floating-point state that lets an overflowing budget reach _evaluate's
   check;
@@ -34,8 +34,8 @@ inputs change:
 Each backtracking line-search trial is one _evaluate; the accepted trial is
 the point the next gradient starts from. A trial whose channel fails the
 condition check is a rejected step. The final record comes from the full
-beamforming solution, whose metrics keep the general interference
-expression.
+beamforming solution (solve_layout), whose metrics keep the general
+interference expression.
 
 The per-point path (_evaluate, _gradient, the trial loop and the channel and
 mimo functions they call) calls ufuncs and their methods (np.add.reduce,
@@ -75,7 +75,7 @@ from .errors import (ConfigurationError, InfeasibleLayoutError, NumericalError,
                      ProjectionError, SingularChannelError)
 from .geometry import AntennaPose, _unit_axes, angles_to_unit, unit_to_angles
 from .medium import MediumParams
-from .mimo import BeamformingSolution, _water_level, _zf_svd, solve_beamforming
+from .mimo import BeamformingSolution, _ideal_zf, _zf_svd, solve_beamforming
 
 _FEASIBILITY_TOL = 1e-9
 _PROJECTION_SWEEP_CAP = 1000
@@ -94,7 +94,10 @@ BLOCK_ORDER = (BLOCK_RX_ANGLES, BLOCK_TX_ANGLES)
 
 @dataclass(frozen=True)
 class Constraints:
-    """Axis-aligned movement box plus the minimum pairwise antenna separation."""
+    """Axis-aligned movement box plus the minimum pairwise antenna separation.
+
+    The separation and the square of the box's diagonal must be finite, so
+    every distance within the box squares to a finite float."""
 
     box_min: np.ndarray
     box_max: np.ndarray
@@ -105,10 +108,16 @@ class Constraints:
         object.__setattr__(self, "box_max", np.asarray(self.box_max, dtype=float))
         if self.box_min.shape != (3,) or self.box_max.shape != (3,):
             raise ConfigurationError("box bounds must be 3-vectors")
-        if np.any(self.box_max <= self.box_min):
+        with np.errstate(over="ignore", invalid="ignore"):   # raises below
+            extent = self.box_max - self.box_min
+            diagonal_sq = np.add.reduce(extent * extent)
+        if not np.isfinite(diagonal_sq):    # also when a bound is nan or infinite
+            raise ConfigurationError(f"movement box {self.box_min} to {self.box_max} has "
+                                     f"a diagonal too long to square as a float")
+        if np.any(extent <= 0):
             raise ConfigurationError("movement box is empty")
-        if not self.min_separation > 0:
-            raise ConfigurationError("minimum separation must be positive")
+        if not 0 < self.min_separation < np.inf:
+            raise ConfigurationError("minimum separation must be positive and finite")
 
 
 @dataclass
@@ -185,11 +194,12 @@ class OptimizeResult:
     trace: ConvergenceTrace
 
 
-def _solve(layout: LayoutVariables, rx_positions: np.ndarray, medium: MediumParams,
-           total_power: float) -> BeamformingSolution:
-    """Zero forcing + water filling on the layout's channel, built as given."""
+def solve_layout(layout: LayoutVariables, users: Sequence[AntennaPose], medium: MediumParams,
+                 total_power: float) -> BeamformingSolution:
+    """Zero forcing + water filling on the layout's channel, built as given:
+    the full solve, whose metrics keep the general interference expression."""
     gains = gain_matrix(layout.tx_positions, layout.tx_orientations(),
-                        rx_positions, layout.rx_orientations(), medium)
+                        np.array([u.position for u in users]), layout.rx_orientations(), medium)
     return solve_beamforming(ChannelMatrix(entries=gains), total_power, medium.noise_power)
 
 
@@ -197,8 +207,8 @@ def objective(layout: LayoutVariables, users: Sequence[AntennaPose],
               medium: MediumParams, total_power: float) -> float:
     """Equivalent total SINR of the layout under zero forcing + water filling.
 
-    The closed form of ideal zero forcing that optimize ascends and records
-    in its trace (see _evaluate), here at the layout's stored angles: the
+    The closed form of ideal zero forcing (mimo._ideal_zf) that optimize
+    ascends and records in its trace, here at the layout's stored angles: the
     interference is taken as exactly nulled. The channel is built from the
     layout's positions and orientations as given. Raises SingularChannelError
     when it fails the condition check.
@@ -274,28 +284,20 @@ def _evaluate(geometry: LinkGeometry, tx: TransmitTerms, rx: ReceiveTerms,
     ignores floating-point overflow (optimize and objective do both once per
     call): an overflowing budget raises here.
 
-    Under zero forcing plus water filling, 1 + sinr_k = level / t_k for a
-    funded user and 1 otherwise, with t_k = sigma^2 [(H H^H)^-1]_kk, so
-    J = exp(mean log(1 + sinr)) - 1 has a closed form in the SVD H = U S V^H:
-    t_k = sigma^2 sum_j |U_kj|^2 / S_j^2. One combine_terms call builds the
-    channel and one _zf_svd call decides its singularity: raises
-    SingularChannelError when it fails the condition check, and NumericalError
-    when J is not finite (a power budget that overflows the SINRs) or is 0
-    (users so far out that the SINRs vanish beside 1), where _gradient would
-    divide 0 by the underflowed S^3.
+    One combine_terms call builds the channel, one _zf_svd call decides its
+    singularity (raising SingularChannelError) and mimo._ideal_zf gives J in
+    closed form. Raises NumericalError when J is not finite (a power budget
+    that overflows the SINRs) or is 0 (users so far out that the SINRs
+    vanish beside 1), where _gradient would divide 0 by the underflowed S^3.
     """
     terms = combine_terms(geometry, tx, rx)
     U, S, Vh = _zf_svd(terms.gains)
-    inv_snr = medium.noise_power * np.add.reduce(np.abs(U)**2 / S**2, axis=-1)
-    excess, level, floor = _water_level(inv_snr, total_power)
-    sinr = np.maximum(level - excess, 0.0) / inv_snr
-    log_growth = np.log1p(sinr)
-    growth = float(np.exp(np.add.reduce(log_growth) / log_growth.size))
+    growth, level, sinr = _ideal_zf(U, S, total_power, medium.noise_power)
     if not math.isfinite(growth):
         raise NumericalError(f"objective is not finite: {growth - 1.0}")
     if growth == 1.0:
         raise NumericalError("objective underflows to 0")
-    return _Point(growth - 1.0, growth, terms, (U, S, Vh), level + floor, sinr)
+    return _Point(growth - 1.0, growth, terms, (U, S, Vh), level, sinr)
 
 
 def _layout_point(layout: LayoutVariables, geometry: LinkGeometry, medium: MediumParams,
@@ -541,9 +543,8 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
     if not check_feasible(initial_layout.tx_positions, constraints):
         raise InfeasibleLayoutError("initial transmit positions violate the constraints")
 
-    rx_positions = np.array([u.position for u in users])
     start_time = time.perf_counter()
-    geometry = link_geometry(initial_layout.tx_positions, rx_positions, medium)
+    geometry = link_geometry(initial_layout.tx_positions, [u.position for u in users], medium)
     with np.errstate(over="ignore"):   # an overflowing budget raises in _evaluate
         start = point = _layout_point(initial_layout, geometry, medium, total_power)
         trace = ConvergenceTrace(total_sinr=[point.value], evaluations=1)
@@ -566,7 +567,7 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
         tx_positions=initial_layout.tx_positions,
         rx_angles=initial_layout.rx_angles if rx is start.terms.rx else unit_to_angles(rx.axes))
     return OptimizeResult(layout=layout,
-                          beamforming=_solve(layout, rx_positions, medium, total_power),
+                          beamforming=solve_layout(layout, users, medium, total_power),
                           trace=trace)
 
 

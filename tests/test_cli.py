@@ -420,6 +420,17 @@ def test_run_invalid_config_key_exits_2(tmp_path, capsys):
     ("optimize", {"coverage_half_side_m": 1e308}, 4),
     # Users so far out that the objective underflows to 0.
     ("optimize", {"coverage_half_side_m": 1e150}, 5),
+    # JSON's non-standard NaN and Infinity tokens (json.dumps writes them).
+    ("optimize", {"wavelength_m": math.inf}, 2),
+    ("optimize", {"region_half_side_m": math.nan}, 2),
+    ("optimize", {"region_half_side_m": math.inf}, 2),
+    ("optimize", {"relative_permittivity": math.inf}, 2),
+    # Finite values that overflow what is built from them: the default box of
+    # 100 wavelengths, a wavenumber, and squared distances in the box.
+    ("optimize", {"wavelength_m": 1e307}, 2),
+    ("optimize", {"wavelength_m": 1e-320}, 2),
+    ("optimize", {"region_half_side_m": 1e308}, 2),
+    ("optimize", {"region_half_side_m": 1e300}, 2),
 ])
 def test_run_exit_codes(tmp_path, capsys, experiment, overrides, code):
     # An invalid value is a usage error (2); a valid scenario that cannot be

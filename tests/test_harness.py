@@ -337,6 +337,27 @@ def test_quantized_record_zero_resolution_matches_full():
         result.beamforming.metrics.total_sinr, rel=1e-12)
 
 
+def test_quantized_record_builds_and_solves_one_channel(monkeypatch):
+    # One gain_matrix and one solve_beamforming call, whose channel build
+    # converts two orientation arrays: the counts behind the traced
+    # benchmark's identities objective + optimize + quantized_record ==
+    # gain_matrix and angles_to_unit == 2 x gain_matrix.
+    sc = make_scenario(2, seed=14)
+    result = optimize(random_initial_layout(sc, _rng(sc.seed, 2)), sc.user_poses,
+                      sc.medium, sc.total_power, sc.constraints, FAST)
+    counts = {}
+    for module, name in [(optimizer, "gain_matrix"), (optimizer, "solve_beamforming"),
+                         (optimizer, "angles_to_unit"), (harness, "gain_matrix"),
+                         (harness, "angles_to_unit"), (harness, "solve_beamforming"),
+                         (mimo, "solve_beamforming")]:
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    quantized_record(sc, result, 30.0)
+    assert counts == {"gain_matrix": 1, "solve_beamforming": 1, "angles_to_unit": 2}
+
+
 def test_mix_is_deterministic_and_spread():
     assert _mix(1, 2, 3) == _mix(1, 2, 3)
     values = {_mix(s, g, r) for s in range(3) for g in range(3) for r in range(3)}

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from polarlink import (ChannelMatrix, link_metrics, solve_beamforming,
                        water_filling, zf_precoder)
 from polarlink.errors import ConfigurationError, SingularChannelError
+from polarlink.mimo import _growth, _ideal_zf, _zf_svd
 
 
 def _random_channel(seed, users=4, antennas=6):
@@ -239,3 +240,30 @@ def test_link_metrics_detects_residual_interference():
     metrics = link_metrics(H, bad, alloc, 1e-2)
     clean = link_metrics(H, pre, water_filling(pre.diag_gains, 1.0, 1e-2), 1e-2)
     assert metrics.sinr[0] < clean.sinr[0]
+
+
+@pytest.mark.parametrize("users, antennas, weak_row, power", [
+    (4, 6, 1.0, 0.5), (5, 5, 1.0, 0.5),
+    # One row 100x weaker and a 1 mW budget: that user stays unfunded.
+    (4, 6, 1e-2, 1e-3)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ideal_zero_forcing_closed_form_matches_the_full_solve(seed, users, antennas,
+                                                                weak_row, power):
+    # The optimizer's closed form from the SVD factors against zero forcing,
+    # water filling and the general-interference metrics.
+    noise = 1e-5
+    H = _random_channel(seed, users, antennas)
+    H.entries[0] *= weak_row
+    solution = solve_beamforming(H, power, noise)
+    U, S, _ = _zf_svd(H.entries)
+    growth, level, sinr = _ideal_zf(U, S, power, noise)
+    funded = solution.allocation.powers > 0
+    assert funded[0] == (weak_row == 1.0) and funded[1:].all()
+    assert np.all(sinr[~funded] == 0.0)
+    assert sinr[funded] == pytest.approx(solution.metrics.sinr[funded], rel=1e-9)
+    assert growth - 1.0 == pytest.approx(solution.metrics.total_sinr, rel=1e-9)
+    # A funded user's SINR is the level over its threshold, less 1.
+    thresholds = noise / solution.precoder.diag_gains**2
+    assert sinr[funded] == pytest.approx(level / thresholds[funded] - 1.0, rel=1e-9)
+    # link_metrics scores its SINRs with the same geometric-mean rule.
+    assert solution.metrics.total_sinr == float(_growth(solution.metrics.sinr) - 1.0)

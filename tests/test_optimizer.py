@@ -20,7 +20,7 @@ from polarlink.medium import ANTENNA_FACTOR, SPEED_OF_LIGHT, VACUUM_PERMEABILITY
 from polarlink.mimo import solve_beamforming
 from polarlink.optimizer import (BLOCK_ORDER, BLOCK_RX_ANGLES, BLOCK_TX_ANGLES, _gradient,
                                  _layout_point, _trial, check_feasible,
-                                 finite_difference_gradient, separation_projection)
+                                 finite_difference_gradient, separation_projection, solve_layout)
 
 MEDIUM = MediumParams()
 USER_A = AntennaPose(position=[75.0, -40.0, 50.0], orientation=[0.0, 0.0, 1.0])
@@ -267,7 +267,7 @@ def test_exact_gradient_across_a_funded_set_change():
     scenario = harness.make_scenario(4, 2, antenna_count=4, total_power=power)
     layout = harness.random_initial_layout(scenario, np.random.default_rng([2, 2]))
     users = scenario.user_poses
-    start = harness.evaluate_layout(layout, scenario).allocation.powers > 0
+    start = solve_layout(layout, users, scenario.medium, power).allocation.powers > 0
     for block in BLOCK_ORDER:
         _assert_close_to_reference(layout, block, users, power)
     result = _assert_finite_gradient_and_ascent(layout, users, power)
@@ -850,6 +850,28 @@ def test_quantize_angles_rejects_bad_resolution():
         quantize_angles(_layout(), 200.0)
     with pytest.raises(ConfigurationError):
         quantize_angles(_layout(), -5.0)
+
+
+@pytest.mark.parametrize("half_side", [math.nan, math.inf, 1e308, 4e153])
+def test_constraints_reject_a_box_whose_diagonal_does_not_square(half_side):
+    with pytest.raises(ConfigurationError, match="too long to square"):
+        _constraints(half_side)
+
+
+def test_constraints_take_the_largest_box_that_squares():
+    # 3 (2 * 3.8e153)^2 is finite: the feasibility check runs without overflow.
+    constraints = _constraints(3.8e153)
+    corners = np.array([constraints.box_min, constraints.box_max])
+    assert check_feasible(corners, constraints)
+
+
+@pytest.mark.parametrize("field, value", [("wavelength", math.inf), ("wavelength", math.nan),
+                                          ("wavelength", 1e-320),
+                                          ("relative_permittivity", math.inf),
+                                          ("noise_power", math.inf)])
+def test_medium_takes_finite_values_only(field, value):
+    with pytest.raises(ConfigurationError, match="finite"):
+        MediumParams(**{field: value})
 
 
 def test_optimizer_config_validation():
