@@ -183,8 +183,10 @@ class LinkTerms(NamedTuple):
 def link_geometry(tx_positions, rx_positions, medium: MediumParams) -> LinkGeometry:
     """The factors fixed by the positions, tx_positions (L, 3) and rx_positions
     (K, 3): far-field, the directions and distances use the receiver position
-    alone, and the transmit position enters only the phase. Positions too far
-    out for a finite distance, spreading constant or phase raise GeometryError."""
+    alone, and the transmit position enters only the phase: paths and distances
+    are taken from the origin, which assumes (unchecked) transmit offsets small
+    beside them. Positions too far out for a finite distance, spreading
+    constant or phase raise GeometryError."""
     tx_p = np.atleast_2d(np.asarray(tx_positions, dtype=float))
     rx_p = np.atleast_2d(np.asarray(rx_positions, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow raises below

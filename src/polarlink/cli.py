@@ -26,7 +26,7 @@ from .errors import (ConfigurationError, GeometryError, InfeasibleLayoutError,
                      NumericalError, PolarlinkError, SingularChannelError,
                      UnsupportedConfigurationError)
 from .geometry import AntennaPose
-from .harness import (RunRecord, make_scenario, monte_carlo_half_energy,
+from .harness import (make_scenario, monte_carlo_half_energy,
                       reference_link_map, reference_link_peak, run_configuration, sweep,
                       _usable_cpu_count)
 
@@ -98,8 +98,7 @@ def write_sidecar(out_path, config: RunConfig, subcommand: str, reps: int,
             "usable_cpu_count": _usable_cpu_count(),   # the block threads and sweep processes
         },
     }
-    if extra:
-        meta.update(extra)
+    meta.update(extra or {})
     with open(f"{out_path}.meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
 
@@ -141,6 +140,10 @@ def cmd_channel_eval(args) -> int:
                      orientation=_parse_triple(args.rx_dir, "--rx-dir"))
     terms = link_terms(tx.position[None, :], tx.orientation[None, :],
                        rx.position[None, :], rx.orientation[None, :], medium)
+    tx_dist, rx_dist = math.hypot(*tx.position), math.hypot(*rx.position)
+    if not tx_dist < rx_dist:   # the far-field model measures each path from the origin
+        raise GeometryError(f"transmitter {tx_dist:g} m from the origin, not closer than the "
+                            f"receiver ({rx_dist:g} m): outside the far-field model")
     gain = complex(terms.gains[0, 0])
     tx_t, rx_t = terms.tx, terms.rx
     if tx_t.degenerate[0, 0]:
@@ -175,11 +178,6 @@ SWEEP_COLUMNS = {
 }
 
 
-def _record_rows(records: Sequence[RunRecord]):
-    return list(SWEEP_COLUMNS), [[getattr(rec, name) for name in SWEEP_COLUMNS.values()]
-                                 for rec in records]
-
-
 def cmd_run(args) -> int:
     config = _load_config(args.config)
     overrides = {"seed": args.seed, "repetitions": args.reps}
@@ -188,39 +186,32 @@ def cmd_run(args) -> int:
 
     medium = config.medium()
     optimizer_config = config.optimizer()
+    scenario = dict(medium=medium, antenna_count=config.antenna_count,  # for make_scenario
+                    total_power=config.total_power_w, cube_half_side=config.coverage_half_side_m,
+                    region_half_side=config.region_half_side_m)
     sub = args.experiment
+    reps, extra = 1, None
     if sub in ("scenario1", "scenario2"):
         kind = "tx_random" if sub == "scenario1" else "rx_random"
         polar, azimuthal, mags = reference_link_map(kind, medium)
+        header = ["polar_deg", "azimuthal_deg", "gain_magnitude", "gain_power"]
         rows = [[np.rad2deg(p), np.rad2deg(a), m, m * m]
                 for p, row in zip(polar, mags) for a, m in zip(azimuthal, row)]
-        write_csv(args.out, ["polar_deg", "azimuthal_deg", "gain_magnitude",
-                             "gain_power"], rows)
-        write_sidecar(args.out, config, sub, 1,
-                      {"peak_gain": reference_link_peak(kind, medium)})
+        extra = {"peak_gain": reference_link_peak(kind, medium)}
     elif sub == "montecarlo":
-        rows = []
-        for kind in ("tx_random", "rx_random"):
-            frac = monte_carlo_half_energy(kind, config.monte_carlo_samples,
-                                           config.seed, medium)
-            rows.append([kind, config.monte_carlo_samples, frac])
-        write_csv(args.out, ["scenario_kind", "samples", "half_energy_fraction"], rows)
-        write_sidecar(args.out, config, sub, 1)
+        header = ["scenario_kind", "samples", "half_energy_fraction"]
+        rows = [[kind, config.monte_carlo_samples,
+                 monte_carlo_half_energy(kind, config.monte_carlo_samples, config.seed, medium)]
+                for kind in ("tx_random", "rx_random")]
     elif sub == "optimize":
-        scenario = make_scenario(config.user_count, seed=config.seed, medium=medium,
-                                 antenna_count=config.antenna_count,
-                                 total_power=config.total_power_w,
-                                 cube_half_side=config.coverage_half_side_m,
-                                 region_half_side=config.region_half_side_m)
-        record = run_configuration(scenario, 5, optimizer_config)
+        record = run_configuration(make_scenario(config.user_count, config.seed, **scenario),
+                                   5, optimizer_config)
         if record.failure:
             print(f"error: optimization failed: {record.failure}", file=sys.stderr)
             return EXIT_NUMERICAL
+        header = ["iteration", "gamma_total_db"]
         rows = [[i, db] for i, db in enumerate(record.trace_db)]
-        write_csv(args.out, ["iteration", "gamma_total_db"], rows)
-        write_sidecar(args.out, config, sub, 1,
-                      {"scenario_hash": record.scenario_hash,
-                       "gamma_total_db": record.gamma_total_db})
+        extra = {"scenario_hash": record.scenario_hash, "gamma_total_db": record.gamma_total_db}
     else:
         kind, grid, configurations = {
             "sweep-users": ("users", config.users_grid, config.configurations),
@@ -228,16 +219,14 @@ def cmd_run(args) -> int:
             "sweep-granularity": ("granularity", config.granularity_grid_deg, None),
             "convergence": ("users", [config.user_count], (1, 5)),
         }[sub]
-        records = sweep(kind, grid, config.repetitions, config.seed, medium,
-                        optimizer_config, antenna_count=config.antenna_count,
-                        total_power=config.total_power_w, user_count=config.user_count,
-                        configurations=configurations,
-                        workers=_usable_cpu_count(),
-                        cube_half_side=config.coverage_half_side_m,
-                        region_half_side=config.region_half_side_m)
-        header, rows = _record_rows(records)
-        write_csv(args.out, header, rows)
-        write_sidecar(args.out, config, sub, config.repetitions)
+        records = sweep(kind, grid, config.repetitions, config.seed,
+                        optimizer_config=optimizer_config, user_count=config.user_count,
+                        configurations=configurations, workers=_usable_cpu_count(), **scenario)
+        header = list(SWEEP_COLUMNS)
+        rows = [[getattr(rec, name) for name in SWEEP_COLUMNS.values()] for rec in records]
+        reps = config.repetitions
+    write_csv(args.out, header, rows)
+    write_sidecar(args.out, config, sub, reps, extra)
     return EXIT_OK
 
 

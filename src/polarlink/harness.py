@@ -374,19 +374,26 @@ def run_configuration(scenario: Scenario, config_id: int,
     optimizer_config = optimizer_config or OptimizerConfig()
     layout = initial_layout if initial_layout is not None \
         else random_initial_layout(scenario, _rng(scenario.seed, 2))
-
-    try:
-        result = optimize(layout, scenario.user_poses, scenario.medium,
-                          scenario.total_power, scenario.constraints, optimizer_config,
-                          CONFIGURATION_BLOCKS[config_id])
-    except PolarlinkError as exc:  # anything else is a bug: raise
-        return _record(scenario, config_id, failure=f"{type(exc).__name__}: {exc}")
+    result, failure = _attempt(scenario, layout, optimizer_config, CONFIGURATION_BLOCKS[config_id])
+    if failure:
+        return _record(scenario, config_id, failure=failure)
     return record_from_result(scenario, config_id, result)
+
+
+def _attempt(scenario: Scenario, layout: LayoutVariables, optimizer_config: OptimizerConfig,
+             blocks: Sequence[str]):
+    """(optimize's result, None) moving blocks of scenario from layout, or (None, the
+    error's type and message) if a package error ends it: every record's failure rule."""
+    try:
+        return optimize(layout, scenario.user_poses, scenario.medium, scenario.total_power,
+                        scenario.constraints, optimizer_config, blocks), None
+    except PolarlinkError as exc:  # anything else is a bug: raise
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def _record(scenario: Scenario, config_id: int, **fields) -> RunRecord:
     """The record of a run of configuration config_id on scenario: the
-    scenario's fields, then `fields` (a failure row gives only `failure`)."""
+    scenario's fields, then `fields` (a failure row: `failure`, any grid_value)."""
     return RunRecord(scenario_hash=scenario.fingerprint(), configuration=config_id,
                      user_count=scenario.user_count, antenna_count=scenario.antenna_count,
                      total_power=scenario.total_power, seed=scenario.seed, **fields)
@@ -418,21 +425,18 @@ def _sweep_cell(scenario: Scenario, grid_value: Optional[float], *, kind: str,
     """All records for one (grid point, repetition) cell, in a fixed order."""
     layout = random_initial_layout(scenario, _rng(scenario.seed, 2))
     if kind == "granularity":  # one optimization of all blocks, quantized per resolution
-        result = optimize(layout, scenario.user_poses, scenario.medium,
-                          scenario.total_power, scenario.constraints, optimizer_config)
-        return [quantized_record(scenario, result, float(resolution)) for resolution in grid]
+        result, failure = _attempt(scenario, layout, optimizer_config, BLOCK_ORDER)
+        if failure:
+            return [_record(scenario, 5, grid_value=float(r), failure=failure) for r in grid]
+        return [quantized_record(scenario, result, float(r)) for r in grid]
     return [replace(run_configuration(scenario, cid, optimizer_config, layout),
                     grid_value=grid_value) for cid in config_ids]
 
 
-def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int,
-          medium: Optional[MediumParams] = None,
-          optimizer_config: Optional[OptimizerConfig] = None,
-          antenna_count: int = 8, total_power: float = 0.5,
-          user_count: int = 8,
-          configurations: Optional[Sequence[int]] = None,
-          workers: int = 1, cube_half_side: float = 100.0,
-          region_half_side: Optional[float] = None) -> List[RunRecord]:
+def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int, *,
+          optimizer_config: Optional[OptimizerConfig] = None, user_count: int = 8,
+          configurations: Optional[Sequence[int]] = None, workers: int = 1,
+          **scenario) -> List[RunRecord]:
     """Run one experiment family over a parameter grid.
 
     users:       grid = user counts; each repetition runs the requested
@@ -442,10 +446,12 @@ def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int,
                  precision optimization per repetition is quantized at each
                  resolution and re-evaluated.
 
-    Each (grid point, repetition) cell draws its scenario here from its own
-    counter-derived seed, and the cells run through _ordered_map on at most
-    `workers` processes, never more than there are cells. Records come back
-    in cell order, so the output is independent of the worker count.
+    Each (grid point, repetition) cell draws its scenario here, make_scenario
+    with its own counter-derived seed and the keyword settings in `scenario`
+    (a power grid point replaces total_power; an unknown setting raises
+    TypeError before any cell runs). The cells run through _ordered_map on at
+    most `workers` processes, never more than there are cells. Records come
+    back in cell order, so the output is independent of the worker count.
     """
     if kind not in SWEEP_KINDS:
         raise ConfigurationError(f"unknown sweep kind {kind!r}")
@@ -466,10 +472,10 @@ def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int,
     cells = []
     for gi in range(1 if kind == "granularity" else len(grid)):
         users = int(grid[gi]) if kind == "users" else user_count
-        power = float(grid[gi]) if kind == "power" else total_power
-        grid_value = {"users": float(users), "power": power}.get(kind)  # granularity: per record
-        cells += [(make_scenario(users, _mix(seed, gi, rep), medium, antenna_count, power,
-                                 cube_half_side, region_half_side), grid_value)
+        grid_value = None if kind == "granularity" else float(grid[gi])  # granularity: per record
+        if kind == "power":
+            scenario["total_power"] = grid_value
+        cells += [(make_scenario(users, _mix(seed, gi, rep), **scenario), grid_value)
                   for rep in range(repetitions)]
     cell = functools.partial(_sweep_cell, kind=kind, grid=tuple(grid),
                              optimizer_config=optimizer_config or OptimizerConfig(),

@@ -122,7 +122,12 @@ def test_channel_eval_coincident_positions_is_infeasible(capsys):
 
 
 @pytest.mark.parametrize("tx_pos, rx_pos", [("1e300,0,0", "1e200,2,3"),    # distance
-                                            ("1e300,0,0", "1e10,2,3")])    # phase
+                                            ("1e300,0,0", "1e10,2,3"),     # phase
+                                            # A transmitter no closer to the origin than
+                                            # its receiver: outside the far-field model,
+                                            # which measures every path from the origin.
+                                            ("1e300,0,0", RX), ("75,-40,50", RX),
+                                            ("0,0,100", RX)])
 def test_channel_eval_overflowing_geometry_is_infeasible(capsys, tx_pos, rx_pos):
     code = main(["channel-eval", "--tx-pos", tx_pos, "--tx-dir", "0,0,1",
                  "--rx-pos", rx_pos, "--rx-dir", "0,0,1"])
@@ -431,6 +436,9 @@ def test_run_invalid_config_key_exits_2(tmp_path, capsys):
     ("optimize", {"wavelength_m": 1e-320}, 2),
     ("optimize", {"region_half_side_m": 1e308}, 2),
     ("optimize", {"region_half_side_m": 1e300}, 2),
+    # A sweep's optimization that fails leaves failure rows, not an error:
+    # a granularity cell gives one per resolution.
+    ("sweep-granularity", {"total_power_w": 1e308, "max_outer_iterations": 3}, 0),
 ])
 def test_run_exit_codes(tmp_path, capsys, experiment, overrides, code):
     # An invalid value is a usage error (2); a valid scenario that cannot be
@@ -442,8 +450,15 @@ def test_run_exit_codes(tmp_path, capsys, experiment, overrides, code):
         warnings.simplefilter("always")
         assert main(["run", experiment, "--config", cfg, "--out", str(out)]) == code
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not out.exists()
+    err = capsys.readouterr().err
+    if code == 0:
+        rows = _read_csv(out)
+        assert err == ""
+        assert [(r[0], r[1]) for r in rows[1:]] == [("30", "5"), ("80", "5")] * 2
+        assert all(r[11] == "NumericalError: objective is not finite: inf" for r in rows[1:])
+    else:
+        assert err.startswith("error: ")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("error, code, message", [
@@ -538,7 +553,8 @@ def test_readme_sweep_schema_is_the_written_header(tmp_path):
     out = tmp_path / "users.csv"
     assert main(["run", "sweep-users", "--config", cfg, "--out", str(out),
                  "--reps", "1"]) == 0
-    assert [name.strip() for name in block.split(",")] == _read_csv(out)[0]
+    assert [name.strip() for name in block.split(",")] == _read_csv(out)[0] \
+        == list(cli.SWEEP_COLUMNS) == SWEEP_HEADER
 
 
 def test_readme_documents_every_config_key():

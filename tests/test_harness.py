@@ -297,6 +297,45 @@ def test_granularity_sweep_one_optimization_per_repetition():
     assert coarse.gamma_total_db <= fine.gamma_total_db + 1e-9
 
 
+def test_granularity_sweep_failing_optimization_gives_failure_rows():
+    # An optimization that ends in a package error leaves one failure row per
+    # resolution, the record run_configuration gives for that scenario.
+    config = OptimizerConfig(max_outer_iterations=3, convergence_tol=1e-3)
+    records = sweep("granularity", [30.0, 80.0], repetitions=2, seed=6,
+                    optimizer_config=config, user_count=2, total_power=1e308)
+    expected = []
+    for rep in range(2):
+        failed = run_configuration(make_scenario(2, _mix(6, 0, rep), total_power=1e308),
+                                   5, config)
+        assert failed.failure == "NumericalError: objective is not finite: inf"
+        expected += [dataclasses.replace(failed, grid_value=res) for res in (30.0, 80.0)]
+    assert records == expected
+
+
+def test_sweep_forwards_the_scenario_settings(monkeypatch):
+    settings = dict(medium=MediumParams(wavelength=0.02, relative_permittivity=3.0),
+                    antenna_count=4, cube_half_side=20.0, region_half_side=0.5)
+    config = OptimizerConfig(max_outer_iterations=2, convergence_tol=1e-3)
+    for kind, grid in (("users", [1, 2]), ("power", [0.25, 1.0]),
+                       ("granularity", [30.0, 80.0])):
+        records = sweep(kind, grid, repetitions=2, seed=5, optimizer_config=config,
+                        user_count=2, configurations=(1,), **settings)
+        if kind == "granularity":     # one cell per repetition, a record per resolution
+            cells = [(2, 0, rep, {}) for rep in range(2) for _ in grid]
+        else:
+            cells = [(int(value) if kind == "users" else 2, gi, rep,
+                      {"total_power": value} if kind == "power" else {})
+                     for gi, value in enumerate(grid) for rep in range(2)]
+        assert [r.scenario_hash for r in records] == [
+            make_scenario(users, _mix(5, gi, rep), **settings, **power).fingerprint()
+            for users, gi, rep, power in cells]
+        assert all(r.antenna_count == 4 and r.failure is None for r in records)
+    # make_scenario refuses an unknown setting when the first cell is drawn.
+    monkeypatch.setattr(harness, "_ordered_map", lambda *args, **kwargs: pytest.fail())
+    with pytest.raises(TypeError, match="colour"):
+        sweep("users", [1], repetitions=1, seed=0, colour="red")
+
+
 def test_sweep_input_validation():
     with pytest.raises(ConfigurationError):
         sweep("bogus", [1], repetitions=1, seed=0)
