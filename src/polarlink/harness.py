@@ -230,19 +230,93 @@ def _ordered_map(task: Callable, arguments: Sequence[tuple], workers: int,
                  processes: bool = False) -> list:
     """[task(*a) for a in arguments], in order.
 
-    It runs inline when min(workers, len(arguments)) <= 1, and otherwise on a
-    pool of that many threads (or processes) made for this call. The first
-    exception in task order propagates after every worker has ended.
+    It runs inline when min(workers, len(arguments)) <= 1, and otherwise on
+    that many threads made for this call or, with `processes`, on the
+    process's pool of that many worker processes (_process_pool): forked at
+    the first such call, reused by every later one and ended with the
+    interpreter, even a killed one. They run the code as imported at that
+    fork: a later patch reaches the tasks only when they run inline. The first
+    exception in task order propagates after every task of the call has ended.
+    A worker that dies during the call raises BrokenProcessPool and drops the
+    pool; one that died before the call only drops it.
     """
     workers = min(workers, len(arguments))
     if workers <= 1:
         return [task(*a) for a in arguments]
     import concurrent.futures
     # concurrent.futures imports each pool's module on first use: threads load no multiprocessing.
-    executor = (concurrent.futures.ProcessPoolExecutor if processes
-                else concurrent.futures.ThreadPoolExecutor)
-    with executor(max_workers=workers) as pool:
-        return list(pool.map(task, *zip(*arguments)))
+    if not processes:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(task, *zip(*arguments)))
+    from concurrent.futures.process import BrokenProcessPool
+    pool, futures = _process_pool(workers), []
+    try:
+        for a in arguments:
+            futures.append(pool.submit(task, *a))
+        concurrent.futures.wait(futures)
+        for f in futures:          # a dead worker fails the call, whatever else raised
+            if isinstance(f.exception(), BrokenProcessPool):
+                raise f.exception()
+    except BrokenProcessPool:      # a worker died: drop the pool
+        _retire_process_pool()
+        if futures:
+            raise
+        # It broke before this call (a worker killed while idle): none of ours ran.
+        return _ordered_map(task, arguments, workers, processes=True)
+    finally:                       # an interrupted wait (Ctrl-C) leaves no task queued
+        for f in futures:
+            f.cancel()
+    return [f.result() for f in futures]
+
+
+# The sweeps' worker processes: (pid that made them, count, pool, its exit finalizer).
+_POOL: Optional[tuple] = None
+
+
+def _process_pool(workers: int):
+    """The process pool of `workers` processes that this process made at its
+    first multi-worker call, or a new one if that count differs or the pool
+    belongs to the process this one was forked from (its workers are not our
+    children).
+
+    concurrent.futures' interpreter-exit hook ends the pool. A multiprocessing
+    child joins its children before that hook runs, so a finalizer ranked
+    above its queues' (exitpriority 10) ends the pool there first.
+    """
+    global _POOL
+    if _POOL is not None and _POOL[:2] != (os.getpid(), workers):
+        _retire_process_pool()
+    if _POOL is None:
+        import concurrent.futures
+        from multiprocessing.util import Finalize
+        pool = concurrent.futures.ProcessPoolExecutor(workers, initializer=_end_with_parent)
+        _POOL = (os.getpid(), workers, pool, Finalize(None, pool.shutdown, exitpriority=20))
+    return _POOL[2]
+
+
+def _end_with_parent() -> None:
+    """Pool worker initializer: a thread that ends the worker once the process
+    that forked it has died without joining it (killed, say), where the worker
+    would otherwise wait on its task queue forever."""
+    import multiprocessing.connection
+    import threading
+
+    def watch(sentinel):
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, args=(multiprocessing.parent_process().sentinel,),
+                     daemon=True).start()
+
+
+def _retire_process_pool() -> None:
+    """Forget the cached pool, joining it first if this process made it (its
+    finalizer does nothing in a forked child): its threads end before the
+    next pool forks."""
+    global _POOL
+    finalize = _POOL[3]
+    _POOL = None
+    finalize()
 
 
 def _map_blocks(task: Callable[[int, int], object], size: int,
@@ -450,8 +524,12 @@ def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int, *,
     with its own counter-derived seed and the keyword settings in `scenario`
     (a power grid point replaces total_power; an unknown setting raises
     TypeError before any cell runs). The cells run through _ordered_map on at
-    most `workers` processes, never more than there are cells. Records come
-    back in cell order, so the output is independent of the worker count.
+    most `workers` processes, never more than there are cells. Those workers
+    are forked at the process's first multi-worker sweep and reused by later
+    ones; they run the code as imported at that fork, so patch harness
+    internals only with workers=1, and they end with the interpreter, even a
+    killed one. Records come back in cell order, so the output is independent
+    of the worker count.
     """
     if kind not in SWEEP_KINDS:
         raise ConfigurationError(f"unknown sweep kind {kind!r}")

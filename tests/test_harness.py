@@ -1,11 +1,16 @@
 import concurrent.futures
 import dataclasses
 import math
+import multiprocessing
+import os
 import pickle
+import signal
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -251,30 +256,168 @@ def test_sweep_deterministic_and_worker_invariant():
     assert serial == parallel
 
 
+# Two cells, one configuration: the smallest sweep that uses two workers.
+SMALL_SWEEP = dict(grid=[1, 2], repetitions=1, seed=3, optimizer_config=FAST,
+                   configurations=(1,))
+
+
 def test_sweep_pool_never_outnumbers_its_cells(monkeypatch):
-    # A stand-in pool that starts no process records its size and runs the
-    # cells inline: a 2-cell sweep asks for 2 workers, whatever `workers` is.
+    # A stand-in pool that starts no process records its size and runs each
+    # cell inline: a 2-cell sweep asks for 2 workers, whatever `workers` is,
+    # and the next sweep that needs 2 reuses that pool.
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+        def submit(self, task, *args):
+            future = concurrent.futures.Future()
+            future.set_result(task(*args))
+            return future
 
-        def __exit__(self, *exc_info):
-            return False
+        def shutdown(self, wait=True):
+            pass
 
-        def map(self, task, *iterables):
-            return map(task, *iterables)
-
-    kwargs = dict(grid=[1, 2], repetitions=1, seed=3, optimizer_config=FAST,
-                  configurations=(1,))
+    monkeypatch.setattr(harness, "_POOL", None)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    pooled = sweep("users", workers=10_000, **kwargs)
+    pooled = sweep("users", workers=10_000, **SMALL_SWEEP)
     assert sizes == [2]
-    assert pooled == sweep("users", **kwargs)
+    assert pooled == sweep("users", **SMALL_SWEEP)
+    assert sweep("users", workers=2, **SMALL_SWEEP) == pooled
+    assert sizes == [2]
+
+
+def test_consecutive_sweeps_share_one_pool():
+    kwargs = dict(grid=[1, 2], repetitions=1, seed=5, optimizer_config=FAST,
+                  configurations=(1, 3))
+    serial = sweep("users", **kwargs)
+    assert sweep("users", workers=2, **kwargs) == serial
+    pool, pids = harness._POOL[2], {p.pid for p in multiprocessing.active_children()}
+    assert sweep("users", workers=2, **kwargs) == serial
+    assert harness._POOL[2] is pool
+    assert {p.pid for p in multiprocessing.active_children()} == pids
+    assert len(pids) == 2
+
+
+def _leave_a_file_or_raise(directory, index):
+    """Raise at once for index 0; otherwise wait, then leave a file named index."""
+    if index == 0:
+        raise LookupError("cell 0")
+    time.sleep(0.2)
+    (directory / str(index)).write_text("")
+    return index
+
+
+def _exit_at_once(index):
+    os._exit(1)
+
+
+def test_pooled_error_propagates_after_every_task_of_the_call(tmp_path):
+    arguments = [(tmp_path, i) for i in range(4)]
+    with pytest.raises(LookupError, match="cell 0"):
+        harness._ordered_map(_leave_a_file_or_raise, arguments, 2, processes=True)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["1", "2", "3"]
+    pool = harness._POOL[2]
+    assert harness._ordered_map(_leave_a_file_or_raise, [(tmp_path, 4), (tmp_path, 5)], 2,
+                                processes=True) == [4, 5]
+    assert harness._POOL[2] is pool
+
+
+def test_an_interrupted_call_leaves_no_task_queued(tmp_path, monkeypatch):
+    # Ctrl-C in the wait cancels the call's tasks that have not started, so
+    # the interpreter does not run them all on its way out.
+    def interrupted(futures):
+        raise KeyboardInterrupt
+
+    arguments = [(tmp_path, i) for i in range(1, 9)]
+    with monkeypatch.context() as patch:
+        patch.setattr(concurrent.futures, "wait", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            harness._ordered_map(_leave_a_file_or_raise, arguments, 2, processes=True)
+    time.sleep(1.0)                                  # all 8 would be done by now
+    assert len(list(tmp_path.iterdir())) < len(arguments)
+    assert harness._ordered_map(_leave_a_file_or_raise, arguments[:2], 2,
+                                processes=True) == [1, 2]
+
+
+def test_a_dead_worker_fails_its_call_and_the_next_sweep_gets_a_new_pool():
+    with pytest.raises(BrokenProcessPool):
+        harness._ordered_map(_exit_at_once, [(0,), (1,)], 2, processes=True)
+    assert harness._POOL is None
+    assert sweep("users", workers=2, **SMALL_SWEEP) == sweep("users", **SMALL_SWEEP)
+
+
+def test_a_worker_that_died_idle_fails_no_sweep():
+    records = sweep("users", workers=2, **SMALL_SWEEP)
+    pool = harness._POOL[2]
+    os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+    deadline = time.monotonic() + 10
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.01)                 # the pool is broken once it has ended both
+    assert multiprocessing.active_children() == []
+    assert sweep("users", workers=2, **SMALL_SWEEP) == records
+    assert harness._POOL[2] is not pool
+
+
+def _fork_child(target):
+    """Start target(conn) in a fork-context child: (the child, our end of its pipe)."""
+    ctx = multiprocessing.get_context("fork")
+    ours, theirs = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=target, args=(theirs,))
+    with warnings.catch_warnings():
+        # Python 3.12 warns on any fork() while threads (the pool's) are alive.
+        warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                DeprecationWarning)
+        child.start()
+    theirs.close()
+    return child, ours
+
+
+def _send_sweep(conn):
+    conn.send(sweep("users", workers=2, **SMALL_SWEEP))
+    conn.close()
+
+
+def test_a_forked_child_sweeps_on_a_pool_of_its_own():
+    # The child inherits the parent's cached pool, whose workers are not its
+    # children: it must fork its own and still exit when it returns.
+    records = sweep("users", workers=2, **SMALL_SWEEP)
+    assert harness._POOL is not None
+    child, ours = _fork_child(_send_sweep)
+    try:
+        assert ours.poll(30)
+        assert ours.recv() == records
+        child.join(30)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+
+
+def _sweep_then_wait(conn):
+    sweep("users", workers=2, **SMALL_SWEEP)
+    conn.send([p.pid for p in multiprocessing.active_children()])
+    time.sleep(60)
+
+
+def test_pool_workers_end_with_a_killed_parent():
+    # The child's workers inherit its end of the pipe, so ours reads EOF only
+    # once the child and both its workers have ended.
+    child, ours = _fork_child(_sweep_then_wait)
+    assert ours.poll(30)
+    workers = ours.recv()
+    assert len(workers) == 2
+    child.kill()
+    child.join(30)
+    ended = ours.poll(10)
+    if not ended:                                    # leave no orphan behind
+        for pid in workers:
+            os.kill(pid, signal.SIGKILL)
+    assert ended
+    with pytest.raises(EOFError):
+        ours.recv()
 
 
 def test_power_sweep_uses_grid_for_budget():
