@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -183,6 +184,8 @@ def cmd_run(args) -> int:
     overrides = {"seed": args.seed, "repetitions": args.reps}
     config = dataclasses.replace(
         config, **{name: value for name, value in overrides.items() if value is not None})
+    if not os.path.isdir(os.path.dirname(args.out) or "."):   # fail before the work, not after
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
 
     medium = config.medium()
     optimizer_config = config.optimizer()

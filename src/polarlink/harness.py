@@ -29,7 +29,7 @@ from .medium import ANTENNA_FACTOR, MediumParams
 from .mimo import LinkMetrics, solve_beamforming
 from .optimizer import (BLOCK_ORDER, BLOCK_RX_ANGLES, BLOCK_TX_ANGLES, Constraints,
                         ConvergenceTrace, LayoutVariables, OptimizeResult, OptimizerConfig,
-                        optimize, quantize_angles, solve_layout)
+                        check_resolution, optimize, quantize_angles, solve_layout)
 
 # The optimizer blocks each configuration moves (optimize's `blocks`).
 # Transmit positions are never moved (see the optimizer module docstring), so
@@ -51,6 +51,7 @@ _TX_PLACEMENT_ATTEMPTS = 10_000
 _MONTE_CARLO_BATCH = 1_000_000
 _KERNEL_BLOCK = 1 << 14             # orientations per kernel call: block-sized temporaries
 _MAP_STEP_DEG = 1.0                 # the gain map's grid step (reference_link_map)
+_PEAK_STEP_DEG = 0.25               # the peak's grid step (reference_link_peak)
 
 
 @dataclass(frozen=True)
@@ -201,12 +202,11 @@ def random_initial_layout(scenario: Scenario, rng: np.random.Generator) -> Layou
     return LayoutVariables(tx_angles=tx_angles, tx_positions=positions, rx_angles=rx_angles)
 
 
-def make_scenario(user_count: int, seed: int, medium: Optional[MediumParams] = None,
+def make_scenario(user_count: int, seed: int, medium: MediumParams = MediumParams(),
                   antenna_count: int = 8, total_power: float = 0.5,
                   cube_half_side: float = 100.0,
                   region_half_side: Optional[float] = None) -> Scenario:
     """Standard scenario: users in the coverage cube, movement box of +/-100 wavelengths."""
-    medium = medium or MediumParams()
     if region_half_side is None:
         region_half_side = 100.0 * medium.wavelength
     constraints = Constraints(
@@ -367,23 +367,22 @@ def _grid_blocks(kind: str, medium: MediumParams, grid_step_deg: float,
     return polar, azimuthal, _map_blocks(block, polar.size, rows)
 
 
-def reference_link_map(kind: str, medium: Optional[MediumParams] = None):
+def reference_link_map(kind: str, medium: MediumParams = MediumParams()):
     """(polar, azimuthal, |h| (P, A)): the reference link's gain over the
     _MAP_STEP_DEG orientation grid, angles in radians (see _grid_blocks)."""
-    polar, azimuthal, blocks = _grid_blocks(kind, medium or MediumParams(), _MAP_STEP_DEG,
-                                            lambda mags: mags)
+    polar, azimuthal, blocks = _grid_blocks(kind, medium, _MAP_STEP_DEG, lambda mags: mags)
     return polar, azimuthal, np.concatenate(blocks).reshape(polar.size, azimuthal.size)
 
 
-def reference_link_peak(kind: str, medium: Optional[MediumParams] = None,
-                        grid_step_deg: float = 0.25) -> float:
+def reference_link_peak(kind: str, medium: MediumParams = MediumParams(),
+                        grid_step_deg: float = _PEAK_STEP_DEG) -> float:
     """Peak |h| of the reference link over a dense orientation grid.
 
     Each block of the grid (_grid_blocks) keeps only its maximum, so nothing
     grid-sized is built. It is computed once per process per (kind, medium,
     grid_step_deg).
     """
-    return _grid_peak(kind, medium or MediumParams(), grid_step_deg)
+    return _grid_peak(kind, medium, grid_step_deg)
 
 
 @functools.cache
@@ -391,33 +390,27 @@ def _grid_peak(kind: str, medium: MediumParams, grid_step_deg: float) -> float:
     return float(np.max(_grid_blocks(kind, medium, grid_step_deg, np.max)[2]))
 
 
-def _generator_at(state: dict, offset: int) -> np.random.Generator:
-    """A generator started from a PCG64 `state` advanced by `offset` draws."""
-    bit_generator = np.random.PCG64(0)     # any seed: the state replaces it
-    bit_generator.state = state
-    return np.random.Generator(bit_generator.advance(offset))
-
-
 def monte_carlo_half_energy(scenario_kind: str, samples: int, seed: int,
-                            medium: Optional[MediumParams] = None,
-                            grid_step_deg: float = 0.25) -> float:
+                            medium: MediumParams = MediumParams(),
+                            grid_step_deg: float = _PEAK_STEP_DEG) -> float:
     """Fraction of random orientations delivering at least half the peak energy.
 
     The fixed link places the transmitter at the origin and the receiver at
     (75, -40, 50) with the non-random antenna vertical. Angles are sampled
     uniformly in (polar, azimuthal) from _rng(seed, 1), one million at a time:
     all polar angles of a batch, then its azimuths. The batch's blocks of
-    _KERNEL_BLOCK samples run on the block thread pool, and each draws its own
-    angles from a copy of the generator advanced to its place in the batch (a
-    uniform double takes exactly one 64-bit draw, so the values are those of
-    the whole-batch draws) and returns its hit count; nothing full-sized is
-    kept. The peak's grid (reference_link_peak) is computed once per process
-    per (kind, medium, grid_step_deg).
+    _KERNEL_BLOCK samples run on the block thread pool. Each block builds one
+    generator, _rng(seed, 1), and reads it at two offsets: advanced to its
+    polar angles' place in the stream it draws them, and advanced by the rest
+    of the batch it draws its azimuths (a uniform double takes exactly one
+    64-bit draw, so the values are those of the whole-batch draws). A block
+    returns its hit count; nothing full-sized is kept. The peak's grid
+    (reference_link_peak) is computed once per process per (kind, medium,
+    grid_step_deg).
     """
     if samples < 1:
         raise ConfigurationError("need at least one Monte Carlo sample")
-    state = _rng(seed, 1).bit_generator.state
-    medium = medium or MediumParams()
+    _rng(seed, 1)                              # a negative seed fails before the grid
     peak = reference_link_peak(scenario_kind, medium, grid_step_deg)
     threshold = 0.5 * peak**2
 
@@ -427,9 +420,11 @@ def monte_carlo_half_energy(scenario_kind: str, samples: int, seed: int,
         drawn = 2 * first                      # each earlier batch drew 2 per sample
 
         def block_hits(start: int, stop: int) -> int:
-            polar = _generator_at(state, drawn + start).uniform(0.0, np.pi, stop - start)
-            azimuthal = _generator_at(state, drawn + n + start).uniform(
-                0.0, 2.0 * np.pi, stop - start)
+            rng = _rng(seed, 1)
+            rng.bit_generator.advance(drawn + start)
+            polar = rng.uniform(0.0, np.pi, stop - start)
+            rng.bit_generator.advance(n - (stop - start))
+            azimuthal = rng.uniform(0.0, 2.0 * np.pi, stop - start)
             mags = _block_magnitudes(scenario_kind, polar, azimuthal, medium)
             return int(np.count_nonzero(np.square(mags, out=mags) >= threshold))
 
@@ -443,8 +438,7 @@ def run_configuration(scenario: Scenario, config_id: int,
     """Apply one movement configuration to a scenario and record the outcome:
     optimize moves the blocks CONFIGURATION_BLOCKS[config_id] from
     initial_layout (default: the scenario-seeded random layout)."""
-    if config_id not in CONFIGURATION_BLOCKS:
-        raise ConfigurationError(f"configuration id must be 1..5, got {config_id}")
+    _check_configuration(config_id)
     optimizer_config = optimizer_config or OptimizerConfig()
     layout = initial_layout if initial_layout is not None \
         else random_initial_layout(scenario, _rng(scenario.seed, 2))
@@ -452,6 +446,11 @@ def run_configuration(scenario: Scenario, config_id: int,
     if failure:
         return _record(scenario, config_id, failure=failure)
     return record_from_result(scenario, config_id, result)
+
+
+def _check_configuration(config_id: int) -> None:
+    if config_id not in CONFIGURATION_BLOCKS:
+        raise ConfigurationError(f"configuration id must be 1..5, got {config_id}")
 
 
 def _attempt(scenario: Scenario, layout: LayoutVariables, optimizer_config: OptimizerConfig,
@@ -520,6 +519,10 @@ def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int, *,
                  precision optimization per repetition is quantized at each
                  resolution and re-evaluated.
 
+    A configuration id outside CONFIGURATION_BLOCKS or a resolution that
+    quantize_angles refuses (check_resolution) raises ConfigurationError
+    before any cell runs.
+
     Each (grid point, repetition) cell draws its scenario here, make_scenario
     with its own counter-derived seed and the keyword settings in `scenario`
     (a power grid point replaces total_power; an unknown setting raises
@@ -543,6 +546,10 @@ def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int, *,
         configurations = (1, 2, 3, 4, 5) if kind == "users" else (1, 5)
     if len(configurations) == 0:
         raise ConfigurationError("configurations must be nonempty")
+    for config_id in configurations:
+        _check_configuration(config_id)
+    for resolution in grid if kind == "granularity" else []:
+        check_resolution(resolution)
     for users in grid if kind == "users" else [user_count]:
         if isinstance(users, bool) or not isinstance(users, numbers.Integral) or users < 1:
             raise ConfigurationError(f"user count must be a positive integer, got {users!r}")

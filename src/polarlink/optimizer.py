@@ -571,18 +571,25 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
                           trace=trace)
 
 
+def check_resolution(resolution_deg: float) -> None:
+    """Raise ConfigurationError unless resolution_deg is a quantization
+    resolution: 0 (none) or in (0, 180] degrees."""
+    if resolution_deg != 0 and not 0.0 < resolution_deg <= 180.0:
+        raise ConfigurationError(f"resolution {resolution_deg} deg outside (0, 180]")
+
+
 def quantize_angles(layout: LayoutVariables, resolution_deg: float) -> LayoutVariables:
     """Snap every polar/azimuthal angle to the nearest multiple of the resolution.
 
-    Resolution 0 means no quantization; ties round half away from zero. The
-    snapped angles are returned in canonical form (unit_to_angles of their
-    axes): a polar angle snapped past pi folds back with a half-turn of
-    azimuth, and an azimuth snapped to 2 pi becomes 0.
+    Resolution 0 means no quantization; ties round half away from zero; any
+    other value outside (0, 180] raises (check_resolution). The snapped angles
+    are returned in canonical form (unit_to_angles of their axes): a polar
+    angle snapped past pi folds back with a half-turn of azimuth, and an
+    azimuth snapped to 2 pi becomes 0.
     """
+    check_resolution(resolution_deg)
     if resolution_deg == 0:
         return layout.copy()
-    if not 0.0 < resolution_deg <= 180.0:
-        raise ConfigurationError(f"resolution {resolution_deg} deg outside (0, 180]")
     step = math.radians(resolution_deg)
 
     def snap(arr: np.ndarray) -> np.ndarray:

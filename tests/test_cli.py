@@ -316,11 +316,17 @@ def test_run_granularity_quantization_never_gains(tmp_path):
     assert by_res[80.0] <= by_res[30.0] + 1e-9
 
 
-def test_run_unwritable_output_exits_3(tmp_path, capsys):
+def test_run_unwritable_output_exits_3(tmp_path, capsys, monkeypatch):
+    # A missing output directory is refused before any work.
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "monte_carlo_half_energy", no_work)
     cfg = _fast_config(tmp_path)
     out = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert main(["run", "montecarlo", "--config", cfg, "--out", str(out)]) == 3
-    assert "cannot write output" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+    assert not out.parent.exists()
 
 
 def test_run_missing_config_exits_3(tmp_path, capsys):
@@ -439,6 +445,8 @@ def test_run_invalid_config_key_exits_2(tmp_path, capsys):
     # A sweep's optimization that fails leaves failure rows, not an error:
     # a granularity cell gives one per resolution.
     ("sweep-granularity", {"total_power_w": 1e308, "max_outer_iterations": 3}, 0),
+    # A resolution outside (0, 180] is refused before any cell runs.
+    ("sweep-granularity", {"granularity_grid_deg": [200]}, 2),
 ])
 def test_run_exit_codes(tmp_path, capsys, experiment, overrides, code):
     # An invalid value is a usage error (2); a valid scenario that cannot be

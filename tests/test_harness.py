@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import functools
 import math
 import multiprocessing
 import os
@@ -499,14 +500,52 @@ def test_sweep_input_validation():
     assert [(r.user_count, r.grid_value) for r in records] == [(1, 1.0)]
 
 
+@pytest.mark.parametrize("kind, grid, configurations", [
+    ("users", [1], (5, 7)),
+    ("granularity", [30, 200], None),
+    ("granularity", [-10], None),
+])
+def test_sweep_rejects_what_can_only_fail_before_its_first_cell(monkeypatch, kind, grid,
+                                                                configurations):
+    # A configuration id or resolution that every cell would refuse is
+    # refused up front, not after the cells' optimizations.
+    def no_work(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness, "optimize", no_work)
+    with pytest.raises(ConfigurationError):
+        sweep(kind, grid, repetitions=1, seed=0, user_count=1, configurations=configurations)
+
+
 @pytest.mark.parametrize("call", [
     lambda: make_scenario(2, -1),
     lambda: monte_carlo_half_energy("tx_random", 10, -1),
     lambda: sweep("users", [1], repetitions=1, seed=-1),   # not mixed into valid cell seeds
 ], ids=["make_scenario", "monte_carlo_half_energy", "sweep"])
-def test_negative_seed_raises_configuration_error(call):
+def test_negative_seed_raises_configuration_error(monkeypatch, call):
+    # The seed fails before any kernel work: with an empty peak cache the
+    # Monte Carlo's grid would run the kernel first.
+    def no_work(*args, **kwargs):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(harness, "gain_matrix", no_work)
+    monkeypatch.setattr(harness, "_grid_peak", functools.cache(harness._grid_peak.__wrapped__))
     with pytest.raises(ConfigurationError, match="seed must be non-negative"):
         call()
+
+
+def test_each_monte_carlo_block_builds_one_generator(monkeypatch):
+    # One up-front seed check, then one generator per block: two full blocks
+    # and a 17-sample one.
+    calls = []
+
+    def counted(*key):
+        calls.append(key)
+        return _rng(*key)
+
+    monkeypatch.setattr(harness, "_rng", counted)
+    monte_carlo_half_energy("tx_random", 2 * harness._KERNEL_BLOCK + 17, 1, grid_step_deg=5.0)
+    assert calls == [(1, 1)] * 4
 
 
 def test_quantized_record_zero_resolution_matches_full():
@@ -661,7 +700,7 @@ def test_pool_size_does_not_change_any_value(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", ["tx_random", "rx_random"])
 def test_streamed_draws_equal_whole_batch_draws(monkeypatch, kind):
-    # Each block draws its own angles from an advanced copy of the generator;
+    # Each block draws its own angles from one generator read at two offsets;
     # the values must be those of all polar angles of a batch, then all its
     # azimuths, batch after batch.
     batch = 2 * harness._KERNEL_BLOCK + 5
