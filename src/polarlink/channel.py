@@ -17,6 +17,20 @@ tuples, so each term is declared once, by the piece that computes it. The
 optimizer calls the same pieces: it builds the geometry once per run, and each
 evaluated point makes one combine_terms call after building the side terms of
 the one block its step moved.
+
+The kernel keeps its 3-vectors component-major: field_dir is (3, K, L), three
+contiguous (K, L) planes, and transmit_terms and receive_terms read their
+(N, 3) axes as the transposed (3, N) planes, so every elementwise operation
+and contraction runs along the K, L or N axis. Kept as (..., 3) rows, numpy
+ran its loops over an inner axis of length 3, where the loop overhead costs
+more than the arithmetic: on one 16,384-orientation Monte Carlo block (2-core
+Xeon host, one thread) transmit_terms took 580-690 us against 290-350 us
+now, and combine_terms 250-290 us against 140-180 us. The two contractions
+whose rounding would follow their operands' memory layout (the emission
+cosines' matrix product and the matching cosines' einsum) run on C-contiguous
+planes, so the gains are the same bit for bit whether the axes arrive as
+(N, 3) rows or as the view of (3, N) planes that geometry.angles_to_unit
+returns.
 """
 
 from __future__ import annotations
@@ -134,7 +148,8 @@ class TransmitTerms(NamedTuple):
     |n - (u . n) u|, degenerate (n along u), safe_sin_emission (sin_emission,
     but 1 where degenerate: the divisor of field_dir and the pattern, and of
     the optimizer's transmit gradient) and the dipole pattern; field_dir
-    (K, L, 3) is n - (u . n) u over safe_sin_emission. Where degenerate,
+    (3, K, L), three contiguous (K, L) component planes (see the module
+    docstring), is n - (u . n) u over safe_sin_emission. Where degenerate,
     pattern and field_dir are meaningless."""
 
     axes: np.ndarray
@@ -206,16 +221,19 @@ def link_geometry(tx_positions, rx_positions, medium: MediumParams) -> LinkGeome
 
 def transmit_terms(path_dir: np.ndarray, tx_n: np.ndarray) -> TransmitTerms:
     """Emission angle, field direction and dipole pattern of the unit transmit
-    axes tx_n (L, 3) toward the users along path_dir (K, 3). sin_emission is
-    the field direction's length, summed over its three components as
-    receive_terms does: np.linalg.norm's value, without its reduction over a
-    length-3 axis."""
-    cos_e = path_dir @ tx_n.T                                    # (K, L)
-    field_dir = tx_n[None, :, :] - cos_e[:, :, None] * path_dir[:, None, :]
-    sin_e = np.sqrt(field_dir[..., 0]**2 + field_dir[..., 1]**2 + field_dir[..., 2]**2)
+    axes tx_n (L, 3) toward the users along path_dir (K, 3). field_dir is
+    built as its three (K, L) planes and sin_emission is its length, the
+    planes' squares summed in order: np.linalg.norm's value, without its
+    reduction over a length-3 axis."""
+    n = np.ascontiguousarray(tx_n.T)                             # (3, L) planes
+    cos_e = path_dir @ n                                         # (K, L)
+    # C-ordered planes, whatever path_dir's layout.
+    field_dir = np.multiply(cos_e, path_dir.T[:, :, None], order="C")
+    np.subtract(n[:, None, :], field_dir, out=field_dir)
+    sin_e = np.sqrt(np.add.reduce(field_dir * field_dir, axis=0))
     degenerate = sin_e < _DEGENERATE_TOL
     safe_sin_e = np.where(degenerate, 1.0, sin_e)
-    field_dir /= safe_sin_e[:, :, None]
+    field_dir /= safe_sin_e
     return TransmitTerms(tx_n, cos_e, sin_e, safe_sin_e, field_dir, degenerate,
                          _dipole_pattern(cos_e, safe_sin_e))
 
@@ -223,11 +241,14 @@ def transmit_terms(path_dir: np.ndarray, tx_n: np.ndarray) -> TransmitTerms:
 def receive_terms(path_dir: np.ndarray, rx_n: np.ndarray,
                   medium: MediumParams) -> ReceiveTerms:
     """Incidence angle and Fresnel coefficients of the unit receive axes rx_n
-    (K, 3) along path_dir (K, 3)."""
+    (K, 3) along path_dir (K, 3), both read as their (3, K) component planes."""
+    r, u = rx_n.T, path_dir.T
     # cos_i is the length of r's part off the path, which keeps every digit
     # near grazing, where sqrt(1 - sin_i^2) keeps half.
-    sin_i = np.einsum("ki,ki->k", path_dir, rx_n)          # u . r, then its size
-    cos_i = np.sqrt(sum((rx_n[:, i] - sin_i * path_dir[:, i])**2 for i in range(3)))
+    planes = u * r
+    sin_i = np.add.reduce(planes, axis=0)                  # u . r, then its size
+    off_path = np.subtract(r, np.multiply(sin_i, u, out=planes), out=planes)
+    cos_i = np.sqrt(np.add.reduce(np.multiply(off_path, off_path, out=off_path), axis=0))
     sin_i = np.minimum(np.abs(sin_i), 1.0)
     g_par, g_perp = _fresnel(cos_i, medium.relative_permittivity)
     perp2 = g_perp * g_perp
@@ -237,10 +258,11 @@ def receive_terms(path_dir: np.ndarray, rx_n: np.ndarray,
 def combine_terms(geometry: LinkGeometry, tx: TransmitTerms, rx: ReceiveTerms) -> LinkTerms:
     """The per-evaluation kernel: the matching terms and gains of the links
     whose positions gave geometry and whose axes gave tx and rx. Only what
-    pairs the two sides is computed here: cos_a, m = sqrt(kept - spread
-    cos^2 a) from the receive side's Fresnel factors, and the gains
+    pairs the two sides is computed here: cos_a, the field planes contracted
+    over their leading axis with the receive axes' planes, m = sqrt(kept -
+    spread cos^2 a) from the receive side's Fresnel factors, and the gains
     scale * (pattern * m)."""
-    cos_a = np.einsum("kli,ki->kl", tx.field_dir, rx.axes)
+    cos_a = np.einsum("ikl,ik->kl", tx.field_dir, np.ascontiguousarray(rx.axes.T))
     np.minimum(np.maximum(cos_a, -1.0, out=cos_a), 1.0, out=cos_a)
     radicand = rx.kept[:, None] - rx.spread[:, None] * (cos_a * cos_a)
     if (radicand < -_RADICAND_TOL).any():

@@ -150,7 +150,7 @@ def cmd_channel_eval(args) -> int:
     if tx_t.degenerate[0, 0]:
         alpha, match = math.nan, 0.0
     else:
-        sin_alpha = np.linalg.norm(np.cross(rx.orientation, tx_t.field_dir[0, 0]))
+        sin_alpha = np.linalg.norm(np.cross(rx.orientation, tx_t.field_dir[:, 0, 0]))
         alpha = np.arctan2(sin_alpha, terms.cos_matching[0, 0])
         match = terms.matching[0, 0]
     fields = [
@@ -184,8 +184,13 @@ def cmd_run(args) -> int:
     overrides = {"seed": args.seed, "repetitions": args.reps}
     config = dataclasses.replace(
         config, **{name: value for name, value in overrides.items() if value is not None})
-    if not os.path.isdir(os.path.dirname(args.out) or "."):   # fail before the work, not after
+    # Fail before the work, not after: a missing directory, or a directory
+    # where the CSV or its sidecar is to be written.
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
+    for path in (args.out, f"{args.out}.meta.json"):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
     medium = config.medium()
     optimizer_config = config.optimizer()

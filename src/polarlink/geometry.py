@@ -8,9 +8,14 @@ angles the link gain depends on are terms of channel.link_terms.
 Every sine and cosine of an angle here comes from one half-angle tangent
 (_sin_cos): numpy 2.4 runs float64 sin and cos through a scalar libm loop,
 12-20 ns per element on a 2-core x86-64 host with AVX-512, while its tan loop
-is vectorized there, 1.6-2 ns. Inside the Monte Carlo's kernel, converting one
-16,384-orientation block takes 0.35-0.50 ms instead of 1.1-1.5 ms with sin
-and cos, and each component stays within 2 ulp (4.4e-16) of theirs.
+is vectorized there, 1.6-2 ns, and each component stays within 2 ulp
+(4.4e-16) of theirs.
+
+Converted axes are component-major: _unit_axes writes three contiguous
+planes, x, y and z, of shape (3,) + the angles' shape, and angles_to_unit
+returns the (..., 3) view of them. The channel kernel reads its axes as those
+planes (see the channel module), so its arithmetic runs along the orientations,
+not along a length-3 axis.
 """
 
 from __future__ import annotations
@@ -92,25 +97,29 @@ def _sin_cos(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _unit_axes(polar: np.ndarray, azimuthal: np.ndarray) -> np.ndarray:
-    """Unit axes broadcast(polar, azimuthal).shape + (3,) of float angle
-    arrays. Each operand's sine and cosine are taken before broadcasting, so
-    (rows, 1) polar angles get theirs once per row."""
-    out = np.empty(np.broadcast_shapes(polar.shape, azimuthal.shape) + (3,))
+    """Unit axes of float angle arrays as three planes, shape
+    (3,) + broadcast(polar, azimuthal).shape: x, y and z, each contiguous.
+    Each operand's sine and cosine are taken before broadcasting, so (rows, 1)
+    polar angles get theirs once per row."""
+    out = np.empty((3,) + np.broadcast_shapes(polar.shape, azimuthal.shape))
     sin_p, cos_p = _sin_cos(polar)
     sin_a, cos_a = _sin_cos(azimuthal)
-    np.multiply(sin_p, cos_a, out=out[..., 0])
-    np.multiply(sin_p, sin_a, out=out[..., 1])
-    out[..., 2] = cos_p
+    np.multiply(sin_p, cos_a, out=out[0, ...])
+    np.multiply(sin_p, sin_a, out=out[1, ...])
+    out[2, ...] = cos_p
     return out
 
 
 def angles_to_unit(polar, azimuthal) -> np.ndarray:
     """Array-friendly orientation construction; accepts any real angles.
 
-    Returns an array of shape broadcast(polar, azimuthal).shape + (3,), each
-    component written once into it (a 0-d pair gives shape (3,)). The sines
-    and cosines come from half-angle tangents (see the module docstring):
-    each component is within 4.4e-16 of the sin/cos formula's, the norm
-    within 4.4e-16 of 1, and polar 0 gives exactly (0, 0, 1).
+    Returns an array of shape broadcast(polar, azimuthal).shape + (3,) (a
+    0-d pair gives shape (3,)): the view of the three component planes
+    _unit_axes writes, each component written once, so a (rows, A, 3)
+    result reshapes to (rows * A, 3) without a copy. The sines and cosines
+    come from half-angle tangents (see the module docstring): each component
+    is within 4.4e-16 of the sin/cos formula's, the norm within 4.4e-16 of 1,
+    and polar 0 gives exactly (0, 0, 1).
     """
-    return _unit_axes(np.asarray(polar, dtype=float), np.asarray(azimuthal, dtype=float))
+    planes = _unit_axes(np.asarray(polar, dtype=float), np.asarray(azimuthal, dtype=float))
+    return planes.transpose(*range(1, planes.ndim), 0)     # np.moveaxis: 3 us more per call

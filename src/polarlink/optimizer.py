@@ -247,7 +247,10 @@ def finite_difference_gradient(layout: LayoutVariables, block: str,
 
 def _axes(angles: np.ndarray) -> np.ndarray:
     """Unit axes (n, 3) of (polar, azimuthal) rows (n, 2), equal to
-    angles_to_unit's bit for bit: both are geometry._unit_axes.
+    angles_to_unit's bit for bit: both are geometry._unit_axes. The rows are
+    copied out of its planes, C-contiguous like every (n, 3) array the ascent
+    makes (gradients, retracted trial axes), so its arithmetic on them never
+    mixes two memory layouts, which costs numpy more at n = 8.
 
     Not angles_to_unit itself, so that angles_to_unit converts only the
     orientations of full channel builds (gain_matrix): the benchmark's traced
@@ -255,7 +258,7 @@ def _axes(angles: np.ndarray) -> np.ndarray:
     optimize and objective convert their layout's two blocks and
     quantize_angles every snapped layout.
     """
-    return _unit_axes(angles[:, 0], angles[:, 1])
+    return np.ascontiguousarray(_unit_axes(angles[:, 0], angles[:, 1]).T)
 
 
 @dataclass(slots=True)
@@ -345,6 +348,8 @@ def _gradient(point: _Point, block: str, medium: MediumParams) -> np.ndarray:
     weight = (np.conj(U @ inner @ Vh) * gains).real
 
     tx, rx = terms.tx, terms.rx
+    # field_dir is (3, K, L) planes; its contractions ask for C-ordered rows,
+    # which einsum would otherwise lay out after the planes (see _axes).
     path, field_dir = terms.geometry.path_dir, tx.field_dir
     cos_e, cos_m = tx.cos_emission, terms.cos_matching
     sin_e = tx.safe_sin_emission
@@ -360,7 +365,7 @@ def _gradient(point: _Point, block: str, medium: MediumParams) -> np.ndarray:
         projected_rx = rx.axes - np.add.reduce(path * rx.axes, axis=-1)[:, None] * path
         along = d_cos_m / sin_e
         grad_axes = (d_cos_e.T @ path + along.T @ projected_rx
-                     - np.einsum("kl,kli->li", along * cos_m, field_dir))
+                     - np.einsum("kl,ikl->li", along * cos_m, field_dir, order="C"))
         axes = tx.axes
     elif block == BLOCK_RX_ANGLES:
         cos_i = rx.cos_incidence
@@ -375,7 +380,8 @@ def _gradient(point: _Point, block: str, medium: MediumParams) -> np.ndarray:
         # d cos_i / d r = -(u . r) u / cos_i.
         axes = rx.axes
         along_path = -np.add.reduce(path * axes, axis=-1) * d_cos_i / cos_i
-        grad_axes = np.einsum("kl,kli->ki", d_cos_m, field_dir) + along_path[:, None] * path
+        grad_axes = (np.einsum("kl,ikl->ki", d_cos_m, field_dir, order="C")
+                     + along_path[:, None] * path)
     else:
         raise ConfigurationError(f"unknown block {block!r}")
     return grad_axes - np.add.reduce(grad_axes * axes, axis=-1)[:, None] * axes

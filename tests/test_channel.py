@@ -254,10 +254,35 @@ def test_sin_emission_is_the_norm_of_the_field_direction(medium, users, antennas
     tx_n = rng.standard_normal((antennas, 3))
     tx_n /= np.linalg.norm(tx_n, axis=1, keepdims=True)
     path_dir = link_geometry(np.zeros((1, 3)), rx_pos, medium).path_dir
-    cos_e = path_dir @ tx_n.T
-    unnormalized = tx_n[None, :, :] - cos_e[:, :, None] * path_dir[:, None, :]
+    terms = transmit_terms(path_dir, tx_n)
+    unnormalized = tx_n[None, :, :] - terms.cos_emission[:, :, None] * path_dir[:, None, :]
     expected = np.linalg.norm(unnormalized, axis=-1)
-    assert transmit_terms(path_dir, tx_n).sin_emission.tobytes() == expected.tobytes()
+    assert terms.sin_emission.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("users, antennas, shared", [(8, 8, False), (3, 5, False),
+                                                     (1, 1 << 14, True), (1 << 14, 1, True),
+                                                     (1, 16401, True), (16401, 1, True)])
+def test_link_terms_gains_do_not_depend_on_the_axes_memory_layout(medium, users, antennas,
+                                                                  shared):
+    # Axes arrive as C-contiguous (N, 3) rows (the optimizer's) or as the
+    # transposed view of (3, N) component planes (angles_to_unit's): the
+    # gains are the same bit for bit, on each side and on both.
+    rng = np.random.default_rng(users + 7 * antennas)
+    tx_p = np.zeros((1, 3)) if shared else rng.uniform(-1.0, 1.0, (antennas, 3))
+    rx_p = RX[None, :] if shared else rng.uniform(-100.0, 100.0, (users, 3))
+    tx_n = rng.standard_normal((antennas, 3))
+    tx_n /= np.linalg.norm(tx_n, axis=1, keepdims=True)
+    rx_n = rng.standard_normal((users, 3))
+    rx_n /= np.linalg.norm(rx_n, axis=1, keepdims=True)
+
+    def planes_view(rows):                  # (N, 3) rows over C-contiguous (3, N) planes
+        return np.ascontiguousarray(rows.T).T
+
+    rows = link_terms(tx_p, tx_n, rx_p, rx_n, medium).gains.tobytes()
+    for tx_axes, rx_axes in ((planes_view(tx_n), rx_n), (tx_n, planes_view(rx_n)),
+                             (planes_view(tx_n), planes_view(rx_n))):
+        assert link_terms(tx_p, tx_axes, rx_p, rx_axes, medium).gains.tobytes() == rows
 
 
 def test_gain_matrix_antipodal_symmetry(medium):
@@ -356,9 +381,9 @@ def test_link_terms_recompose_gain(seed, force_degenerate):
     assert np.allclose(terms.rx.cos_incidence**2 + terms.rx.sin_incidence**2, 1.0,
                        rtol=0.0, atol=1e-15)
     regular = ~terms.tx.degenerate
-    assert np.allclose(np.linalg.norm(terms.tx.field_dir, axis=-1)[regular], 1.0,
+    assert np.allclose(np.linalg.norm(terms.tx.field_dir, axis=0)[regular], 1.0,
                        rtol=0.0, atol=1e-15)
     # The field n - (n . u) u is orthogonal to the path up to rounding.
-    across = (np.einsum("kli,ki->kl", terms.tx.field_dir, terms.geometry.path_dir)
+    across = (np.einsum("ikl,ki->kl", terms.tx.field_dir, terms.geometry.path_dir)
               * terms.tx.sin_emission)
     assert np.allclose(across[regular], 0.0, rtol=0.0, atol=1e-15)

@@ -329,6 +329,25 @@ def test_run_unwritable_output_exits_3(tmp_path, capsys, monkeypatch):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("directory", ["x.csv", "x.csv.meta.json"])
+def test_run_output_that_is_a_directory_exits_3_before_any_work(tmp_path, capsys,
+                                                               monkeypatch, directory):
+    # An --out, or its sidecar, that is an existing directory is refused
+    # before the experiment runs, as a missing directory is.
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "monte_carlo_half_energy", no_work)
+    cfg = _fast_config(tmp_path)
+    (tmp_path / directory).mkdir()
+    out = tmp_path / "x.csv"
+    assert main(["run", "montecarlo", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and "Is a directory" in err
+    assert str(tmp_path / directory) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([directory, Path(cfg).name])
+
+
 def test_run_missing_config_exits_3(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["run", "montecarlo", "--config", str(tmp_path / "nope.json"),

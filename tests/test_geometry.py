@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from polarlink import AntennaPose, link_terms
 from polarlink.errors import GeometryError
-from polarlink.geometry import angles_to_unit, unit, unit_to_angles
+from polarlink.geometry import _unit_axes, angles_to_unit, unit, unit_to_angles
 from polarlink.medium import MediumParams
 
 # Fixed reference link used throughout: tx at the origin, user at
@@ -59,6 +59,25 @@ def test_angles_to_unit_broadcasts():
     assert out.shape == (2, 3)
     assert np.allclose(out[0], [0.0, 0.0, 1.0])
     assert np.allclose(out[1], [0.0, 1.0, 0.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("polar, azimuthal", [
+    (0.7, 2.1),
+    (np.linspace(0.0, math.pi, 7), np.linspace(0.0, 6.0, 7)),
+    (np.linspace(0.0, math.pi, 5)[:, None], np.linspace(0.0, 6.0, 9)),
+])
+def test_angles_to_unit_is_a_view_of_its_component_planes(polar, azimuthal):
+    # broadcast + (3,) rows over the three planes _unit_axes writes: each
+    # component is its plane bit for bit, and a (rows, A, 3) result flattens
+    # to (rows * A, 3) rows without a copy.
+    polar, azimuthal = np.asarray(polar, dtype=float), np.asarray(azimuthal, dtype=float)
+    out = angles_to_unit(polar, azimuthal)
+    planes = _unit_axes(polar, azimuthal)
+    assert out.shape == np.broadcast_shapes(polar.shape, azimuthal.shape) + (3,)
+    assert planes.shape == (3,) + out.shape[:-1] and planes.flags.c_contiguous
+    for i in range(3):
+        assert np.asarray(out[..., i]).tobytes() == planes[i].tobytes()
+    assert np.shares_memory(out.reshape(-1, 3), out)
 
 
 def _half_tangent_sin_cos(x):

@@ -595,6 +595,18 @@ def test_reference_link_peaks():
     assert rx_peak >= 0.4872
 
 
+def test_monte_carlo_fractions_and_peaks_are_pinned():
+    # repr-exact fractions and peaks, three blocks per call, the last of 17
+    # samples: a kernel change that moves gains by rounding only keeps them.
+    samples = 2 * harness._KERNEL_BLOCK + 17
+    assert {(kind, seed): repr(monte_carlo_half_energy(kind, samples, seed))
+            for kind in ("tx_random", "rx_random") for seed in (1, 2)} == {
+        ("tx_random", 1): "0.6753698337654415", ("tx_random", 2): "0.6729906969650755",
+        ("rx_random", 1): "0.9894463931676072", ("rx_random", 2): "0.9906969650754919"}
+    assert repr(reference_link_peak("tx_random")) == "0.6005390198945794"
+    assert repr(reference_link_peak("rx_random")) == "0.4872398608950899"
+
+
 def test_reference_link_peak_builds_its_grid_once(monkeypatch):
     builds = []
 
