@@ -27,7 +27,7 @@ from .errors import (ConfigurationError, GeometryError, InfeasibleLayoutError,
                      NumericalError, PolarlinkError, SingularChannelError,
                      UnsupportedConfigurationError)
 from .geometry import AntennaPose
-from .harness import (make_scenario, monte_carlo_half_energy,
+from .harness import (CSV_COLUMNS, make_scenario, monte_carlo_half_energy,
                       reference_link_map, reference_link_peak, run_configuration, sweep,
                       _usable_cpu_count)
 
@@ -67,8 +67,6 @@ def _fmt(value) -> str:
     if isinstance(value, list):
         return ";".join(map(_fmt, value))
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
         return f"{value:.12g}"
     return str(value)
 
@@ -169,16 +167,6 @@ def cmd_channel_eval(args) -> int:
     return EXIT_OK
 
 
-# The sweep CSV's columns in order, each with the RunRecord field it holds.
-SWEEP_COLUMNS = {
-    "grid_value": "grid_value", "configuration": "configuration", "users": "user_count",
-    "antennas": "antenna_count", "power_w": "total_power", "gamma_total": "gamma_total",
-    "gamma_total_db": "gamma_total_db", "average_rate": "average_rate",
-    "iterations": "iterations", "scenario_hash": "scenario_hash", "seed": "seed",
-    "failure": "failure", "trace_db": "trace_db",
-}
-
-
 def cmd_run(args) -> int:
     config = _load_config(args.config)
     overrides = {"seed": args.seed, "repetitions": args.reps}
@@ -230,8 +218,8 @@ def cmd_run(args) -> int:
         records = sweep(kind, grid, config.repetitions, config.seed,
                         optimizer_config=optimizer_config, user_count=config.user_count,
                         configurations=configurations, workers=_usable_cpu_count(), **scenario)
-        header = list(SWEEP_COLUMNS)
-        rows = [[getattr(rec, name) for name in SWEEP_COLUMNS.values()] for rec in records]
+        header = CSV_COLUMNS
+        rows = [[getattr(rec, name) for name in CSV_COLUMNS] for rec in records]
         reps = config.repetitions
     write_csv(args.out, header, rows)
     write_sidecar(args.out, config, sub, reps, extra)

@@ -15,7 +15,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ from .medium import ANTENNA_FACTOR, MediumParams
 from .mimo import LinkMetrics, solve_beamforming
 from .optimizer import (BLOCK_ORDER, BLOCK_RX_ANGLES, BLOCK_TX_ANGLES, Constraints,
                         ConvergenceTrace, LayoutVariables, OptimizeResult, OptimizerConfig,
-                        check_resolution, optimize, quantize_angles, solve_layout)
+                        check_resolution, optimize, quantize_angles, solve_layout, to_db)
 
 # The optimizer blocks each configuration moves (optimize's `blocks`).
 # Transmit positions are never moved (see the optimizer module docstring), so
@@ -102,24 +102,32 @@ class Scenario:
 
 @dataclass(kw_only=True)
 class RunRecord:
-    """Outcome of one optimization run, reproducible from (scenario, config, seed); the
-    outcome fields, sinr to trace_db, default to a failed run's: empty, nan or 0."""
+    """Outcome of one optimization run, reproducible from (scenario, config, seed).
 
-    scenario_hash: str
+    The fields are the sweep CSV's columns in order (CSV_COLUMNS), then the
+    per-user lists the CSV does not carry. The outcome fields default to a
+    failed run's values: empty, nan or 0.
+    """
+
+    grid_value: Optional[float] = None
     configuration: int
-    user_count: int
-    antenna_count: int
-    total_power: float
-    sinr: List[float] = field(default_factory=list)
-    rates: List[float] = field(default_factory=list)
+    users: int
+    antennas: int
+    power_w: float
     gamma_total: float = math.nan
     gamma_total_db: float = math.nan
     average_rate: float = math.nan
     iterations: int = 0
-    trace_db: List[float] = field(default_factory=list)
+    scenario_hash: str
     seed: int
-    grid_value: Optional[float] = None
     failure: Optional[str] = None
+    trace_db: List[float] = field(default_factory=list)
+    sinr: List[float] = field(default_factory=list)
+    rates: List[float] = field(default_factory=list)
+
+
+# The sweep CSV's header: RunRecord's fields without the per-user lists.
+CSV_COLUMNS = tuple(f.name for f in fields(RunRecord) if f.name not in ("sinr", "rates"))
 
 
 def _rng(*key) -> np.random.Generator:
@@ -433,13 +441,12 @@ def monte_carlo_half_energy(scenario_kind: str, samples: int, seed: int,
 
 
 def run_configuration(scenario: Scenario, config_id: int,
-                      optimizer_config: Optional[OptimizerConfig] = None,
+                      optimizer_config: OptimizerConfig = OptimizerConfig(),
                       initial_layout: Optional[LayoutVariables] = None) -> RunRecord:
     """Apply one movement configuration to a scenario and record the outcome:
     optimize moves the blocks CONFIGURATION_BLOCKS[config_id] from
     initial_layout (default: the scenario-seeded random layout)."""
     _check_configuration(config_id)
-    optimizer_config = optimizer_config or OptimizerConfig()
     layout = initial_layout if initial_layout is not None \
         else random_initial_layout(scenario, _rng(scenario.seed, 2))
     result, failure = _attempt(scenario, layout, optimizer_config, CONFIGURATION_BLOCKS[config_id])
@@ -464,29 +471,26 @@ def _attempt(scenario: Scenario, layout: LayoutVariables, optimizer_config: Opti
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _record(scenario: Scenario, config_id: int, **fields) -> RunRecord:
+def _record(scenario: Scenario, config_id: int, metrics: Optional[LinkMetrics] = None,
+            trace: Optional[ConvergenceTrace] = None, **fields) -> RunRecord:
     """The record of a run of configuration config_id on scenario: the
-    scenario's fields, then `fields` (a failure row: `failure`, any grid_value)."""
-    return RunRecord(scenario_hash=scenario.fingerprint(), configuration=config_id,
-                     user_count=scenario.user_count, antenna_count=scenario.antenna_count,
-                     total_power=scenario.total_power, seed=scenario.seed, **fields)
-
-
-def _outcome(metrics: LinkMetrics, trace: ConvergenceTrace) -> dict:
-    """The outcome fields of a run that ended at metrics after trace."""
-    gamma = metrics.total_sinr
-    return dict(sinr=[float(v) for v in metrics.sinr],
-                rates=[float(v) for v in metrics.rates],
-                gamma_total=float(gamma),
-                gamma_total_db=10.0 * math.log10(gamma) if gamma > 0 else -math.inf,
-                average_rate=metrics.average_rate,
-                iterations=trace.iterations,
-                trace_db=list(trace.total_sinr_db))
+    scenario's fields, the outcome of a run that ended at metrics after trace
+    (without metrics, a failure row's defaults), then `fields` (`failure`, any
+    grid_value). Every record is built here."""
+    if metrics is not None:
+        fields.update(gamma_total=float(metrics.total_sinr),
+                      gamma_total_db=to_db(metrics.total_sinr),
+                      average_rate=metrics.average_rate, iterations=trace.iterations,
+                      trace_db=trace.total_sinr_db, sinr=[float(v) for v in metrics.sinr],
+                      rates=[float(v) for v in metrics.rates])
+    return RunRecord(configuration=config_id, users=scenario.user_count,
+                     antennas=scenario.antenna_count, power_w=scenario.total_power,
+                     scenario_hash=scenario.fingerprint(), seed=scenario.seed, **fields)
 
 
 def record_from_result(scenario: Scenario, config_id: int,
                        result: OptimizeResult) -> RunRecord:
-    return _record(scenario, config_id, **_outcome(result.beamforming.metrics, result.trace))
+    return _record(scenario, config_id, result.beamforming.metrics, result.trace)
 
 
 SWEEP_KINDS = ("users", "power", "granularity")
@@ -507,7 +511,7 @@ def _sweep_cell(scenario: Scenario, grid_value: Optional[float], *, kind: str,
 
 
 def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int, *,
-          optimizer_config: Optional[OptimizerConfig] = None, user_count: int = 8,
+          optimizer_config: OptimizerConfig = OptimizerConfig(), user_count: int = 8,
           configurations: Optional[Sequence[int]] = None, workers: int = 1,
           **scenario) -> List[RunRecord]:
     """Run one experiment family over a parameter grid.
@@ -563,7 +567,7 @@ def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int, *,
         cells += [(make_scenario(users, _mix(seed, gi, rep), **scenario), grid_value)
                   for rep in range(repetitions)]
     cell = functools.partial(_sweep_cell, kind=kind, grid=tuple(grid),
-                             optimizer_config=optimizer_config or OptimizerConfig(),
+                             optimizer_config=optimizer_config,
                              config_ids=tuple(configurations))
     return [rec for records in _ordered_map(cell, cells, workers, processes=True)
             for rec in records]
@@ -575,8 +579,7 @@ def quantized_record(scenario: Scenario, result: OptimizeResult,
     quantized = quantize_angles(result.layout, resolution_deg)
     solution = solve_layout(quantized, scenario.user_poses, scenario.medium,
                             scenario.total_power)
-    return _record(scenario, 5, grid_value=resolution_deg,
-                   **_outcome(solution.metrics, result.trace))
+    return _record(scenario, 5, solution.metrics, result.trace, grid_value=resolution_deg)
 
 
 def _mix(seed: int, grid_index: int, repetition: int) -> int:

@@ -165,6 +165,11 @@ class OptimizerConfig:
             raise ConfigurationError("convergence tolerance must lie in (0, 1)")
 
 
+def to_db(value: float) -> float:
+    """value in dB, or -inf for a value that is not positive (nan included)."""
+    return 10.0 * math.log10(value) if value > 0 else -math.inf
+
+
 @dataclass
 class ConvergenceTrace:
     """Objective history across accepted outer iterations (non-decreasing),
@@ -180,7 +185,7 @@ class ConvergenceTrace:
 
     @property
     def total_sinr_db(self) -> List[float]:
-        return [10.0 * math.log10(v) if v > 0 else -math.inf for v in self.total_sinr]
+        return [to_db(v) for v in self.total_sinr]
 
     @property
     def iterations(self) -> int:

@@ -581,7 +581,7 @@ def test_readme_sweep_schema_is_the_written_header(tmp_path):
     assert main(["run", "sweep-users", "--config", cfg, "--out", str(out),
                  "--reps", "1"]) == 0
     assert [name.strip() for name in block.split(",")] == _read_csv(out)[0] \
-        == list(cli.SWEEP_COLUMNS) == SWEEP_HEADER
+        == list(harness.CSV_COLUMNS) == SWEEP_HEADER
 
 
 def test_readme_documents_every_config_key():

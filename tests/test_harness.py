@@ -16,7 +16,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from polarlink import (MediumParams, OptimizerConfig, Scenario,
+from polarlink import (ChannelMatrix, MediumParams, OptimizerConfig, Scenario,
                        make_scenario, monte_carlo_half_energy,
                        run_configuration, sweep)
 from polarlink import harness, mimo, optimizer
@@ -108,6 +108,31 @@ def test_random_tx_positions_infeasible_raises():
         random_tx_positions(8, tight, _rng(0))
 
 
+def test_exact_distance_phases_cost_over_1_db_at_the_default_box():
+    """The plane-wave phase exp(j k u_k . p_l) does not hold over the default
+    movement box: the aperture spans about 3.5 m, whose Fraunhofer distance
+    2 D^2 / lambda (about 2.4 km) lies beyond every user. Over 20 seeded
+    start layouts (K = 8, configuration 1) the exact-distance phases give a
+    mean J more than 1 dB below the plane-wave one (28.14 against 29.54 dB)."""
+    plane_db, exact_db = [], []
+    for seed in range(20):
+        sc = make_scenario(8, seed)
+        layout = random_initial_layout(sc, _rng(seed, 2))
+        users = np.array([u.position for u in sc.user_poses])
+        gains = gain_matrix(layout.tx_positions, layout.tx_orientations(), users,
+                            layout.rx_orientations(), sc.medium)
+        distance = np.linalg.norm(users, axis=1)
+        exact = np.linalg.norm(users[:, None, :] - layout.tx_positions[None, :, :], axis=2)
+        excess = exact - distance[:, None] + (users / distance[:, None]) @ layout.tx_positions.T
+        wavenumber = 2.0 * np.pi / sc.medium.wavelength
+        for entries, out in ((gains, plane_db),
+                             (gains * np.exp(-1j * wavenumber * excess), exact_db)):
+            solution = mimo.solve_beamforming(ChannelMatrix(entries=entries), sc.total_power,
+                                              sc.medium.noise_power)
+            out.append(optimizer.to_db(solution.metrics.total_sinr))
+    assert np.mean(exact_db) < np.mean(plane_db) - 1.0
+
+
 def test_random_initial_layout_is_feasible():
     sc = make_scenario(4, seed=5)
     layout = random_initial_layout(sc, _rng(sc.seed, 2))
@@ -177,7 +202,7 @@ def test_run_records_failure_instead_of_raising():
     rec = run_configuration(sc, 5, FAST, layout)
     assert rec.failure.startswith("InfeasibleLayoutError: ")
     # A failure row keeps the scenario's fields and holds no outcome.
-    assert (rec.scenario_hash, rec.configuration, rec.user_count, rec.seed) == (
+    assert (rec.scenario_hash, rec.configuration, rec.users, rec.seed) == (
         sc.fingerprint(), 5, 2, sc.seed)
     assert (rec.sinr, rec.rates, rec.iterations, rec.trace_db) == ([], [], 0, [])
     assert all(map(math.isnan, (rec.gamma_total, rec.gamma_total_db, rec.average_rate)))
@@ -424,7 +449,7 @@ def test_pool_workers_end_with_a_killed_parent():
 def test_power_sweep_uses_grid_for_budget():
     records = sweep("power", [0.25, 0.5], repetitions=1, seed=4,
                     optimizer_config=FAST, user_count=2, configurations=(1,))
-    assert [r.total_power for r in records] == [0.25, 0.5]
+    assert [r.power_w for r in records] == [0.25, 0.5]
     assert [r.grid_value for r in records] == [0.25, 0.5]
 
 
@@ -473,7 +498,7 @@ def test_sweep_forwards_the_scenario_settings(monkeypatch):
         assert [r.scenario_hash for r in records] == [
             make_scenario(users, _mix(5, gi, rep), **settings, **power).fingerprint()
             for users, gi, rep, power in cells]
-        assert all(r.antenna_count == 4 and r.failure is None for r in records)
+        assert all(r.antennas == 4 and r.failure is None for r in records)
     # make_scenario refuses an unknown setting when the first cell is drawn.
     monkeypatch.setattr(harness, "_ordered_map", lambda *args, **kwargs: pytest.fail())
     with pytest.raises(TypeError, match="colour"):
@@ -497,7 +522,7 @@ def test_sweep_input_validation():
         sweep("power", [0.5], repetitions=1, seed=0, user_count=2.7)
     records = sweep("users", np.array([1]), repetitions=1, seed=0, optimizer_config=FAST,
                     configurations=(1,))
-    assert [(r.user_count, r.grid_value) for r in records] == [(1, 1.0)]
+    assert [(r.users, r.grid_value) for r in records] == [(1, 1.0)]
 
 
 @pytest.mark.parametrize("kind, grid, configurations", [
