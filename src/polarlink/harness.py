@@ -49,7 +49,10 @@ _VERTICAL = np.array([0.0, 0.0, 1.0])
 _USER_DRAW_ROUNDS = 100_000
 _TX_PLACEMENT_ATTEMPTS = 10_000
 _MONTE_CARLO_BATCH = 1_000_000
-_KERNEL_BLOCK = 1 << 14             # orientations per kernel call: block-sized temporaries
+# Orientations per kernel call, 3 x 8,192. A block thread holds about 116 bytes
+# per orientation at its peak, under 3 MB at this size; fewer, larger blocks
+# make fewer numpy calls, and each call hands the GIL between the threads.
+_KERNEL_BLOCK = 3 << 13
 _MAP_STEP_DEG = 1.0                 # the gain map's grid step (reference_link_map)
 _PEAK_STEP_DEG = 0.25               # the peak's grid step (reference_link_peak)
 
@@ -331,18 +334,25 @@ def _map_blocks(task: Callable[[int, int], object], size: int,
                 block: int = _KERNEL_BLOCK) -> list:
     """[task(start, stop) for each block of at most `block` of range(size)].
 
-    The blocks run through _ordered_map on one thread per usable CPU; numpy
-    releases the GIL inside a block's kernel, so they run in parallel.
+    The blocks are split into min(usable CPUs, blocks) contiguous runs, in
+    block order, and each run goes to one thread of _ordered_map, which runs
+    its blocks in order: one task per thread, not per block. numpy releases
+    the GIL inside a block's kernel, so the runs go on in parallel.
     """
     bounds = [(start, min(start + block, size)) for start in range(0, size, block)]
-    return _ordered_map(task, bounds, _usable_cpu_count())
+    threads = min(_usable_cpu_count(), len(bounds))
+    runs = [(bounds[len(bounds) * t // threads:len(bounds) * (t + 1) // threads],)
+            for t in range(threads)]
+    return [result for run in _ordered_map(lambda run: [task(*b) for b in run], runs, threads)
+            for result in run]
 
 
-def _block_magnitudes(kind: str, polar, azimuthal, medium: MediumParams) -> np.ndarray:
-    """|h| of one block of orientations, flattened: one angles_to_unit and one
-    gain_matrix call. A kernel entry depends on its own orientation alone, so
-    any split into blocks gives the whole-array values."""
-    axes = angles_to_unit(polar, azimuthal).reshape(-1, 3)
+def _block_magnitudes(kind: str, axes: np.ndarray, medium: MediumParams) -> np.ndarray:
+    """|h| of one block of unit axes (N, 3): one gain_matrix call. A kernel
+    entry depends on its own orientation alone, so any split into blocks gives
+    the whole-array values. The caller converts the block's angles with one
+    angles_to_unit call and drops them first, so they are not held through
+    the kernel."""
     if kind == "tx_random":
         gains = gain_matrix(_REFERENCE_TX[None, :], axes, _REFERENCE_RX[None, :],
                             _VERTICAL[None, :], medium)[0]
@@ -359,7 +369,8 @@ def _grid_blocks(kind: str, medium: MediumParams, grid_step_deg: float,
 
     The grid goes through the kernel a block of whole polar rows at a time
     (at most _KERNEL_BLOCK orientations, unless one row is longer) on the
-    block thread pool, and keep sees each block's |h| flattened, polar-major.
+    block threads (_map_blocks), and keep sees each block's |h| flattened,
+    polar-major.
     """
     if kind not in ("tx_random", "rx_random"):
         raise ConfigurationError(f"unknown scenario kind {kind!r}")
@@ -369,7 +380,8 @@ def _grid_blocks(kind: str, medium: MediumParams, grid_step_deg: float,
     def block(start: int, stop: int):
         # (rows, 1) polar angles broadcast against the azimuths: a row's
         # sines and cosines are taken once, not once per grid point.
-        return keep(_block_magnitudes(kind, polar[start:stop, None], azimuthal, medium))
+        axes = angles_to_unit(polar[start:stop, None], azimuthal).reshape(-1, 3)
+        return keep(_block_magnitudes(kind, axes, medium))
 
     rows = max(1, _KERNEL_BLOCK // azimuthal.size)
     return polar, azimuthal, _map_blocks(block, polar.size, rows)
@@ -388,8 +400,11 @@ def reference_link_peak(kind: str, medium: MediumParams = MediumParams(),
 
     Each block of the grid (_grid_blocks) keeps only its maximum, so nothing
     grid-sized is built. It is computed once per process per (kind, medium,
-    grid_step_deg).
+    grid_step_deg). A step that is not a number in (0, 180] raises
+    ConfigurationError before any grid is built.
     """
+    if not 0.0 < grid_step_deg <= 180.0:       # nan and inf fail too
+        raise ConfigurationError(f"grid step must be in (0, 180] degrees, got {grid_step_deg}")
     return _grid_peak(kind, medium, grid_step_deg)
 
 
@@ -407,13 +422,17 @@ def monte_carlo_half_energy(scenario_kind: str, samples: int, seed: int,
     (75, -40, 50) with the non-random antenna vertical. Angles are sampled
     uniformly in (polar, azimuthal) from _rng(seed, 1), one million at a time:
     all polar angles of a batch, then its azimuths. The batch's blocks of
-    _KERNEL_BLOCK samples run on the block thread pool. Each block builds one
-    generator, _rng(seed, 1), and reads it at two offsets: advanced to its
-    polar angles' place in the stream it draws them, and advanced by the rest
-    of the batch it draws its azimuths (a uniform double takes exactly one
-    64-bit draw, so the values are those of the whole-batch draws). A block
-    returns its hit count; nothing full-sized is kept. The peak's grid
-    (reference_link_peak) is computed once per process per (kind, medium,
+    _KERNEL_BLOCK samples run on the block threads, one contiguous run of
+    blocks per thread (_map_blocks). Each block builds one generator,
+    _rng(seed, 1), and reads it at two offsets: advanced to its polar angles'
+    place in the stream it draws them, and advanced by the rest of the batch
+    it draws its azimuths (a uniform double takes exactly one 64-bit draw, so
+    the values are those of the whole-batch draws). It draws rng.random(n)
+    scaled in place by pi or 2 pi, which is Generator.uniform(0, b)'s
+    0.0 + b * u bit for bit, converts the angles to axes and drops them
+    before the kernel. A block returns its hit count; nothing full-sized is
+    kept. The peak's grid (reference_link_peak, whose grid_step_deg check
+    runs before any draw) is computed once per process per (kind, medium,
     grid_step_deg).
     """
     if samples < 1:
@@ -430,10 +449,14 @@ def monte_carlo_half_energy(scenario_kind: str, samples: int, seed: int,
         def block_hits(start: int, stop: int) -> int:
             rng = _rng(seed, 1)
             rng.bit_generator.advance(drawn + start)
-            polar = rng.uniform(0.0, np.pi, stop - start)
+            polar = rng.random(stop - start)
+            polar *= np.pi
             rng.bit_generator.advance(n - (stop - start))
-            azimuthal = rng.uniform(0.0, 2.0 * np.pi, stop - start)
-            mags = _block_magnitudes(scenario_kind, polar, azimuthal, medium)
+            azimuthal = rng.random(stop - start)
+            azimuthal *= 2.0 * np.pi
+            axes = angles_to_unit(polar, azimuthal)
+            del polar, azimuthal
+            mags = _block_magnitudes(scenario_kind, axes, medium)
             return int(np.count_nonzero(np.square(mags, out=mags) >= threshold))
 
         hits += sum(_map_blocks(block_hits, n))

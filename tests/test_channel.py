@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from polarlink import (AntennaPose, ChannelMatrix, channel_matrix, element_gain,
                        link_terms, radiation_factor, reflection_coefficients)
-from polarlink.channel import _dipole_pattern, gain_matrix, link_geometry, transmit_terms
+from polarlink.channel import (_IN_PLACE_GAINS, _dipole_pattern, gain_matrix, link_geometry,
+                               transmit_terms)
 from polarlink.errors import UnsupportedConfigurationError
 from polarlink.medium import ANTENNA_FACTOR, SPEED_OF_LIGHT, VACUUM_PERMEABILITY, MediumParams
 
@@ -243,6 +244,39 @@ def test_one_receiver_position_broadcasts_against_its_axes(medium):
     assert np.array_equal(one, tiled)
     assert np.all(one[:, 0] != 0.0)
     assert np.all(one[:, 1] == 0.0)
+
+
+@pytest.mark.parametrize("receivers", [50, _IN_PLACE_GAINS // 3 + 1])
+def test_one_transmit_axis_broadcasts_against_the_positions(medium, receivers):
+    # The gains of one transmit axis at L positions are those of the axis
+    # repeated L times, bit for bit, also against N receive axes, with the
+    # gains written either way (combine_terms).
+    rng = np.random.default_rng(8)
+    rx_n = rng.standard_normal((receivers, 3))
+    rx_n /= np.linalg.norm(rx_n, axis=1, keepdims=True)
+    tx_p = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [0.0, 0.02, 0.0]])
+    one = gain_matrix(tx_p, VERTICAL[None, :], RX[None, :], rx_n, medium)
+    repeated = gain_matrix(tx_p, np.tile(VERTICAL, (3, 1)), RX[None, :], rx_n, medium)
+    assert one.shape == repeated.shape == (receivers, 3)
+    assert np.array_equal(one, repeated)
+
+
+@pytest.mark.parametrize("side", ["tx", "rx"])
+def test_in_place_and_two_call_gains_round_alike(medium, side):
+    # combine_terms writes the gains of _IN_PLACE_GAINS links or more in
+    # place and smaller ones through a real product: the same links give the
+    # same gains bit for bit, in one call or in small pieces.
+    rng = np.random.default_rng(9)
+    axes = rng.standard_normal((_IN_PLACE_GAINS + 1, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+
+    def gains(n):
+        if side == "tx":
+            return gain_matrix(np.zeros((1, 3)), n, RX[None, :], VERTICAL[None, :], medium)[0]
+        return gain_matrix(np.zeros((1, 3)), VERTICAL[None, :], RX[None, :], n, medium)[:, 0]
+
+    pieces = np.concatenate([gains(axes[i:i + 1000]) for i in range(0, len(axes), 1000)])
+    assert gains(axes).tobytes() == pieces.tobytes()
 
 
 @pytest.mark.parametrize("users, antennas", [(1, 1), (1, 8), (8, 1), (8, 8),

@@ -621,9 +621,10 @@ def test_reference_link_peaks():
 
 
 def test_monte_carlo_fractions_and_peaks_are_pinned():
-    # repr-exact fractions and peaks, three blocks per call, the last of 17
-    # samples: a kernel change that moves gains by rounding only keeps them.
-    samples = 2 * harness._KERNEL_BLOCK + 17
+    # repr-exact fractions and peaks at a fixed 32,785 samples (a full
+    # 24,576-sample block and one of 8,209): a kernel change that moves gains
+    # by rounding only keeps them, and so does any block size.
+    samples = 32_785
     assert {(kind, seed): repr(monte_carlo_half_energy(kind, samples, seed))
             for kind in ("tx_random", "rx_random") for seed in (1, 2)} == {
         ("tx_random", 1): "0.6753698337654415", ("tx_random", 2): "0.6729906969650755",
@@ -719,20 +720,43 @@ def _with_workers(monkeypatch, workers):
 @pytest.mark.parametrize("kind", ["tx_random", "rx_random"])
 def test_pool_size_does_not_change_any_value(monkeypatch, kind):
     # More threads than most hosts' cores, switching as often as possible,
-    # must give the one-thread values bit for bit.
-    results = []
+    # must give the one-thread values bit for bit. Each call of B blocks
+    # posts min(workers, B) thread tasks, each a run of consecutive blocks,
+    # the runs in block order.
+    results, calls, posted = [], [], []
+    ordered_map = harness._ordered_map
+    submit = concurrent.futures.ThreadPoolExecutor.submit
+
+    def recorded(task, arguments, workers):
+        calls.append([run for run, in arguments])
+        return ordered_map(task, arguments, workers)
+
+    def counted(pool, *args, **kwargs):
+        posted.append(1)
+        return submit(pool, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "_ordered_map", recorded)
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", counted)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for workers in (1, 4):
+        for workers in (1, 2, 4):
             _with_workers(monkeypatch, workers)
+            calls.clear()
+            posted.clear()
             results.append((
                 harness.reference_link_map(kind)[2].tobytes(),
                 harness._grid_peak.__wrapped__(kind, MediumParams(), 0.5).hex(),
                 monte_carlo_half_energy(kind, 5 * harness._KERNEL_BLOCK + 3, seed=6)))
+            for runs in calls:                       # the map, the peak, the Monte Carlo
+                blocks = [bounds for run in runs for bounds in run]
+                assert all(runs) and len(runs) == min(workers, len(blocks))
+                assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+            assert len(calls[2]) == min(workers, 6)
+            assert len(posted) == sum(len(runs) for runs in calls if len(runs) > 1)
     finally:
         sys.setswitchinterval(interval)
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
 
 
 @pytest.mark.parametrize("kind", ["tx_random", "rx_random"])
@@ -809,6 +833,17 @@ def test_monte_carlo_rx_fraction_is_higher():
     rx = monte_carlo_half_energy("rx_random", 20_000, seed=2)
     assert rx > tx
     assert rx > 0.95
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf, 180.5, 400.0])
+def test_grid_step_outside_0_to_180_degrees_is_refused(monkeypatch, step):
+    # Refused before any grid or draw: 0 and -1 would divide by zero, nan
+    # fails np.arange, and a step past 180 makes a one-point "peak".
+    monkeypatch.setattr(harness, "gain_matrix", None)      # any grid would fail
+    with pytest.raises(ConfigurationError, match="grid step"):
+        reference_link_peak("tx_random", grid_step_deg=step)
+    with pytest.raises(ConfigurationError, match="grid step"):
+        monte_carlo_half_energy("tx_random", 10, seed=1, grid_step_deg=step)
 
 
 def test_monte_carlo_validation():
