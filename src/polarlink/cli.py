@@ -196,9 +196,12 @@ def cmd_run(args) -> int:
         extra = {"peak_gain": reference_link_peak(kind, medium)}
     elif sub == "montecarlo":
         header = ["scenario_kind", "samples", "half_energy_fraction"]
+        kinds = ("tx_random", "rx_random")
         rows = [[kind, config.monte_carlo_samples,
                  monte_carlo_half_energy(kind, config.monte_carlo_samples, config.seed, medium)]
-                for kind in ("tx_random", "rx_random")]
+                for kind in kinds]
+        # The peak each fraction's threshold, 0.5 peak^2, is taken against.
+        extra = {"peak_gain": {kind: reference_link_peak(kind, medium) for kind in kinds}}
     elif sub == "optimize":
         record = run_configuration(make_scenario(config.user_count, config.seed, **scenario),
                                    5, optimizer_config)

@@ -17,7 +17,7 @@ from typing import List, Optional, Union
 
 from .errors import ConfigurationError
 from .medium import MediumParams
-from .optimizer import OptimizerConfig
+from .optimizer import OptimizerConfig, check_integer
 
 
 _JSON_TYPES = {list: "array", str: "string", int: "number", float: "number",
@@ -80,10 +80,8 @@ class RunConfig:
         for users in (self.user_count, *self.users_grid):
             if users > self.antenna_count:
                 raise ConfigurationError(f"{users} users exceed {self.antenna_count} antennas")
-        if self.repetitions < 1:
-            raise ConfigurationError("repetitions must be at least 1")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed}")
+        check_integer(self.repetitions, "repetitions")
+        check_integer(self.seed, "seed", 0)
         self.medium()                     # checks the medium's values
 
     @classmethod

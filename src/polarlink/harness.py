@@ -13,7 +13,6 @@ import functools
 import hashlib
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, List, Optional, Sequence
@@ -29,7 +28,8 @@ from .medium import ANTENNA_FACTOR, MediumParams
 from .mimo import LinkMetrics, solve_beamforming
 from .optimizer import (BLOCK_ORDER, BLOCK_RX_ANGLES, BLOCK_TX_ANGLES, Constraints,
                         ConvergenceTrace, LayoutVariables, OptimizeResult, OptimizerConfig,
-                        check_resolution, optimize, quantize_angles, solve_layout, to_db)
+                        check_integer, check_resolution, optimize, quantize_angles,
+                        solve_layout, to_db)
 
 # The optimizer blocks each configuration moves (optimize's `blocks`).
 # Transmit positions are never moved (see the optimizer module docstring), so
@@ -48,7 +48,6 @@ _REFERENCE_RX = np.array([75.0, -40.0, 50.0])
 _VERTICAL = np.array([0.0, 0.0, 1.0])
 _USER_DRAW_ROUNDS = 100_000
 _TX_PLACEMENT_ATTEMPTS = 10_000
-_MONTE_CARLO_BATCH = 1_000_000
 # Orientations per kernel call, 3 x 8,192. A block thread holds about 116 bytes
 # per orientation at its peak, under 3 MB at this size; fewer, larger blocks
 # make fewer numpy calls, and each call hands the GIL between the threads.
@@ -69,6 +68,7 @@ class Scenario:
     seed: int
 
     def __post_init__(self):
+        check_integer(self.antenna_count, "antenna count")
         if len(self.user_poses) > self.antenna_count:
             raise UnsupportedConfigurationError(
                 f"{len(self.user_poses)} users exceed {self.antenna_count} antennas")
@@ -134,9 +134,9 @@ CSV_COLUMNS = tuple(f.name for f in fields(RunRecord) if f.name not in ("sinr", 
 
 
 def _rng(*key) -> np.random.Generator:
-    """The generator of a (seed, stream) key; a negative seed is an error."""
-    if min(key) < 0:
-        raise ConfigurationError(f"seed must be non-negative, got {key[0]}")
+    """The generator of a (seed, stream) key; a seed that is not a
+    non-negative integer is an error (check_integer)."""
+    check_integer(key[0], "seed", 0)
     return np.random.default_rng(list(key))
 
 
@@ -160,8 +160,7 @@ def generate_users(user_count: int, cube_half_side: float,
     out, users still that close, or a distance too large for a float raises
     UnsupportedConfigurationError.
     """
-    if user_count < 1:
-        raise ConfigurationError("need at least one user")
+    check_integer(user_count, "user count")
     if not math.sqrt(3.0) * cube_half_side > 1.0:
         raise UnsupportedConfigurationError(
             f"coverage half side {cube_half_side} m leaves no point 1 m from the origin")
@@ -420,47 +419,42 @@ def monte_carlo_half_energy(scenario_kind: str, samples: int, seed: int,
 
     The fixed link places the transmitter at the origin and the receiver at
     (75, -40, 50) with the non-random antenna vertical. Angles are sampled
-    uniformly in (polar, azimuthal) from _rng(seed, 1), one million at a time:
-    all polar angles of a batch, then its azimuths. The batch's blocks of
-    _KERNEL_BLOCK samples run on the block threads, one contiguous run of
-    blocks per thread (_map_blocks). Each block builds one generator,
-    _rng(seed, 1), and reads it at two offsets: advanced to its polar angles'
-    place in the stream it draws them, and advanced by the rest of the batch
-    it draws its azimuths (a uniform double takes exactly one 64-bit draw, so
-    the values are those of the whole-batch draws). It draws rng.random(n)
-    scaled in place by pi or 2 pi, which is Generator.uniform(0, b)'s
-    0.0 + b * u bit for bit, converts the angles to axes and drops them
-    before the kernel. A block returns its hit count; nothing full-sized is
-    kept. The peak's grid (reference_link_peak, whose grid_step_deg check
-    runs before any draw) is computed once per process per (kind, medium,
-    grid_step_deg).
+    uniformly in (polar, azimuthal) from one stream per call, _rng(seed, 1):
+    all polar angles of the call, then all its azimuths, so sample i's are
+    draws i and samples + i, and a run is no prefix of a longer one. The
+    call's blocks of _KERNEL_BLOCK samples run on the block threads, one
+    contiguous run of blocks per thread (_map_blocks). Each block builds one
+    generator, _rng(seed, 1), and reads it at two offsets: its polar angles'
+    place and, samples draws further on, its azimuths' (PCG64 advances in one
+    O(1) jump, and a uniform double takes exactly one 64-bit draw). It
+    draws rng.random(n) scaled in place by pi or 2 pi, which is
+    Generator.uniform(0, b)'s 0.0 + b * u bit for bit, converts the angles to
+    axes and drops them before the kernel. A block returns its hit count;
+    nothing full-sized is kept. samples is a positive integer and seed a
+    non-negative one (check_integer). The peak's grid (reference_link_peak,
+    whose grid_step_deg check runs before any draw) is computed once per
+    process per (kind, medium, grid_step_deg).
     """
-    if samples < 1:
-        raise ConfigurationError("need at least one Monte Carlo sample")
-    _rng(seed, 1)                              # a negative seed fails before the grid
+    check_integer(samples, "samples")
+    samples = int(samples)                     # PCG64.advance takes no numpy integer
+    _rng(seed, 1)                              # a bad seed fails before the grid
     peak = reference_link_peak(scenario_kind, medium, grid_step_deg)
     threshold = 0.5 * peak**2
 
-    hits = 0
-    for first in range(0, samples, _MONTE_CARLO_BATCH):
-        n = min(_MONTE_CARLO_BATCH, samples - first)
-        drawn = 2 * first                      # each earlier batch drew 2 per sample
+    def block_hits(start: int, stop: int) -> int:
+        rng = _rng(seed, 1)
+        rng.bit_generator.advance(start)
+        polar = rng.random(stop - start)
+        polar *= np.pi
+        rng.bit_generator.advance(samples - (stop - start))
+        azimuthal = rng.random(stop - start)
+        azimuthal *= 2.0 * np.pi
+        axes = angles_to_unit(polar, azimuthal)
+        del polar, azimuthal
+        mags = _block_magnitudes(scenario_kind, axes, medium)
+        return int(np.count_nonzero(np.square(mags, out=mags) >= threshold))
 
-        def block_hits(start: int, stop: int) -> int:
-            rng = _rng(seed, 1)
-            rng.bit_generator.advance(drawn + start)
-            polar = rng.random(stop - start)
-            polar *= np.pi
-            rng.bit_generator.advance(n - (stop - start))
-            azimuthal = rng.random(stop - start)
-            azimuthal *= 2.0 * np.pi
-            axes = angles_to_unit(polar, azimuthal)
-            del polar, azimuthal
-            mags = _block_magnitudes(scenario_kind, axes, medium)
-            return int(np.count_nonzero(np.square(mags, out=mags) >= threshold))
-
-        hits += sum(_map_blocks(block_hits, n))
-    return hits / samples
+    return sum(_map_blocks(block_hits, samples)) / samples
 
 
 def run_configuration(scenario: Scenario, config_id: int,
@@ -544,11 +538,14 @@ def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int, *,
     power:       grid = total powers; configurations default to (1, 5).
     granularity: grid = quantization resolutions in degrees; a single full-
                  precision optimization per repetition is quantized at each
-                 resolution and re-evaluated.
+                 resolution and re-evaluated. It runs configuration 5
+                 whatever `configurations` holds.
 
-    A configuration id outside CONFIGURATION_BLOCKS or a resolution that
-    quantize_angles refuses (check_resolution) raises ConfigurationError
-    before any cell runs.
+    repetitions and the user counts (the users grid's, or user_count) are
+    positive integers and seed a non-negative one (check_integer). Any of
+    them that is not, a configuration id outside CONFIGURATION_BLOCKS or a
+    resolution that quantize_angles refuses (check_resolution) raises
+    ConfigurationError before any cell runs.
 
     Each (grid point, repetition) cell draws its scenario here, make_scenario
     with its own counter-derived seed and the keyword settings in `scenario`
@@ -565,10 +562,8 @@ def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int, *,
         raise ConfigurationError(f"unknown sweep kind {kind!r}")
     if len(grid) == 0:
         raise ConfigurationError("sweep grid must be nonempty")
-    if repetitions < 1:
-        raise ConfigurationError(f"repetitions must be at least 1, got {repetitions}")
-    if seed < 0:    # _mix would turn it into valid cell seeds
-        raise ConfigurationError(f"seed must be non-negative, got {seed}")
+    check_integer(repetitions, "repetitions")
+    check_integer(seed, "seed", 0)  # _mix would turn any other into valid cell seeds
     if configurations is None:
         configurations = (1, 2, 3, 4, 5) if kind == "users" else (1, 5)
     if len(configurations) == 0:
@@ -578,8 +573,7 @@ def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int, *,
     for resolution in grid if kind == "granularity" else []:
         check_resolution(resolution)
     for users in grid if kind == "users" else [user_count]:
-        if isinstance(users, bool) or not isinstance(users, numbers.Integral) or users < 1:
-            raise ConfigurationError(f"user count must be a positive integer, got {users!r}")
+        check_integer(users, "user count")
 
     cells = []
     for gi in range(1 if kind == "granularity" else len(grid)):

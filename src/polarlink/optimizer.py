@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence
@@ -151,16 +152,16 @@ class LayoutVariables:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """When optimize stops: after max_outer_iterations sweeps, or after one that
-    raises the objective by less than convergence_tol (relative). The line
-    search has no settings: fixed constants and a rounding floor (see optimize)."""
+    """When optimize stops: after max_outer_iterations sweeps (a positive
+    integer, check_integer), or after one that raises the objective by less
+    than convergence_tol (relative). The line search has no settings: fixed
+    constants and a rounding floor (see optimize)."""
 
     max_outer_iterations: int = 100
     convergence_tol: float = 1e-4
 
     def __post_init__(self):
-        if self.max_outer_iterations <= 0:
-            raise ConfigurationError("max_outer_iterations must be positive")
+        check_integer(self.max_outer_iterations, "max_outer_iterations")
         if not 0.0 < self.convergence_tol < 1.0:
             raise ConfigurationError("convergence tolerance must lie in (0, 1)")
 
@@ -580,6 +581,15 @@ def optimize(initial_layout: LayoutVariables, users: Sequence[AntennaPose],
     return OptimizeResult(layout=layout,
                           beamforming=solve_layout(layout, users, medium, total_power),
                           trace=trace)
+
+
+def check_integer(value, name: str, minimum: int = 1) -> None:
+    """Raise ConfigurationError unless value is an integer, not a bool, of at
+    least minimum: the one rule for every count (minimum 1) and every seed
+    (minimum 0) that the library takes."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        bound = "positive" if minimum else "non-negative"
+        raise ConfigurationError(f"{name} must be a {bound} integer, got {value!r}")
 
 
 def check_resolution(resolution_deg: float) -> None:

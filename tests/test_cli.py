@@ -181,7 +181,7 @@ def test_run_montecarlo_deterministic(tmp_path, capsys):
 
 
 def test_run_montecarlo_sidecar(tmp_path):
-    cfg = _fast_config(tmp_path)
+    cfg = _fast_config(tmp_path, wavelength_m=0.02)
     out = tmp_path / "mc.csv"
     assert main(["run", "montecarlo", "--config", cfg, "--out", str(out)]) == 0
     meta = json.loads((tmp_path / "mc.csv.meta.json").read_text())
@@ -192,6 +192,11 @@ def test_run_montecarlo_sidecar(tmp_path):
     assert meta["environment"] == {"python": platform.python_version(),
                                    "numpy": np.__version__, "cpu_count": os.cpu_count(),
                                    "usable_cpu_count": len(os.sched_getaffinity(0))}
+    # Each kind's fraction counts orientations with |h|^2 >= 0.5 peak^2: the
+    # sidecar records that peak, for the configured medium.
+    medium = RunConfig.from_file(cfg).medium()
+    assert meta["peak_gain"] == {kind: harness.reference_link_peak(kind, medium)
+                                 for kind in ("tx_random", "rx_random")}
 
 
 def test_run_optimize_trace_monotone(tmp_path):
@@ -380,7 +385,7 @@ def test_run_nonpositive_reps_override_exits_2(tmp_path, capsys, reps):
     out = tmp_path / "users.csv"
     assert main(["run", "sweep-users", "--config", cfg, "--out", str(out),
                  "--reps", reps]) == 2
-    assert "repetitions must be at least 1" in capsys.readouterr().err
+    assert "repetitions must be a positive integer" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "users.csv.meta.json").exists()
 

@@ -272,12 +272,18 @@ def test_users_sweep_shape_and_grid_values():
     assert all(r.failure is None for r in records)
 
 
-def test_sweep_deterministic_and_worker_invariant():
-    kwargs = dict(grid=[2], repetitions=2, seed=9, optimizer_config=FAST,
-                  configurations=(1, 5))
-    serial = sweep("users", **kwargs)
-    again = sweep("users", **kwargs)
-    parallel = sweep("users", workers=2, **kwargs)
+@pytest.mark.parametrize("kind, grid", [
+    ("users", [2]),
+    ("power", [0.25, 1.0]),
+    ("granularity", [30, 80]),
+], ids=["users", "power", "granularity"])
+def test_sweep_deterministic_and_worker_invariant(kind, grid):
+    kwargs = dict(grid=grid, repetitions=2, seed=9, optimizer_config=FAST,
+                  configurations=(1, 5), user_count=2)
+    serial = sweep(kind, **kwargs)
+    again = sweep(kind, **kwargs)
+    parallel = sweep(kind, workers=2, **kwargs)
+    assert all(r.failure is None for r in serial)    # no nan, which == would not match
     assert serial == again
     assert serial == parallel
 
@@ -512,8 +518,13 @@ def test_sweep_input_validation():
         sweep("users", [], repetitions=1, seed=0)
     with pytest.raises(ConfigurationError, match="configurations must be nonempty"):
         sweep("users", [1], repetitions=1, seed=0, configurations=[])
-    with pytest.raises(ConfigurationError, match="repetitions must be at least 1"):
-        sweep("users", [1], repetitions=0, seed=1)
+    # Repetitions are a positive integer and the seed a non-negative one.
+    for repetitions in (0, 1.5, True):
+        with pytest.raises(ConfigurationError, match="repetitions must be a positive integer"):
+            sweep("users", [1], repetitions=repetitions, seed=1)
+    for seed in (1.5, True):
+        with pytest.raises(ConfigurationError, match="seed must be a non-negative integer"):
+            sweep("users", [1], repetitions=1, seed=seed)
     # A user count, as a users grid entry or as user_count, is a positive integer.
     for grid in ([1.5], [0], [True], [2, -1]):
         with pytest.raises(ConfigurationError, match="user count must be a positive integer"):
@@ -555,8 +566,23 @@ def test_negative_seed_raises_configuration_error(monkeypatch, call):
 
     monkeypatch.setattr(harness, "gain_matrix", no_work)
     monkeypatch.setattr(harness, "_grid_peak", functools.cache(harness._grid_peak.__wrapped__))
-    with pytest.raises(ConfigurationError, match="seed must be non-negative"):
+    with pytest.raises(ConfigurationError, match="seed must be a non-negative integer"):
         call()
+
+
+@pytest.mark.parametrize("settings, match", [
+    (dict(seed=1.5), "seed must be a non-negative integer"),
+    (dict(seed=True), "seed must be a non-negative integer"),
+    (dict(user_count=2.0), "user count must be a positive integer"),
+    (dict(antenna_count=2.5), "antenna count must be a positive integer"),
+    (dict(antenna_count=True), "antenna count must be a positive integer"),
+], ids=["float-seed", "bool-seed", "float-users", "float-antennas", "bool-antennas"])
+def test_make_scenario_refuses_a_count_or_seed_that_is_not_an_integer(settings, match):
+    # Counts and seeds follow the library's one integer rule (check_integer).
+    # An antenna count of 2.5 once passed, and placing it then ran 10,000
+    # placement attempts before failing as an infeasible scenario.
+    with pytest.raises(ConfigurationError, match=match):
+        make_scenario(**{"user_count": 2, "seed": 1, **settings})
 
 
 def test_each_monte_carlo_block_builds_one_generator(monkeypatch):
@@ -689,7 +715,7 @@ def test_blocked_magnitudes_equal_one_whole_array_call(monkeypatch, kind):
     # The gain map and the Monte Carlo go through the kernel in blocks of at
     # most _KERNEL_BLOCK orientations; the map's values must be those of one
     # gain_matrix call over its whole grid, bit for bit (the Monte Carlo's,
-    # test_streamed_draws_equal_whole_batch_draws).
+    # test_streamed_draws_equal_whole_call_draws).
     block = harness._KERNEL_BLOCK
     reference_link_peak(kind)                        # warm the peak's grid first
     sizes = []
@@ -760,23 +786,44 @@ def test_pool_size_does_not_change_any_value(monkeypatch, kind):
 
 
 @pytest.mark.parametrize("kind", ["tx_random", "rx_random"])
-def test_streamed_draws_equal_whole_batch_draws(monkeypatch, kind):
+def test_streamed_draws_equal_whole_call_draws(monkeypatch, kind):
     # Each block draws its own angles from one generator read at two offsets;
-    # the values must be those of all polar angles of a batch, then all its
-    # azimuths, batch after batch.
-    batch = 2 * harness._KERNEL_BLOCK + 5
-    samples, seed = 2 * batch + 1001, 3
-    monkeypatch.setattr(harness, "_MONTE_CARLO_BATCH", batch)
+    # the fraction must be that of all polar angles of the call, then all its
+    # azimuths, each drawn whole and evaluated in one kernel call.
+    samples, seed = 3 * harness._KERNEL_BLOCK + 1001, 3
     _with_workers(monkeypatch, 4)
     threshold = 0.5 * reference_link_peak(kind) ** 2
     rng = _rng(seed, 1)
-    hits = 0
-    for first in range(0, samples, batch):
-        n = min(batch, samples - first)
-        polar = rng.uniform(0.0, np.pi, n)
-        azimuthal = rng.uniform(0.0, 2.0 * np.pi, n)
-        hits += int(np.sum(_whole_array_magnitudes(kind, polar, azimuthal) ** 2 >= threshold))
+    polar = rng.uniform(0.0, np.pi, samples)
+    azimuthal = rng.uniform(0.0, 2.0 * np.pi, samples)
+    hits = int(np.sum(_whole_array_magnitudes(kind, polar, azimuthal) ** 2 >= threshold))
     assert monte_carlo_half_energy(kind, samples, seed) == hits / samples
+
+
+def test_a_call_past_a_million_samples_draws_one_stream(monkeypatch):
+    # Sample i's angles are the stream's draws i and samples + i at any
+    # sample count: all polar angles of the call, then all its azimuths, for
+    # any worker count. Each block's angles are captured on their way to the
+    # kernel and put back in place by their first polar angle.
+    samples, seed = 1_000_017, 2
+    rng = _rng(seed, 1)
+    want_polar = rng.uniform(0.0, np.pi, samples)
+    want_azimuthal = rng.uniform(0.0, 2.0 * np.pi, samples)
+    starts = {want_polar[start]: start for start in range(0, samples, harness._KERNEL_BLOCK)}
+    reference_link_peak("tx_random")                 # warm the grid first
+    for workers in (1, 4):
+        _with_workers(monkeypatch, workers)
+        seen = []
+
+        def captured(polar, azimuthal):
+            seen.append((polar.copy(), azimuthal.copy()))
+            return angles_to_unit(polar, azimuthal)
+
+        monkeypatch.setattr(harness, "angles_to_unit", captured)
+        monte_carlo_half_energy("tx_random", samples, seed)
+        seen.sort(key=lambda angles: starts.get(angles[0][0], samples))
+        assert np.concatenate([p for p, _ in seen]).tobytes() == want_polar.tobytes()
+        assert np.concatenate([a for _, a in seen]).tobytes() == want_azimuthal.tobytes()
 
 
 def _traced_peak(kind, samples):
@@ -807,7 +854,7 @@ def test_block_error_propagates_after_every_thread_ends(monkeypatch):
     error = NumericalError("non-finite gain")
 
     def failing(tx_p, tx_n, rx_p, rx_n, medium):
-        if len(tx_n) == 17:                          # the last block of the batch
+        if len(tx_n) == 17:                          # the call's last block
             raise error
         return gain_matrix(tx_p, tx_n, rx_p, rx_n, medium)
 
@@ -847,7 +894,14 @@ def test_grid_step_outside_0_to_180_degrees_is_refused(monkeypatch, step):
 
 
 def test_monte_carlo_validation():
-    with pytest.raises(ConfigurationError):
-        monte_carlo_half_energy("tx_random", 0, seed=1)
+    # The sample count is a positive integer and the seed a non-negative one.
+    for samples in (0, 2.5, True, math.nan, np.float64(10.0)):
+        with pytest.raises(ConfigurationError, match="samples must be a positive integer"):
+            monte_carlo_half_energy("tx_random", samples, seed=1)
+    for seed in (1.5, True):
+        with pytest.raises(ConfigurationError, match="seed must be a non-negative integer"):
+            monte_carlo_half_energy("tx_random", 10, seed=seed)
+    assert monte_carlo_half_energy("tx_random", np.int64(10), seed=np.uint8(1)) == \
+        monte_carlo_half_energy("tx_random", 10, seed=1)
     with pytest.raises(ConfigurationError):
         monte_carlo_half_energy("bogus", 10, seed=1)

@@ -883,7 +883,10 @@ def test_medium_takes_finite_values_only(field, value):
 
 
 def test_optimizer_config_validation():
-    with pytest.raises(ConfigurationError):
-        OptimizerConfig(max_outer_iterations=0)
+    # max_outer_iterations is a positive integer: range() takes no other.
+    for iterations in (0, -1, 2.5, math.nan, True):
+        with pytest.raises(ConfigurationError, match="max_outer_iterations must be a positive"):
+            OptimizerConfig(max_outer_iterations=iterations)
+    assert OptimizerConfig(max_outer_iterations=np.int64(3)).max_outer_iterations == 3
     with pytest.raises(ConfigurationError):
         OptimizerConfig(convergence_tol=2.0)
