@@ -1,13 +1,15 @@
 """Downlink MU-MISO processing: zero forcing, water filling, link metrics.
 
-Every function takes one K x L channel. Zero forcing comes from one SVD of
-the channel, never from the gram matrix H H^H, whose inverse would square
-the condition number; a channel that fails the condition check raises
-SingularChannelError. Water filling has no iteration: the water level is the
-closed form over the sorted, prefix-summed thresholds, which are shifted to
-their minimum so the powers spend the budget to rounding (within about 1e-15
-of it). The optimizer's objective, ideal zero forcing in closed form
-(_ideal_zf), lives here too: it funds users through water_filling's
+Every function takes one K x L channel. The zero-forcing precoder comes from
+one SVD of the channel, never from the gram matrix G = H H^H, whose inverse
+squares the condition number; a channel that fails the condition check
+raises SingularChannelError. Water filling has no iteration: the water level
+is the closed form over the sorted, prefix-summed thresholds, which are
+shifted to their minimum so the powers spend the budget to rounding (within
+about 1e-15 of it). The optimizer's objective, ideal zero forcing in closed
+form (_ideal_zf), lives here too: it needs only G^-1, which _inverse_gram
+takes from G itself wherever trace(G) trace(G^-1) shows G well conditioned
+and from the SVD elsewhere; it funds users through water_filling's
 _water_level and scores them with link_metrics' _growth.
 """
 
@@ -21,6 +23,7 @@ from .channel import ChannelMatrix
 from .errors import ConfigurationError, NumericalError, SingularChannelError
 
 CONDITION_LIMIT = 1e12
+_GRAM_BOUND = 1e8           # _inverse_gram's trace-product bound: cond(H) < 1e4
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,32 @@ def _zf_svd(entries: np.ndarray):
     return U, S, Vh
 
 
+def _inverse_gram(entries: np.ndarray) -> np.ndarray:
+    """G^-1 for the gram matrix G = H H^H of the K x L channel H.
+
+    trace(G) trace(G^-1) >= cond(G), a positive definite matrix's trace
+    being at least its largest eigenvalue, and inverting G loses about
+    cond(G) eps of relative accuracy. So np.linalg.inv(G) is returned only
+    when that product is positive and below _GRAM_BOUND, where it is
+    accurate to about 1e-8 relative. Otherwise (inv raises, or the product
+    is nan, inf, not positive or too large) G^-1 = U S^-2 U^H comes from
+    _zf_svd, which raises as zero forcing does, with its diagonal summed
+    from positive terms, sum_j |U_kj|^2 / S_j^2.
+    """
+    gram = entries @ entries.conj().T
+    try:
+        inverse = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if 0.0 < float(gram.trace().real) * float(inverse.trace().real) < _GRAM_BOUND:
+            return inverse
+    U, S, _ = _zf_svd(entries)
+    inverse = (U / S**2) @ U.conj().T
+    inverse.flat[::inverse.shape[0] + 1] = np.add.reduce(np.abs(U)**2 / S**2, axis=-1)
+    return inverse
+
+
 def zf_precoder(H: ChannelMatrix) -> Precoder:
     """Zero-forcing precoder W = V S^-1 U^H from the SVD H = U S V^H, columns normalized.
 
@@ -116,11 +145,11 @@ def _growth(sinr: np.ndarray):
     return np.exp(np.add.reduce(log_growth) / log_growth.size)
 
 
-def _ideal_zf(U: np.ndarray, S: np.ndarray, total_power: float, noise_power: float):
+def _ideal_zf(inverse_gram: np.ndarray, total_power: float, noise_power: float):
     """(1 + J, unshifted water level, SINR (K,)) of ideal zero forcing plus
-    water filling on the channel H = U S V^H (_zf_svd): sinr_k = P_k / t_k
-    with t_k = sigma^2 [(H H^H)^-1]_kk = sigma^2 sum_j |U_kj|^2 / S_j^2."""
-    inv_snr = noise_power * np.add.reduce(np.abs(U)**2 / S**2, axis=-1)
+    water filling on the channel H whose G^-1 = (H H^H)^-1 is inverse_gram
+    (_inverse_gram): sinr_k = P_k / t_k with t_k = sigma^2 [G^-1]_kk."""
+    inv_snr = noise_power * inverse_gram.diagonal().real
     powers, level = _water_level(inv_snr, total_power)
     sinr = powers / inv_snr
     return float(_growth(sinr)), level, sinr

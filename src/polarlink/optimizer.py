@@ -14,12 +14,16 @@ axes into canonical angles once, and no trial converts anything. The trace
 holds J at the ascent's axes; objective, at their stored angles, gives the
 same values to rounding (about 1e-13 relative).
 
-Under ideal zero forcing the objective has a closed form in the channel's
-SVD, which mimo holds (mimo._ideal_zf), so one point is evaluated once:
-_evaluate builds the channel with one channel.combine_terms call, takes one
-SVD and applies that closed form, and _gradient takes the exact derivative
-of that value in the axes through the same terms and SVD without building
-anything again. Each factor is built only when its inputs change:
+Under ideal zero forcing the objective has a closed form in G^-1, the
+inverse of the channel's gram matrix G = H H^H, which mimo holds
+(mimo._ideal_zf), so one point is evaluated once: _evaluate builds the
+channel with one channel.combine_terms call, takes G^-1 once
+(mimo._inverse_gram: G inverted directly while trace(G) trace(G^-1) < 1e8,
+so cond(H) < 1e4, else from the SVD) and applies that closed form, and
+_gradient takes the exact derivative of that value in the axes through the
+same terms and G^-1 without building anything again. On a regular channel
+the ascent takes no SVD; the final solve (solve_layout) takes one. Each
+factor is built only when its inputs change:
 - once per optimize or objective call: the power check and the
   floating-point state that lets an overflowing budget reach _evaluate's
   check;
@@ -42,10 +46,11 @@ mimo functions they call) calls ufuncs and their methods (np.add.reduce,
 np.add.accumulate, in-place np.minimum) rather than numpy's Python wrappers
 (np.sum, np.mean, np.clip, np.stack, np.cumsum): at K = L = 8 a wrapper costs
 more than its arithmetic. On a 2-core Xeon host with one BLAS thread, at
-K = L = 8 and best of repeated timings, a line-search trial takes 76 to 79 us
-and a gradient 36 to 41 us; when each trial converted its axes to angles and
-back and rebuilt every factor, they took 101 to 103 and 42 to 45 us, and an
-acceptance-campaign drop ran about 1.2x slower.
+K = L = 8 and best of repeated timings, a line-search trial takes 49 to 54 us
+and a gradient 26 to 33 us; with the SVD in place of G^-1 they took 65 to 67
+and 32 to 44 us in the same session. When each trial also converted its axes
+to angles and back and rebuilt every factor, a trial took about 1.3x as long
+and an acceptance-campaign drop ran about 1.2x slower.
 
 Transmit positions are fixed inputs: the channel is built from them as given
 and no block moves them. Under the plane-wave model a translation changes only
@@ -76,7 +81,7 @@ from .errors import (ConfigurationError, InfeasibleLayoutError, NumericalError,
                      ProjectionError, SingularChannelError)
 from .geometry import AntennaPose, _unit_axes, angles_to_unit, unit_to_angles
 from .medium import MediumParams
-from .mimo import BeamformingSolution, _ideal_zf, _zf_svd, solve_beamforming
+from .mimo import BeamformingSolution, _ideal_zf, _inverse_gram, solve_beamforming
 
 _FEASIBILITY_TOL = 1e-9
 _PROJECTION_SWEEP_CAP = 1000
@@ -270,13 +275,13 @@ def _axes(angles: np.ndarray) -> np.ndarray:
 @dataclass(slots=True)
 class _Point:
     """One evaluated point of the ascent: the objective value and the factors
-    its gradient reads (the kernel's terms, axes included, the SVD and the
+    its gradient reads (the kernel's terms, axes included, G^-1 and the
     water-filling state)."""
 
     value: float
     growth: float
     terms: LinkTerms
-    svd: tuple
+    inverse_gram: np.ndarray   # (H H^H)^-1, (K, K)
     level: float               # the water level, unshifted
     sinr: np.ndarray
 
@@ -293,20 +298,21 @@ def _evaluate(geometry: LinkGeometry, tx: TransmitTerms, rx: ReceiveTerms,
     ignores floating-point overflow (optimize and objective do both once per
     call): an overflowing budget raises here.
 
-    One combine_terms call builds the channel, one _zf_svd call decides its
-    singularity (raising SingularChannelError) and mimo._ideal_zf gives J in
-    closed form. Raises NumericalError when J is not finite (a power budget
-    that overflows the SINRs) or is 0 (users so far out that the SINRs
-    vanish beside 1), where _gradient would divide 0 by the underflowed S^3.
+    One combine_terms call builds the channel, one _inverse_gram call takes
+    G^-1 and decides its singularity (raising SingularChannelError) and
+    mimo._ideal_zf gives J in closed form. Raises NumericalError when J is
+    not finite (a power budget that overflows the SINRs) or is 0 (users so
+    far out that the SINRs vanish beside 1), a value the ascent cannot
+    resolve, since the line search's floor is a fraction of |J|.
     """
     terms = combine_terms(geometry, tx, rx)
-    U, S, Vh = _zf_svd(terms.gains)
-    growth, level, sinr = _ideal_zf(U, S, total_power, medium.noise_power)
+    inverse_gram = _inverse_gram(terms.gains)
+    growth, level, sinr = _ideal_zf(inverse_gram, total_power, medium.noise_power)
     if not math.isfinite(growth):
         raise NumericalError(f"objective is not finite: {growth - 1.0}")
     if growth == 1.0:
         raise NumericalError("objective underflows to 0")
-    return _Point(growth - 1.0, growth, terms, (U, S, Vh), level, sinr)
+    return _Point(growth - 1.0, growth, terms, inverse_gram, level, sinr)
 
 
 def _layout_point(layout: LayoutVariables, geometry: LinkGeometry, medium: MediumParams,
@@ -323,15 +329,15 @@ def _layout_point(layout: LayoutVariables, geometry: LinkGeometry, medium: Mediu
 def _gradient(point: _Point, block: str, medium: MediumParams) -> np.ndarray:
     """Exact gradient of the objective over one block's unit axes at an
     evaluated point: (n, 3), each row in its axis' tangent plane. Builds no
-    channel and takes no SVD: it reuses point's, and reads every geometric
-    term from point.terms.
+    channel and inverts nothing: it reuses point's G^-1, and reads every
+    geometric term from point.terms.
 
     The differential of J is dJ = sum_k c_k d[G^-1]_kk with G = H H^H and
     c_k = (J + 1) sigma^2 (1/level - 1/t_k) / K, zero for unfunded users (the
     level's own change cancels). In H that is dJ = 2 Re sum conj(Gamma_kl) dH_kl
     with Gamma = -G^-1 diag(c) G^-1 H (Wirtinger calculus; Hjorungnes,
-    Complex-Valued Matrix Derivatives, 2011), where G^-1 = U S^-2 U^H comes
-    from the point's SVD.
+    Complex-Valued Matrix Derivatives, 2011): two products with the point's
+    G^-1.
 
     Each gain is h_kl = A_kl rad(cos_e) m(cos_a, cos_i) with A_kl fixed by
     the positions, so dH_kl = h_kl d log(rad m). A transmit axis n_l moves
@@ -345,13 +351,13 @@ def _gradient(point: _Point, block: str, medium: MediumParams) -> np.ndarray:
     """
     terms = point.terms
     gains = terms.gains
-    U, S, Vh = point.svd
+    inverse = point.inverse_gram
     # 1/level - 1/t_k = -sinr_k / level for funded users; the scalar folds
     # that sign, Gamma's and the 2 of 2 Re into one.
     scale = 2.0 * point.growth * medium.noise_power / (gains.shape[0] * point.level)
-    inner = (U.conj().T * (scale * point.sinr)) @ U / (S[:, None]**2 * S[None, :])
     # dJ = sum_kl weight_kl d log(rad_kl m_kl), a zero gain weighing 0.
-    weight = (np.conj(U @ inner @ Vh) * gains).real
+    weight = (np.conj(inverse @ ((scale * point.sinr)[:, None] * (inverse @ gains)))
+              * gains).real
 
     tx, rx = terms.tx, terms.rx
     # field_dir is (3, K, L) planes; its contractions ask for C-ordered rows,

@@ -308,12 +308,14 @@ _CHANNEL_PIECES = ("link_geometry", "transmit_terms", "receive_terms", "combine_
 def _count_evaluation_layers(monkeypatch, counts, fail_on_call=None):
     """Count every channel build (combine_terms, the per-evaluation kernel),
     every build of the position factors (link_geometry) and of one block's
-    side terms, and every SVD (_zf_svd), through the optimizer's own bindings
-    and through gain_matrix and zf_precoder."""
+    side terms, every G^-1 the ascent takes (the optimizer's _inverse_gram,
+    whose call number fail_on_call raises SingularChannelError) and every SVD
+    (_zf_svd, through _inverse_gram's fallback or zf_precoder), through the
+    optimizer's own bindings and through gain_matrix and zf_precoder."""
     _count_calls(monkeypatch, channel_module, _CHANNEL_PIECES, counts)
     _count_calls(monkeypatch, optimizer_module, _CHANNEL_PIECES, counts)
-    _count_calls(monkeypatch, mimo_module, ("_zf_svd",), counts, fail_on_call)
-    _count_calls(monkeypatch, optimizer_module, ("_zf_svd",), counts, fail_on_call)
+    _count_calls(monkeypatch, optimizer_module, ("_inverse_gram",), counts, fail_on_call)
+    _count_calls(monkeypatch, mimo_module, ("_zf_svd",), counts)
     _count_calls(monkeypatch, optimizer_module,
                  ("gain_matrix", "solve_beamforming", "objective", "angles_to_unit",
                   "finite_difference_gradient", "_gradient"), counts)
@@ -322,11 +324,12 @@ def _count_evaluation_layers(monkeypatch, counts, fail_on_call=None):
 
 def test_optimize_layer_call_counts(monkeypatch):
     # Each point is evaluated once: the start and every line-search trial are
-    # one _evaluate, which builds one channel and takes one SVD, and the
-    # gradient reuses them. The positions' factors are built once per run,
-    # and a trial builds the side terms of the block it moved only. The final
-    # record is the one full beamforming solve (gain_matrix, zf_precoder,
-    # water_filling), which builds everything once more, and whose two
+    # one _evaluate, which builds one channel and takes one G^-1, and the
+    # gradient reuses them. On this regular channel no G^-1 falls back to the
+    # SVD. The positions' factors are built once per run, and a trial builds
+    # the side terms of the block it moved only. The final record is the one
+    # full beamforming solve (gain_matrix, zf_precoder, water_filling), which
+    # builds everything once more, takes the run's only SVD, and whose two
     # orientation arrays are the only angles_to_unit calls.
     counts, evaluated = {}, []
     _count_evaluation_layers(monkeypatch, counts)
@@ -340,7 +343,9 @@ def test_optimize_layer_call_counts(monkeypatch):
     trace = optimize(layout, scenario.user_poses, scenario.medium, scenario.total_power,
                      scenario.constraints, OptimizerConfig()).trace
     assert trace.evaluations == len(evaluated) > 1
-    assert counts["combine_terms"] == counts["_zf_svd"] == trace.evaluations + 1
+    assert counts["_inverse_gram"] == trace.evaluations
+    assert counts["combine_terms"] == trace.evaluations + 1
+    assert counts["_zf_svd"] == counts["zf_precoder"] == 1
     assert counts["link_geometry"] == 1 + 1
     # Both sides at the start and in gain_matrix, one per trial.
     assert counts["transmit_terms"] + counts["receive_terms"] == \
@@ -356,16 +361,16 @@ def test_optimize_layer_call_counts(monkeypatch):
 
 
 def _singular_after_start(monkeypatch):
-    """Make every SVD after the first (the start's) raise SingularChannelError;
-    returns the list of channels passed to it."""
-    real_svd, calls = optimizer_module._zf_svd, []
+    """Make every G^-1 the ascent takes after the first (the start's) raise
+    SingularChannelError; returns the list of channels passed to it."""
+    real_inverse_gram, calls = optimizer_module._inverse_gram, []
 
     def singular_after_start(gains):
         calls.append(gains)
         if len(calls) > 1:
             raise SingularChannelError("forced")
-        return real_svd(gains)
-    monkeypatch.setattr(optimizer_module, "_zf_svd", singular_after_start)
+        return real_inverse_gram(gains)
+    monkeypatch.setattr(optimizer_module, "_inverse_gram", singular_after_start)
     return calls
 
 
@@ -447,7 +452,7 @@ def _record_trial_axes(monkeypatch, trials):
 
 
 def test_optimize_rejects_a_singular_trial(monkeypatch):
-    # The second SVD is the first line-search trial's: the first scores the
+    # The second G^-1 is the first line-search trial's: the first scores the
     # start, and the gradient takes none. Forced singular, that trial is a
     # rejected step: the next trial takes half of it, the ascent goes on, and
     # the trace counts one singular trial. A trial moves each axis a by
@@ -469,7 +474,9 @@ def test_optimize_rejects_a_singular_trial(monkeypatch):
     assert trace.total_sinr[-1] > trace.total_sinr[0]
     assert trace.singular_trials == 1
     assert trace.evaluations == 1 + len(trials)
-    assert counts["combine_terms"] == counts["_zf_svd"] == trace.evaluations + 1
+    assert counts["_inverse_gram"] == trace.evaluations
+    assert counts["combine_terms"] == trace.evaluations + 1
+    assert counts["_zf_svd"] == 1
     assert counts["link_geometry"] == 1 + 1
     assert counts["gain_matrix"] == counts["solve_beamforming"] == 1
     assert counts["zf_precoder"] == counts["water_filling"] == 1
