@@ -26,8 +26,7 @@ import pathlib
 import numpy as np
 
 from polarlink.harness import (make_scenario, monte_carlo_half_energy, quantized_record,
-                               random_initial_layout, record_from_result, run_configuration,
-                               _rng)
+                               random_initial_layout, run_configuration, _rng)
 from polarlink.optimizer import OptimizerConfig, optimize
 
 LEDGER_PATH = pathlib.Path(__file__).with_name("record_ledger.json")
@@ -75,7 +74,6 @@ def replay() -> dict:
         layout = random_initial_layout(scenario, _rng(seed, 2))
         result = optimize(layout, scenario.user_poses, scenario.medium, scenario.total_power,
                           scenario.constraints, CAMPAIGN_CONFIG)
-        assert _entry(record_from_result(scenario, 5, result)) in records
         records += [_entry(quantized_record(scenario, result, res)) for res in RESOLUTIONS_DEG]
     fractions = [{"kind": kind, "seed": seed, "samples": MONTE_CARLO_SAMPLES,
                   "fraction": repr(monte_carlo_half_energy(kind, MONTE_CARLO_SAMPLES, seed))}
