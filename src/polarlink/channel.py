@@ -149,11 +149,11 @@ class TransmitTerms(NamedTuple):
     """The terms of the unit transmit axes n, axes (L, 3), toward the path
     directions u, per link (K, L): cos_emission = u . n, sin_emission =
     |n - (u . n) u|, degenerate (n along u), safe_sin_emission (sin_emission,
-    but 1 where degenerate: the divisor of field_dir and the pattern, and of
-    the optimizer's transmit gradient) and the dipole pattern; field_dir
-    (3, K, L), three contiguous (K, L) component planes (see the module
-    docstring), is n - (u . n) u over safe_sin_emission. Where degenerate,
-    pattern and field_dir are meaningless."""
+    but 1 where degenerate: the divisor of field_dir, the pattern and both
+    optimizer gradients) and the dipole pattern; field_dir (3, K, L), three
+    contiguous (K, L) component planes (see the module docstring), is
+    n - (u . n) u over safe_sin_emission, read only by combine_terms and the
+    CLI's channel-eval. Where degenerate, pattern and field_dir mean nothing."""
 
     axes: np.ndarray
     cos_emission: np.ndarray

@@ -67,12 +67,15 @@ def _zf_svd(entries: np.ndarray):
     """(U, S, Vh): the thin SVD H = U S Vh behind zero forcing.
 
     Raises SingularChannelError when the K x L channel is rank deficient or
-    its condition number exceeds 1e12, and NumericalError when the SVD fails.
+    its condition number exceeds 1e12, and NumericalError when the SVD fails
+    or its singular values are not finite (an infinite entry makes them nan).
     """
     try:
         U, S, Vh = np.linalg.svd(entries, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"channel SVD failed: {exc}") from exc
+    if not np.isfinite(S).all():
+        raise NumericalError(f"channel SVD gave non-finite singular values: {S}")
     smallest, largest = S[-1], S[0]
     if smallest <= 0.0 or largest / smallest > CONDITION_LIMIT:
         raise SingularChannelError(
@@ -169,7 +172,7 @@ def water_filling(diag_gains, total_power: float, noise_power: float) -> PowerAl
     gains = np.asarray(diag_gains, dtype=float)
     if gains.ndim != 1:
         raise ConfigurationError(f"post-precoding gains must be a (K,) vector, got {gains.shape}")
-    if (gains <= 0).any():
+    if not (gains > 0).all():   # nan too
         raise ConfigurationError("post-precoding gains must be positive")
     if not total_power > 0:
         raise ConfigurationError(f"total power must be positive, got {total_power}")

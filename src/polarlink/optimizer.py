@@ -46,11 +46,11 @@ mimo functions they call) calls ufuncs and their methods (np.add.reduce,
 np.add.accumulate, in-place np.minimum) rather than numpy's Python wrappers
 (np.sum, np.mean, np.clip, np.stack, np.cumsum): at K = L = 8 a wrapper costs
 more than its arithmetic. On a 2-core Xeon host with one BLAS thread, at
-K = L = 8 and best of repeated timings, a line-search trial takes 49 to 54 us
-and a gradient 26 to 33 us; with the SVD in place of G^-1 they took 65 to 67
-and 32 to 44 us in the same session. When each trial also converted its axes
-to angles and back and rebuilt every factor, a trial took about 1.3x as long
-and an acceptance-campaign drop ran about 1.2x slower.
+K = L = 8 and best of repeated timings, a line-search trial takes 50 to 55 us
+and a gradient 23 to 26 us (transmit) or 31 to 36 us (receive); with the SVD
+in place of G^-1 they took 65 to 67 and 32 to 44 us in an earlier session.
+When each trial also converted its axes to angles and back and rebuilt every
+factor, trials took about 1.3x as long and campaign drops about 1.2x.
 
 Transmit positions are fixed inputs: the channel is built from them as given
 and no block moves them. Under the plane-wave model a translation changes only
@@ -339,19 +339,24 @@ def _gradient(point: _Point, block: str, medium: MediumParams) -> np.ndarray:
     Complex-Valued Matrix Derivatives, 2011): two products with the point's
     G^-1.
 
-    Each gain is h_kl = A_kl rad(cos_e) m(cos_a, cos_i) with A_kl fixed by
-    the positions, so dH_kl = h_kl d log(rad m). A transmit axis n_l moves
-    cos_e and cos_a; a receive axis r_k moves cos_a and, through the Fresnel
-    coefficients, cos_i. A degenerate entry (gain exactly 0) is a cone point
-    of the objective and contributes 0. Every evaluated point has m > 0 and
-    cos_i > 0: at grazing incidence (cos_i = 0) the user's row is exactly 0,
-    which _evaluate rejects as singular. The Euclidean gradient in each axis
-    a is projected onto its tangent plane, g - (g . a) a: the gradient on the
-    sphere, with no angle chart and so no pole where a direction is lost.
+    Each gain is h_kl = A_kl rad(cos_e) m(cos_a, cos_i) with A_kl fixed by the
+    positions, so dH_kl = h_kl d log(rad m). A transmit axis n_l moves cos_e =
+    u . n and cos_a = (r . n - cos_e (u . r)) / sin_e; a receive axis r_k moves
+    cos_a and, through the Fresnel coefficients, cos_i. Both chain rules run
+    through the axes and the path directions u, never the field planes: in r,
+    d cos_a / d r = (n - cos_e u) / sin_e; in n, as sin_e^2 = 1 - cos_e^2 on
+    the sphere, d sin_e = -cos_e (u . dn) / sin_e and d cos_a / d n =
+    (r - (u . r) u + cos_a cos_e u / sin_e) / sin_e up to a term along n, which
+    the tangent projection removes. A degenerate entry (gain exactly 0) is a
+    cone point of the objective and contributes 0. Every evaluated point has
+    m > 0 and cos_i > 0: at grazing incidence (cos_i = 0) the user's row is
+    exactly 0, which _evaluate rejects as singular. The Euclidean gradient in
+    each axis a is projected onto its tangent plane, g - (g . a) a: the
+    gradient on the sphere, with no angle chart and so no pole where a
+    direction is lost.
     """
-    terms = point.terms
+    terms, inverse = point.terms, point.inverse_gram
     gains = terms.gains
-    inverse = point.inverse_gram
     # 1/level - 1/t_k = -sinr_k / level for funded users; the scalar folds
     # that sign, Gamma's and the 2 of 2 Re into one.
     scale = 2.0 * point.growth * medium.noise_power / (gains.shape[0] * point.level)
@@ -359,41 +364,32 @@ def _gradient(point: _Point, block: str, medium: MediumParams) -> np.ndarray:
     weight = (np.conj(inverse @ ((scale * point.sinr)[:, None] * (inverse @ gains)))
               * gains).real
 
-    tx, rx = terms.tx, terms.rx
-    # field_dir is (3, K, L) planes; its contractions ask for C-ordered rows,
-    # which einsum would otherwise lay out after the planes (see _axes).
-    path, field_dir = terms.geometry.path_dir, tx.field_dir
-    cos_e, cos_m = tx.cos_emission, terms.cos_matching
-    sin_e = tx.safe_sin_emission
+    tx, rx, path = terms.tx, terms.rx, terms.geometry.path_dir
+    cos_e, cos_m, sin_e = tx.cos_emission, terms.cos_matching, tx.safe_sin_emission
     # m^2 = kept - spread cos_a^2, so weight * d log m is weight / m^2 times
-    # d(m^2) / 2.
+    # d(m^2) / 2; across is its coefficient of d cos_a, over sin_e.
     per_m2 = weight / terms.matching**2
-    d_cos_m = -rx.spread[:, None] * cos_m * per_m2
+    across = -rx.spread[:, None] * cos_m * per_m2 / sin_e
+    path_cos = np.add.reduce(path * rx.axes, axis=-1)          # u . r
 
     if block == BLOCK_TX_ANGLES:
         # log rad = log cos(pi c / 2) - log(1 - c^2) / 2, with 1 - c^2 = sin_e^2.
-        d_cos_e = weight * (-0.5 * np.pi * np.tan(0.5 * np.pi * cos_e) + cos_e / sin_e**2)
-        # d cos_a / d n = (P r - cos_a f) / sin_e, P the projector off the path.
-        projected_rx = rx.axes - np.add.reduce(path * rx.axes, axis=-1)[:, None] * path
-        along = d_cos_m / sin_e
-        grad_axes = (d_cos_e.T @ path + along.T @ projected_rx
-                     - np.einsum("kl,ikl->li", along * cos_m, field_dir, order="C"))
+        on_path = (weight * (-0.5 * np.pi * np.tan(0.5 * np.pi * cos_e) + cos_e / sin_e**2)
+                   + across * (cos_m * cos_e / sin_e - path_cos[:, None]))
+        grad_axes = on_path.T @ path + across.T @ rx.axes
         axes = tx.axes
     elif block == BLOCK_RX_ANGLES:
-        cos_i = rx.cos_incidence
-        eps = medium.relative_permittivity
+        cos_i, eps = rx.cos_incidence, medium.relative_permittivity
         root = np.sqrt(eps - 1.0 + cos_i**2)
         d_par = (-2.0 * eps * (eps - 1.0) / (root * (root + eps * cos_i)**2))[:, None]
         d_perp = (-2.0 * (eps - 1.0) / (root * (root + cos_i)**2))[:, None]
         g_par, g_perp = rx.gamma_par[:, None], rx.gamma_perp[:, None]
-        d_cos_i = np.add.reduce(
-            -(g_par * d_par * cos_m**2 + g_perp * d_perp * (1.0 - cos_m**2)) * per_m2,
-            axis=-1)
+        d_cos_i = np.add.reduce(-(g_par * d_par * cos_m**2
+                                  + g_perp * d_perp * (1.0 - cos_m**2)) * per_m2, axis=-1)
         # d cos_i / d r = -(u . r) u / cos_i.
+        on_path = path_cos * d_cos_i / cos_i + np.add.reduce(across * cos_e, axis=-1)
+        grad_axes = across @ tx.axes - on_path[:, None] * path
         axes = rx.axes
-        along_path = -np.add.reduce(path * axes, axis=-1) * d_cos_i / cos_i
-        grad_axes = (np.einsum("kl,ikl->ki", d_cos_m, field_dir, order="C")
-                     + along_path[:, None] * path)
     else:
         raise ConfigurationError(f"unknown block {block!r}")
     return grad_axes - np.add.reduce(grad_axes * axes, axis=-1)[:, None] * axes

@@ -124,17 +124,22 @@ def test_an_ill_conditioned_regular_channel_takes_the_svd(seed):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_a_non_finite_channel_raises_numerical_error(monkeypatch, bad):
     # A nan or an inf entry makes G^-1 and its trace product nan, so the SVD
-    # decides. With nan it fails to converge, a NumericalError; with inf it
-    # returns nan factors, and _evaluate rejects the nan J as one. Either
-    # way no nan J reaches the ascent.
+    # decides. With nan it fails to converge; with inf it gives nan singular
+    # values. _zf_svd raises NumericalError for both, so no nan J reaches the
+    # ascent and no nan precoder or SINR reaches a record.
     entries = _conditioned_channel(10.0, 0)
     entries[2, 3] = bad
+    H = ChannelMatrix(entries=entries)
     with np.errstate(invalid="ignore"):         # inf * 0 in forming G
-        if math.isnan(bad):
-            with pytest.raises(NumericalError, match="SVD did not converge"):
-                _inverse_gram(entries)
+        with pytest.raises(NumericalError, match="did not converge" if math.isnan(bad)
+                           else "non-finite singular values"):
+            _inverse_gram(entries)
         with pytest.raises(NumericalError):
             _evaluate_channel(monkeypatch, entries)
+        with pytest.raises(NumericalError):
+            zf_precoder(H)
+        with pytest.raises(NumericalError):
+            solve_beamforming(H, 1.0, 1e-5)
 
 
 @settings(max_examples=200, deadline=None)
@@ -194,6 +199,8 @@ def test_water_filling_single_user_gets_everything():
 def test_water_filling_input_validation():
     with pytest.raises(ConfigurationError):
         water_filling(np.array([0.0, 1.0]), 1.0, 1e-5)
+    with pytest.raises(ConfigurationError):
+        water_filling(np.array([1.0, math.nan]), 1.0, 1e-5)
     with pytest.raises(ConfigurationError):
         water_filling(np.array([1.0]), 0.0, 1e-5)
     with pytest.raises(ConfigurationError):

@@ -282,6 +282,69 @@ def test_exact_gradient_across_a_funded_set_change():
     assert not np.array_equal(start, result.beamforming.allocation.powers > 0)
 
 
+def _field_plane_gradient(point, block, medium):
+    """_gradient's chain rules through the kernel's field planes f = (n -
+    cos_e u) / sin_e, contracted with two einsums: d cos_a / d n = (P r -
+    cos_a f) / sin_e, P the projector off the path, and d cos_a / d r = f.
+    The reference the path-direction form is checked against."""
+    terms = point.terms
+    gains, inverse = terms.gains, point.inverse_gram
+    scale = 2.0 * point.growth * medium.noise_power / (gains.shape[0] * point.level)
+    weight = (np.conj(inverse @ ((scale * point.sinr)[:, None] * (inverse @ gains)))
+              * gains).real
+    tx, rx = terms.tx, terms.rx
+    path, field_dir = terms.geometry.path_dir, tx.field_dir
+    cos_e, cos_m, sin_e = tx.cos_emission, terms.cos_matching, tx.safe_sin_emission
+    per_m2 = weight / terms.matching**2
+    d_cos_m = -rx.spread[:, None] * cos_m * per_m2
+    if block == BLOCK_TX_ANGLES:
+        d_cos_e = weight * (-0.5 * np.pi * np.tan(0.5 * np.pi * cos_e) + cos_e / sin_e**2)
+        projected_rx = rx.axes - np.sum(path * rx.axes, axis=-1)[:, None] * path
+        along = d_cos_m / sin_e
+        grad_axes = (d_cos_e.T @ path + along.T @ projected_rx
+                     - np.einsum("kl,ikl->li", along * cos_m, field_dir))
+        axes = tx.axes
+    else:
+        cos_i, eps = rx.cos_incidence, medium.relative_permittivity
+        root = np.sqrt(eps - 1.0 + cos_i**2)
+        d_par = (-2.0 * eps * (eps - 1.0) / (root * (root + eps * cos_i)**2))[:, None]
+        d_perp = (-2.0 * (eps - 1.0) / (root * (root + cos_i)**2))[:, None]
+        g_par, g_perp = rx.gamma_par[:, None], rx.gamma_perp[:, None]
+        d_cos_i = np.sum(-(g_par * d_par * cos_m**2 + g_perp * d_perp * (1.0 - cos_m**2))
+                         * per_m2, axis=-1)
+        axes = rx.axes
+        along_path = -np.sum(path * axes, axis=-1) * d_cos_i / cos_i
+        grad_axes = np.einsum("kl,ikl->ki", d_cos_m, field_dir) + along_path[:, None] * path
+    return grad_axes - np.sum(grad_axes * axes, axis=-1)[:, None] * axes
+
+
+def _drop_point(users, seed):
+    scenario = harness.make_scenario(users, seed)
+    layout = harness.random_initial_layout(scenario, np.random.default_rng([seed, 2]))
+    return _point(layout, scenario.user_poses, scenario.total_power)
+
+
+@pytest.mark.parametrize("users", [1, 2, 4, 8])
+@pytest.mark.parametrize("block", BLOCK_ORDER)
+def test_gradient_matches_the_field_plane_form(users, block):
+    # The path-direction chain rules regroup the field-plane ones, and the
+    # transmit one drops a term along each axis that the projection removes:
+    # the gradients agree to rounding.
+    for seed in range(1001, 1011):
+        point = _drop_point(users, seed)
+        grad = _gradient(point, block, MEDIUM)
+        reference = _field_plane_gradient(point, block, MEDIUM)
+        assert np.linalg.norm(grad - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("block", BLOCK_ORDER)
+def test_gradient_reads_no_field_planes(block):
+    point = _drop_point(4, 1003)
+    planes = point.terms.tx._replace(field_dir=np.full_like(point.terms.tx.field_dir, np.nan))
+    blind = dataclasses.replace(point, terms=point.terms._replace(tx=planes))
+    assert np.array_equal(_gradient(blind, block, MEDIUM), _gradient(point, block, MEDIUM))
+
+
 def _count_calls(monkeypatch, module, names, counts, fail_on_call=None):
     """Count calls of module.<name> in counts; call number fail_on_call raises
     SingularChannelError instead."""
