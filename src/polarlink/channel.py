@@ -268,7 +268,7 @@ def combine_terms(geometry: LinkGeometry, tx: TransmitTerms, rx: ReceiveTerms) -
 
     From _IN_PLACE_GAINS links on (the Monte Carlo's and the maps' blocks),
     pattern * m is written straight into the complex gains, which are then
-    scaled in place, so no real product is held beside them: a block thread's
+    scaled in place, so no real product is held beside them: a block's
     peak drops by 8 bytes per orientation. Below that, the real product is
     cheap and the two-call form about 1 us faster at K = L = 8. Both give
     the same gains bit for bit: the real product enters the complex multiply

@@ -94,7 +94,7 @@ def write_sidecar(out_path, config: RunConfig, subcommand: str, reps: int,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
-            "usable_cpu_count": _usable_cpu_count(),   # the block threads and sweep processes
+            "usable_cpu_count": _usable_cpu_count(),   # the block runs and sweep processes
         },
     }
     meta.update(extra or {})

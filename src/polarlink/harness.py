@@ -48,9 +48,10 @@ _REFERENCE_RX = np.array([75.0, -40.0, 50.0])
 _VERTICAL = np.array([0.0, 0.0, 1.0])
 _USER_DRAW_ROUNDS = 100_000
 _TX_PLACEMENT_ATTEMPTS = 10_000
-# Orientations per kernel call, 3 x 8,192. A block thread holds about 116 bytes
-# per orientation at its peak, under 3 MB at this size; fewer, larger blocks
-# make fewer numpy calls, and each call hands the GIL between the threads.
+# Orientations per kernel call, 3 x 8,192. A process running a run of blocks
+# holds one block's temporaries at a time, about 116 bytes per orientation at
+# their peak, under 3 MB at this size; fewer, larger blocks make fewer numpy
+# calls, and each process running one holds more.
 _KERNEL_BLOCK = 3 << 13
 _MAP_STEP_DEG = 1.0                 # the gain map's grid step (reference_link_map)
 _PEAK_STEP_DEG = 0.25               # the peak's grid step (reference_link_peak)
@@ -230,39 +231,43 @@ def make_scenario(user_count: int, seed: int, medium: MediumParams = MediumParam
 
 
 def _usable_cpu_count() -> int:
-    """CPUs this process may run on: the block threads' and sweep processes' count."""
+    """CPUs this process may run on: the block runs' and sweep processes' count."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
 def _ordered_map(task: Callable, arguments: Sequence[tuple], workers: int,
-                 processes: bool = False) -> list:
+                 caller_first: bool = False) -> list:
     """[task(*a) for a in arguments], in order.
 
-    It runs inline when min(workers, len(arguments)) <= 1, and otherwise on
-    that many threads made for this call or, with `processes`, on the
-    process's pool of that many worker processes (_process_pool): forked at
-    the first such call, reused by every later one and ended with the
-    interpreter, even a killed one. They run the code as imported at that
-    fork: a later patch reaches the tasks only when they run inline. The first
-    exception in task order propagates after every task of the call has ended.
-    A worker that dies during the call raises BrokenProcessPool and drops the
-    pool; one that died before the call only drops it.
+    It runs inline when workers <= 1, or when caller_first holds and there
+    is no task but the first. Otherwise the tasks go to the process's pool of
+    `workers` worker processes (_process_pool), except that with caller_first
+    the caller runs the first task itself while the pool runs the rest. The
+    pool is forked at the first such call, reused by every later one of that
+    size and ended with the interpreter, even a killed one. Its workers run
+    the code as imported at that fork: a later patch reaches only the tasks
+    that the caller runs. The first exception in task order propagates after
+    every task of the call has ended. A worker that dies during the call
+    raises BrokenProcessPool and drops the pool; one that died before the
+    call only drops it.
     """
-    workers = min(workers, len(arguments))
-    if workers <= 1:
+    if workers <= 1 or (caller_first and len(arguments) <= 1):
         return [task(*a) for a in arguments]
     import concurrent.futures
-    # concurrent.futures imports each pool's module on first use: threads load no multiprocessing.
-    if not processes:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(task, *zip(*arguments)))
     from concurrent.futures.process import BrokenProcessPool
     pool, futures = _process_pool(workers), []
     try:
-        for a in arguments:
+        for a in arguments[1:] if caller_first else arguments:
             futures.append(pool.submit(task, *a))
+        if caller_first:           # the caller's share, while the pool runs the rest
+            mine = concurrent.futures.Future()
+            try:
+                mine.set_result(task(*arguments[0]))
+            except Exception as exc:   # raised in task order, once the pool's tasks end
+                mine.set_exception(exc)
+            futures.insert(0, mine)
         concurrent.futures.wait(futures)
         for f in futures:          # a dead worker fails the call, whatever else raised
             if isinstance(f.exception(), BrokenProcessPool):
@@ -272,14 +277,15 @@ def _ordered_map(task: Callable, arguments: Sequence[tuple], workers: int,
         if futures:
             raise
         # It broke before this call (a worker killed while idle): none of ours ran.
-        return _ordered_map(task, arguments, workers, processes=True)
+        return _ordered_map(task, arguments, workers, caller_first)
     finally:                       # an interrupted wait (Ctrl-C) leaves no task queued
         for f in futures:
             f.cancel()
     return [f.result() for f in futures]
 
 
-# The sweeps' worker processes: (pid that made them, count, pool, its exit finalizer).
+# The sweeps' and block runs' worker processes: (pid that made them, count, pool,
+# its exit finalizer).
 _POOL: Optional[tuple] = None
 
 
@@ -329,21 +335,27 @@ def _retire_process_pool() -> None:
     finalize()
 
 
-def _map_blocks(task: Callable[[int, int], object], size: int,
-                block: int = _KERNEL_BLOCK) -> list:
-    """[task(start, stop) for each block of at most `block` of range(size)].
+def _map_blocks(task: Callable, args: tuple, size: int, block: int = _KERNEL_BLOCK) -> list:
+    """[task(*args, start, stop) for each block of at most `block` of range(size)].
 
     The blocks are split into min(usable CPUs, blocks) contiguous runs, in
-    block order, and each run goes to one thread of _ordered_map, which runs
-    its blocks in order: one task per thread, not per block. numpy releases
-    the GIL inside a block's kernel, so the runs go on in parallel.
+    block order. The caller runs the first run and the process pool the
+    others (_ordered_map), one task per run, not per block, and each run's
+    blocks go in order. A pooled task is pickled, so task is a module-level
+    function and args are picklable.
     """
     bounds = [(start, min(start + block, size)) for start in range(0, size, block)]
-    threads = min(_usable_cpu_count(), len(bounds))
-    runs = [(bounds[len(bounds) * t // threads:len(bounds) * (t + 1) // threads],)
-            for t in range(threads)]
-    return [result for run in _ordered_map(lambda run: [task(*b) for b in run], runs, threads)
+    cpus = _usable_cpu_count()
+    count = min(cpus, len(bounds))
+    runs = [(task, args, bounds[len(bounds) * r // count:len(bounds) * (r + 1) // count])
+            for r in range(count)]
+    return [result for run in _ordered_map(_run_blocks, runs, cpus, caller_first=True)
             for result in run]
+
+
+def _run_blocks(task: Callable, args: tuple, run: Sequence[tuple]) -> list:
+    """[task(*args, start, stop) for each (start, stop) of run]: one run of _map_blocks."""
+    return [task(*args, start, stop) for start, stop in run]
 
 
 def _block_magnitudes(kind: str, axes: np.ndarray, medium: MediumParams) -> np.ndarray:
@@ -361,35 +373,38 @@ def _block_magnitudes(kind: str, axes: np.ndarray, medium: MediumParams) -> np.n
     return np.abs(gains)
 
 
-def _grid_blocks(kind: str, medium: MediumParams, grid_step_deg: float,
-                 keep: Callable[[np.ndarray], object]):
-    """(polar, azimuthal, [keep(|h| of each block)]) over the orientation grid
-    of polar 0..180 and azimuth 0..<360 degrees in steps of grid_step_deg.
+def _grid_blocks(kind: str, medium: MediumParams, grid_step_deg: float, peak: bool):
+    """(polar, azimuthal, [each block's |h|, or with `peak` its maximum]) over
+    the orientation grid of polar 0..180 and azimuth 0..<360 degrees in steps
+    of grid_step_deg.
 
     The grid goes through the kernel a block of whole polar rows at a time
-    (at most _KERNEL_BLOCK orientations, unless one row is longer) on the
-    block threads (_map_blocks), and keep sees each block's |h| flattened,
-    polar-major.
+    (at most _KERNEL_BLOCK orientations, unless one row is longer) in block
+    runs (_map_blocks), and a block's |h| is flattened, polar-major.
     """
     if kind not in ("tx_random", "rx_random"):
         raise ConfigurationError(f"unknown scenario kind {kind!r}")
     polar = np.deg2rad(np.arange(0.0, 180.0 + grid_step_deg / 2, grid_step_deg))
     azimuthal = np.deg2rad(np.arange(0.0, 360.0, grid_step_deg))
-
-    def block(start: int, stop: int):
-        # (rows, 1) polar angles broadcast against the azimuths: a row's
-        # sines and cosines are taken once, not once per grid point.
-        axes = angles_to_unit(polar[start:stop, None], azimuthal).reshape(-1, 3)
-        return keep(_block_magnitudes(kind, axes, medium))
-
     rows = max(1, _KERNEL_BLOCK // azimuthal.size)
-    return polar, azimuthal, _map_blocks(block, polar.size, rows)
+    return polar, azimuthal, _map_blocks(_grid_block, (kind, medium, polar, azimuthal, peak),
+                                         polar.size, rows)
+
+
+def _grid_block(kind: str, medium: MediumParams, polar: np.ndarray, azimuthal: np.ndarray,
+                peak: bool, start: int, stop: int):
+    """|h| of the grid's polar rows start..stop, flattened, or with `peak` its maximum."""
+    # (rows, 1) polar angles broadcast against the azimuths: a row's
+    # sines and cosines are taken once, not once per grid point.
+    axes = angles_to_unit(polar[start:stop, None], azimuthal).reshape(-1, 3)
+    mags = _block_magnitudes(kind, axes, medium)
+    return np.max(mags) if peak else mags
 
 
 def reference_link_map(kind: str, medium: MediumParams = MediumParams()):
     """(polar, azimuthal, |h| (P, A)): the reference link's gain over the
     _MAP_STEP_DEG orientation grid, angles in radians (see _grid_blocks)."""
-    polar, azimuthal, blocks = _grid_blocks(kind, medium, _MAP_STEP_DEG, lambda mags: mags)
+    polar, azimuthal, blocks = _grid_blocks(kind, medium, _MAP_STEP_DEG, peak=False)
     return polar, azimuthal, np.concatenate(blocks).reshape(polar.size, azimuthal.size)
 
 
@@ -409,7 +424,7 @@ def reference_link_peak(kind: str, medium: MediumParams = MediumParams(),
 
 @functools.cache
 def _grid_peak(kind: str, medium: MediumParams, grid_step_deg: float) -> float:
-    return float(np.max(_grid_blocks(kind, medium, grid_step_deg, np.max)[2]))
+    return float(np.max(_grid_blocks(kind, medium, grid_step_deg, peak=True)[2]))
 
 
 def monte_carlo_half_energy(scenario_kind: str, samples: int, seed: int,
@@ -422,15 +437,15 @@ def monte_carlo_half_energy(scenario_kind: str, samples: int, seed: int,
     uniformly in (polar, azimuthal) from one stream per call, _rng(seed, 1):
     all polar angles of the call, then all its azimuths, so sample i's are
     draws i and samples + i, and a run is no prefix of a longer one. The
-    call's blocks of _KERNEL_BLOCK samples run on the block threads, one
-    contiguous run of blocks per thread (_map_blocks). Each block builds one
-    generator, _rng(seed, 1), and reads it at two offsets: its polar angles'
-    place and, samples draws further on, its azimuths' (PCG64 advances in one
-    O(1) jump, and a uniform double takes exactly one 64-bit draw). It
-    draws rng.random(n) scaled in place by pi or 2 pi, which is
-    Generator.uniform(0, b)'s 0.0 + b * u bit for bit, converts the angles to
-    axes and drops them before the kernel. A block returns its hit count;
-    nothing full-sized is kept. samples is a positive integer and seed a
+    call's blocks of _KERNEL_BLOCK samples (_block_hits) go in contiguous
+    runs, the first in the caller and the others on the process pool
+    (_map_blocks). Each block builds one generator, _rng(seed, 1), and reads
+    it at two offsets: its polar angles' place and, samples draws further on,
+    its azimuths' (PCG64 advances in one O(1) jump, and a uniform double takes
+    exactly one 64-bit draw). It draws rng.random(n) scaled in place by pi or
+    2 pi, which is Generator.uniform(0, b)'s 0.0 + b * u bit for bit, converts
+    the angles to axes and drops them before the kernel. A block returns its
+    hit count; nothing full-sized is kept. samples is a positive integer and seed a
     non-negative one (check_integer). The peak's grid (reference_link_peak,
     whose grid_step_deg check runs before any draw) is computed once per
     process per (kind, medium, grid_step_deg).
@@ -440,21 +455,25 @@ def monte_carlo_half_energy(scenario_kind: str, samples: int, seed: int,
     _rng(seed, 1)                              # a bad seed fails before the grid
     peak = reference_link_peak(scenario_kind, medium, grid_step_deg)
     threshold = 0.5 * peak**2
+    hits = _map_blocks(_block_hits, (scenario_kind, seed, samples, threshold, medium), samples)
+    return sum(hits) / samples
 
-    def block_hits(start: int, stop: int) -> int:
-        rng = _rng(seed, 1)
-        rng.bit_generator.advance(start)
-        polar = rng.random(stop - start)
-        polar *= np.pi
-        rng.bit_generator.advance(samples - (stop - start))
-        azimuthal = rng.random(stop - start)
-        azimuthal *= 2.0 * np.pi
-        axes = angles_to_unit(polar, azimuthal)
-        del polar, azimuthal
-        mags = _block_magnitudes(scenario_kind, axes, medium)
-        return int(np.count_nonzero(np.square(mags, out=mags) >= threshold))
 
-    return sum(_map_blocks(block_hits, samples)) / samples
+def _block_hits(kind: str, seed: int, samples: int, threshold: float, medium: MediumParams,
+                start: int, stop: int) -> int:
+    """How many of a `samples`-sample call's samples start..stop reach
+    threshold (see monte_carlo_half_energy)."""
+    rng = _rng(seed, 1)
+    rng.bit_generator.advance(start)
+    polar = rng.random(stop - start)
+    polar *= np.pi
+    rng.bit_generator.advance(samples - (stop - start))
+    azimuthal = rng.random(stop - start)
+    azimuthal *= 2.0 * np.pi
+    axes = angles_to_unit(polar, azimuthal)
+    del polar, azimuthal
+    mags = _block_magnitudes(kind, axes, medium)
+    return int(np.count_nonzero(np.square(mags, out=mags) >= threshold))
 
 
 def run_configuration(scenario: Scenario, config_id: int,
@@ -552,11 +571,11 @@ def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int, *,
     (a power grid point replaces total_power; an unknown setting raises
     TypeError before any cell runs). The cells run through _ordered_map on at
     most `workers` processes, never more than there are cells. Those workers
-    are forked at the process's first multi-worker sweep and reused by later
-    ones; they run the code as imported at that fork, so patch harness
-    internals only with workers=1, and they end with the interpreter, even a
-    killed one. Records come back in cell order, so the output is independent
-    of the worker count.
+    are forked at the process's first multi-worker sweep, Monte Carlo or grid
+    and reused by later ones of that size; they run the code as imported at
+    that fork, so patch harness internals only with workers=1, and they end
+    with the interpreter, even a killed one. Records come back in cell order,
+    so the output is independent of the worker count.
     """
     if kind not in SWEEP_KINDS:
         raise ConfigurationError(f"unknown sweep kind {kind!r}")
@@ -586,7 +605,7 @@ def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int, *,
     cell = functools.partial(_sweep_cell, kind=kind, grid=tuple(grid),
                              optimizer_config=optimizer_config,
                              config_ids=tuple(configurations))
-    return [rec for records in _ordered_map(cell, cells, workers, processes=True)
+    return [rec for records in _ordered_map(cell, cells, min(workers, len(cells)))
             for rec in records]
 
 

@@ -6,12 +6,10 @@ import multiprocessing
 import os
 import pickle
 import signal
-import sys
-import threading
 import time
 import tracemalloc
 import warnings
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -348,11 +346,11 @@ def _exit_at_once(index):
 def test_pooled_error_propagates_after_every_task_of_the_call(tmp_path):
     arguments = [(tmp_path, i) for i in range(4)]
     with pytest.raises(LookupError, match="cell 0"):
-        harness._ordered_map(_leave_a_file_or_raise, arguments, 2, processes=True)
+        harness._ordered_map(_leave_a_file_or_raise, arguments, 2)
     assert sorted(f.name for f in tmp_path.iterdir()) == ["1", "2", "3"]
     pool = harness._POOL[2]
-    assert harness._ordered_map(_leave_a_file_or_raise, [(tmp_path, 4), (tmp_path, 5)], 2,
-                                processes=True) == [4, 5]
+    arguments = [(tmp_path, 4), (tmp_path, 5)]
+    assert harness._ordered_map(_leave_a_file_or_raise, arguments, 2) == [4, 5]
     assert harness._POOL[2] is pool
 
 
@@ -366,16 +364,15 @@ def test_an_interrupted_call_leaves_no_task_queued(tmp_path, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(concurrent.futures, "wait", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            harness._ordered_map(_leave_a_file_or_raise, arguments, 2, processes=True)
+            harness._ordered_map(_leave_a_file_or_raise, arguments, 2)
     time.sleep(1.0)                                  # all 8 would be done by now
     assert len(list(tmp_path.iterdir())) < len(arguments)
-    assert harness._ordered_map(_leave_a_file_or_raise, arguments[:2], 2,
-                                processes=True) == [1, 2]
+    assert harness._ordered_map(_leave_a_file_or_raise, arguments[:2], 2) == [1, 2]
 
 
 def test_a_dead_worker_fails_its_call_and_the_next_sweep_gets_a_new_pool():
     with pytest.raises(BrokenProcessPool):
-        harness._ordered_map(_exit_at_once, [(0,), (1,)], 2, processes=True)
+        harness._ordered_map(_exit_at_once, [(0,), (1,)], 2)
     assert harness._POOL is None
     assert sweep("users", workers=2, **SMALL_SWEEP) == sweep("users", **SMALL_SWEEP)
 
@@ -587,7 +584,9 @@ def test_make_scenario_refuses_a_count_or_seed_that_is_not_an_integer(settings, 
 
 def test_each_monte_carlo_block_builds_one_generator(monkeypatch):
     # One up-front seed check, then one generator per block: two full blocks
-    # and a 17-sample one.
+    # and a 17-sample one. On one usable CPU every block runs in this
+    # process, where the patch reaches it.
+    _with_workers(monkeypatch, 1)
     calls = []
 
     def counted(*key):
@@ -715,7 +714,9 @@ def test_blocked_magnitudes_equal_one_whole_array_call(monkeypatch, kind):
     # The gain map and the Monte Carlo go through the kernel in blocks of at
     # most _KERNEL_BLOCK orientations; the map's values must be those of one
     # gain_matrix call over its whole grid, bit for bit (the Monte Carlo's,
-    # test_streamed_draws_equal_whole_call_draws).
+    # test_streamed_draws_equal_whole_call_draws). On one usable CPU every
+    # block runs in this process, where the patch reaches it.
+    _with_workers(monkeypatch, 1)
     block = harness._KERNEL_BLOCK
     reference_link_peak(kind)                        # warm the peak's grid first
     sizes = []
@@ -739,49 +740,46 @@ def test_blocked_magnitudes_equal_one_whole_array_call(monkeypatch, kind):
 
 
 def _with_workers(monkeypatch, workers):
-    """Size the block thread pool as if the process could use `workers` CPUs."""
+    """Split block calls as if the process could use `workers` CPUs: one runs
+    every block inline, more run the first run here and the rest on a pool of
+    `workers` processes."""
     monkeypatch.setattr(harness, "_usable_cpu_count", lambda: workers)
 
 
 @pytest.mark.parametrize("kind", ["tx_random", "rx_random"])
 def test_pool_size_does_not_change_any_value(monkeypatch, kind):
-    # More threads than most hosts' cores, switching as often as possible,
-    # must give the one-thread values bit for bit. Each call of B blocks
-    # posts min(workers, B) thread tasks, each a run of consecutive blocks,
-    # the runs in block order.
+    # Pools of 2 and 4 processes, more than most hosts' cores, must give the
+    # inline values bit for bit. Each call of B blocks splits them into
+    # min(workers, B) runs of consecutive blocks, in block order; the caller
+    # runs the first and posts each other run to the pool as one task.
     results, calls, posted = [], [], []
     ordered_map = harness._ordered_map
-    submit = concurrent.futures.ThreadPoolExecutor.submit
+    submit = ProcessPoolExecutor.submit
 
-    def recorded(task, arguments, workers):
-        calls.append([run for run, in arguments])
-        return ordered_map(task, arguments, workers)
+    def recorded(task, arguments, workers, caller_first=False):
+        calls.append([run for _, _, run in arguments])
+        return ordered_map(task, arguments, workers, caller_first)
 
     def counted(pool, *args, **kwargs):
         posted.append(1)
         return submit(pool, *args, **kwargs)
 
     monkeypatch.setattr(harness, "_ordered_map", recorded)
-    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", counted)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (1, 2, 4):
-            _with_workers(monkeypatch, workers)
-            calls.clear()
-            posted.clear()
-            results.append((
-                harness.reference_link_map(kind)[2].tobytes(),
-                harness._grid_peak.__wrapped__(kind, MediumParams(), 0.5).hex(),
-                monte_carlo_half_energy(kind, 5 * harness._KERNEL_BLOCK + 3, seed=6)))
-            for runs in calls:                       # the map, the peak, the Monte Carlo
-                blocks = [bounds for run in runs for bounds in run]
-                assert all(runs) and len(runs) == min(workers, len(blocks))
-                assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
-            assert len(calls[2]) == min(workers, 6)
-            assert len(posted) == sum(len(runs) for runs in calls if len(runs) > 1)
-    finally:
-        sys.setswitchinterval(interval)
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", counted)
+    for workers in (1, 2, 4):
+        _with_workers(monkeypatch, workers)
+        calls.clear()
+        posted.clear()
+        results.append((
+            harness.reference_link_map(kind)[2].tobytes(),
+            harness._grid_peak.__wrapped__(kind, MediumParams(), 0.5).hex(),
+            monte_carlo_half_energy(kind, 5 * harness._KERNEL_BLOCK + 3, seed=6)))
+        for runs in calls:                       # the map, the peak, the Monte Carlo
+            blocks = [bounds for run in runs for bounds in run]
+            assert all(runs) and len(runs) == min(workers, len(blocks))
+            assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+        assert len(calls[2]) == min(workers, 6)
+        assert len(posted) == sum(len(runs) - 1 for runs in calls)
     assert results[0] == results[1] == results[2]
 
 
@@ -804,14 +802,18 @@ def test_a_call_past_a_million_samples_draws_one_stream(monkeypatch):
     # Sample i's angles are the stream's draws i and samples + i at any
     # sample count: all polar angles of the call, then all its azimuths, for
     # any worker count. Each block's angles are captured on their way to the
-    # kernel and put back in place by their first polar angle.
+    # kernel and put back in place by their first polar angle. The patch
+    # reaches the blocks this process runs: all of them on one usable CPU,
+    # the first run of 4 (10 of 41 blocks) on four, where the pool runs the
+    # rest and the fraction must not change.
     samples, seed = 1_000_017, 2
     rng = _rng(seed, 1)
     want_polar = rng.uniform(0.0, np.pi, samples)
     want_azimuthal = rng.uniform(0.0, 2.0 * np.pi, samples)
     starts = {want_polar[start]: start for start in range(0, samples, harness._KERNEL_BLOCK)}
     reference_link_peak("tx_random")                 # warm the grid first
-    for workers in (1, 4):
+    fractions = []
+    for workers, captured_samples in ((1, samples), (4, 10 * harness._KERNEL_BLOCK)):
         _with_workers(monkeypatch, workers)
         seen = []
 
@@ -820,10 +822,14 @@ def test_a_call_past_a_million_samples_draws_one_stream(monkeypatch):
             return angles_to_unit(polar, azimuthal)
 
         monkeypatch.setattr(harness, "angles_to_unit", captured)
-        monte_carlo_half_energy("tx_random", samples, seed)
+        fractions.append(monte_carlo_half_energy("tx_random", samples, seed))
         seen.sort(key=lambda angles: starts.get(angles[0][0], samples))
-        assert np.concatenate([p for p, _ in seen]).tobytes() == want_polar.tobytes()
-        assert np.concatenate([a for _, a in seen]).tobytes() == want_azimuthal.tobytes()
+        polar = np.concatenate([p for p, _ in seen])
+        assert polar.size == captured_samples
+        assert polar.tobytes() == want_polar[:captured_samples].tobytes()
+        assert (np.concatenate([a for _, a in seen]).tobytes()
+                == want_azimuthal[:captured_samples].tobytes())
+    assert fractions[0] == fractions[1]
 
 
 def _traced_peak(kind, samples):
@@ -839,33 +845,47 @@ def _traced_peak(kind, samples):
 def test_monte_carlo_memory_does_not_scale_with_the_kernel_terms(monkeypatch, kind):
     # Every block draws, evaluates and counts its own samples through
     # block-sized kernel temporaries, so nothing is full-sized (a million
-    # doubles are 8 MB). With one thread the peak is one block's, whatever
-    # the sample count; with more, at most a few MB per thread (how many
-    # threads hold their peak at once is up to the scheduler).
+    # doubles are 8 MB). Inline the peak is one block's, whatever the sample
+    # count, and so is this process's with a pool of 4 running the other
+    # runs (their memory is their own).
     _with_workers(monkeypatch, 1)
     monte_carlo_half_energy(kind, 1000, 1)           # build the grid first
-    assert _traced_peak(kind, 2_000_000) <= _traced_peak(kind, 200_000) + 500_000
-    workers = 4
-    _with_workers(monkeypatch, workers)
-    assert _traced_peak(kind, 2_000_000) <= workers * 3_000_000
-
-
-def test_block_error_propagates_after_every_thread_ends(monkeypatch):
-    error = NumericalError("non-finite gain")
-
-    def failing(tx_p, tx_n, rx_p, rx_n, medium):
-        if len(tx_n) == 17:                          # the call's last block
-            raise error
-        return gain_matrix(tx_p, tx_n, rx_p, rx_n, medium)
-
-    reference_link_peak("tx_random")                 # warm the grid first
+    one_block = _traced_peak(kind, 200_000)
+    assert _traced_peak(kind, 2_000_000) <= one_block + 500_000
     _with_workers(monkeypatch, 4)
-    monkeypatch.setattr(harness, "gain_matrix", failing)
-    threads = threading.active_count()
-    with pytest.raises(NumericalError) as raised:
-        monte_carlo_half_energy("tx_random", 3 * harness._KERNEL_BLOCK + 17, seed=1)
-    assert raised.value is error
-    assert threading.active_count() == threads
+    monte_carlo_half_energy(kind, 4 * harness._KERNEL_BLOCK, 1)   # fork the pool first
+    assert _traced_peak(kind, 2_000_000) <= one_block + 500_000
+
+
+def _block_or_raise(directory, failing, start, stop):
+    """A _map_blocks task: raise at once for block `failing`; otherwise wait,
+    then leave a file named start."""
+    if start == failing:
+        raise NumericalError(f"non-finite gain in block {start}")
+    time.sleep(0.2)
+    (directory / str(start)).write_text("")
+    return start
+
+
+def test_block_error_propagates_after_every_run_ends(monkeypatch, tmp_path):
+    # Four one-block runs: this process runs block 0 and the pool blocks
+    # 1-3. A package error raised in either reaches the caller with its type
+    # and message (from the pool a pickled copy, so equal, not the same
+    # object) once every run has ended, and the next call still works.
+    _with_workers(monkeypatch, 4)
+    for failing in (1, 0):
+        files = tmp_path / str(failing)
+        files.mkdir()
+        with pytest.raises(NumericalError) as raised:
+            harness._map_blocks(_block_or_raise, (files, failing), 4, block=1)
+        assert type(raised.value) is NumericalError
+        assert raised.value.args == (f"non-finite gain in block {failing}",)
+        assert sorted(int(f.name) for f in files.iterdir()) == [
+            b for b in range(4) if b != failing]
+    pool, files = harness._POOL[2], tmp_path / "none"
+    files.mkdir()
+    assert harness._map_blocks(_block_or_raise, (files, -1), 4, block=1) == [0, 1, 2, 3]
+    assert harness._POOL[2] is pool
 
 
 def test_monte_carlo_small_sample_determinism():
