@@ -18,19 +18,18 @@ optimizer calls the same pieces: it builds the geometry once per run, and each
 evaluated point makes one combine_terms call after building the side terms of
 the one block its step moved.
 
-The kernel keeps its 3-vectors component-major: field_dir is (3, K, L), three
-contiguous (K, L) planes, and transmit_terms and receive_terms read their
-(N, 3) axes as the transposed (3, N) planes, so every elementwise operation
-and contraction runs along the K, L or N axis. Kept as (..., 3) rows, numpy
-ran its loops over an inner axis of length 3, where the loop overhead costs
-more than the arithmetic: on one 16,384-orientation Monte Carlo block (2-core
-Xeon host, one thread) transmit_terms took 580-690 us against 290-350 us
-now, and combine_terms 250-290 us against 140-180 us. The two contractions
-whose rounding would follow their operands' memory layout (the emission
-cosines' matrix product and the matching cosines' einsum) run on C-contiguous
-planes, so the gains are the same bit for bit whether the axes arrive as
-(N, 3) rows or as the view of (3, N) planes that geometry.angles_to_unit
-returns.
+The kernel keeps its 3-vectors component-major: the pieces read their (N, 3)
+axes as the transposed (3, N) planes, so every elementwise operation runs
+along the K, L or N axis. Kept as (..., 3) rows, numpy ran its loops over an
+inner axis of length 3, where the loop overhead costs more than the
+arithmetic: on one 16,384-orientation Monte Carlo block (2-core Xeon host,
+one thread) transmit_terms took 580-690 us as rows against 290-350 us as
+planes. No 3-vector per link is kept: combine_terms takes the matching cosine
+from two dot products, r . n and the receive side's u . r. The two
+contractions whose rounding would follow their operands' memory layout, u . n
+and r . n, are matrix products of C-contiguous (3, N) planes, so the gains are
+the same bit for bit whether the axes arrive as (N, 3) rows or as the view of
+(3, N) planes that geometry.angles_to_unit returns.
 """
 
 from __future__ import annotations
@@ -149,31 +148,29 @@ class TransmitTerms(NamedTuple):
     """The terms of the unit transmit axes n, axes (L, 3), toward the path
     directions u, per link (K, L): cos_emission = u . n, sin_emission =
     |n - (u . n) u|, degenerate (n along u), safe_sin_emission (sin_emission,
-    but 1 where degenerate: the divisor of field_dir, the pattern and both
-    optimizer gradients) and the dipole pattern; field_dir (3, K, L), three
-    contiguous (K, L) component planes (see the module docstring), is
-    n - (u . n) u over safe_sin_emission, read only by combine_terms and the
-    CLI's channel-eval. Where degenerate, pattern and field_dir mean nothing."""
+    but 1 where degenerate: the divisor of the matching cosine, the pattern
+    and both optimizer gradients) and the dipole pattern. The field direction
+    (n - (u . n) u) / sin_emission is not kept: combine_terms needs only its
+    projection on r. Where degenerate, the pattern means nothing."""
 
     axes: np.ndarray
     cos_emission: np.ndarray
     sin_emission: np.ndarray
     safe_sin_emission: np.ndarray
-    field_dir: np.ndarray
     degenerate: np.ndarray
     pattern: np.ndarray
 
 
 class ReceiveTerms(NamedTuple):
     """The terms of the unit receive axes r, axes (K, 3), per user (K,):
-    sin_incidence = |u . r|, cos_incidence = |r - (u . r) u|, the signed
-    Fresnel coefficients gamma_par and gamma_perp at that incidence, and the
-    two factors of the squared matching efficiency they give,
-    m^2 = kept - spread cos^2 a: kept = 1 - gamma_perp^2 and spread =
-    gamma_par^2 - gamma_perp^2."""
+    path_cos = u . r (signed; its size is the incidence angle's sine),
+    cos_incidence = |r - (u . r) u|, the signed Fresnel coefficients gamma_par
+    and gamma_perp at that incidence, and the two factors of the squared
+    matching efficiency they give, m^2 = kept - spread cos^2 a: kept =
+    1 - gamma_perp^2 and spread = gamma_par^2 - gamma_perp^2."""
 
     axes: np.ndarray
-    sin_incidence: np.ndarray
+    path_cos: np.ndarray
     cos_incidence: np.ndarray
     gamma_par: np.ndarray
     gamma_perp: np.ndarray
@@ -183,11 +180,12 @@ class ReceiveTerms(NamedTuple):
 
 class LinkTerms(NamedTuple):
     """The channel kernel's terms for K users and L transmit antennas: the
-    pieces it combined and, per link (K, L), cos_matching = field_dir . r
-    clipped to [-1, 1], the cosine of the matching angle a, matching =
-    sqrt(1 - G_par^2 cos^2 a - G_perp^2 sin^2 a), the amplitude kept after
-    reflection loss and polarization mismatch, and the gains. Where
-    tx.degenerate, the gain is exactly 0 and the matching terms are meaningless.
+    pieces it combined and, per link (K, L), cos_matching = f . r clipped to
+    [-1, 1], the cosine of the matching angle a between r and the field
+    direction f = (n - cos_e u) / sin_e, matching = sqrt(1 - G_par^2 cos^2 a
+    - G_perp^2 sin^2 a), the amplitude kept after reflection loss and
+    polarization mismatch, and the gains. Where tx.degenerate, the gain is
+    exactly 0 and the matching terms are meaningless.
     """
 
     geometry: LinkGeometry
@@ -223,21 +221,21 @@ def link_geometry(tx_positions, rx_positions, medium: MediumParams) -> LinkGeome
 
 
 def transmit_terms(path_dir: np.ndarray, tx_n: np.ndarray) -> TransmitTerms:
-    """Emission angle, field direction and dipole pattern of the unit transmit
-    axes tx_n (L, 3) toward the users along path_dir (K, 3). field_dir is
-    built as its three (K, L) planes and sin_emission is its length, the
-    planes' squares summed in order: np.linalg.norm's value, without its
-    reduction over a length-3 axis."""
+    """Emission angle and dipole pattern of the unit transmit axes tx_n (L, 3)
+    toward the users along path_dir (K, 3). sin_emission is the length of
+    n - cos_e u, its three (K, L) planes' squares summed in order:
+    np.linalg.norm's value without its length-3 reduction, exact near the
+    axis, where sqrt(1 - cos_e^2) is off by about eps / sin_e^2 relative."""
     n = np.ascontiguousarray(tx_n.T)                             # (3, L) planes
     cos_e = path_dir @ n                                         # (K, L)
     # C-ordered planes, whatever path_dir's layout.
-    field_dir = np.multiply(cos_e, path_dir.T[:, :, None], order="C")
-    np.subtract(n[:, None, :], field_dir, out=field_dir)
-    sin_e = np.sqrt(np.add.reduce(field_dir * field_dir, axis=0))
+    off_path = np.multiply(cos_e, path_dir.T[:, :, None], order="C")
+    np.subtract(n[:, None, :], off_path, out=off_path)
+    sin_e = np.sqrt(np.add.reduce(np.multiply(off_path, off_path, out=off_path), axis=0))
+    del off_path                                                 # before the pattern's temporaries
     degenerate = sin_e < _DEGENERATE_TOL
     safe_sin_e = np.where(degenerate, 1.0, sin_e)
-    field_dir /= safe_sin_e
-    return TransmitTerms(tx_n, cos_e, sin_e, safe_sin_e, field_dir, degenerate,
+    return TransmitTerms(tx_n, cos_e, sin_e, safe_sin_e, degenerate,
                          _dipole_pattern(cos_e, safe_sin_e))
 
 
@@ -247,24 +245,23 @@ def receive_terms(path_dir: np.ndarray, rx_n: np.ndarray,
     (K, 3) along path_dir (K, 3), both read as their (3, K) component planes."""
     r, u = rx_n.T, path_dir.T
     # cos_i is the length of r's part off the path, which keeps every digit
-    # near grazing, where sqrt(1 - sin_i^2) keeps half.
+    # near grazing, where sqrt(1 - (u . r)^2) keeps half.
     planes = u * r
-    sin_i = np.add.reduce(planes, axis=0)                  # u . r, then its size
-    off_path = np.subtract(r, np.multiply(sin_i, u, out=planes), out=planes)
+    path_cos = np.add.reduce(planes, axis=0)                     # u . r
+    off_path = np.subtract(r, np.multiply(path_cos, u, out=planes), out=planes)
     cos_i = np.sqrt(np.add.reduce(np.multiply(off_path, off_path, out=off_path), axis=0))
-    sin_i = np.minimum(np.abs(sin_i), 1.0)
     g_par, g_perp = _fresnel(cos_i, medium.relative_permittivity)
     perp2 = g_perp * g_perp
-    return ReceiveTerms(rx_n, sin_i, cos_i, g_par, g_perp, 1.0 - perp2, g_par * g_par - perp2)
+    return ReceiveTerms(rx_n, path_cos, cos_i, g_par, g_perp, 1.0 - perp2, g_par * g_par - perp2)
 
 
 def combine_terms(geometry: LinkGeometry, tx: TransmitTerms, rx: ReceiveTerms) -> LinkTerms:
     """The per-evaluation kernel: the matching terms and gains of the links
     whose positions gave geometry and whose axes gave tx and rx. Only what
-    pairs the two sides is computed here: cos_a, the field planes contracted
-    over their leading axis with the receive axes' planes, m = sqrt(kept -
-    spread cos^2 a) from the receive side's Fresnel factors, and the gains
-    scale * (pattern * m).
+    pairs the two sides is computed here: cos_a = (r . n - cos_e (u . r)) /
+    sin_e, from the axes' r . n and the receive side's u . r, m = sqrt(kept -
+    spread cos^2 a) from its Fresnel factors, and the gains scale * (pattern *
+    m).
 
     From _IN_PLACE_GAINS links on (the Monte Carlo's and the maps' blocks),
     pattern * m is written straight into the complex gains, which are then
@@ -273,7 +270,9 @@ def combine_terms(geometry: LinkGeometry, tx: TransmitTerms, rx: ReceiveTerms) -
     cheap and the two-call form about 1 us faster at K = L = 8. Both give
     the same gains bit for bit: the real product enters the complex multiply
     as pm + 0j either way."""
-    cos_a = np.einsum("ikl,ik->kl", tx.field_dir, np.ascontiguousarray(rx.axes.T))
+    cos_a = np.ascontiguousarray(rx.axes.T).T @ np.ascontiguousarray(tx.axes.T)
+    cos_a -= tx.cos_emission * rx.path_cos[:, None]
+    cos_a /= tx.safe_sin_emission
     np.minimum(np.maximum(cos_a, -1.0, out=cos_a), 1.0, out=cos_a)
     radicand = rx.kept[:, None] - rx.spread[:, None] * (cos_a * cos_a)
     if (radicand < -_RADICAND_TOL).any():

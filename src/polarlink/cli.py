@@ -148,14 +148,16 @@ def cmd_channel_eval(args) -> int:
     if tx_t.degenerate[0, 0]:
         alpha, match = math.nan, 0.0
     else:
-        sin_alpha = np.linalg.norm(np.cross(rx.orientation, tx_t.field_dir[:, 0, 0]))
+        # The matching angle's sine |r x f|, with f = (n - cos_e u) / sin_e.
+        off_path = tx.orientation - tx_t.cos_emission[0, 0] * terms.geometry.path_dir[0]
+        sin_alpha = np.linalg.norm(np.cross(rx.orientation, off_path)) / tx_t.sin_emission[0, 0]
         alpha = np.arctan2(sin_alpha, terms.cos_matching[0, 0])
         match = terms.matching[0, 0]
     fields = [
         ("gain_magnitude", abs(gain)),
         ("gain_phase_rad", math.atan2(gain.imag, gain.real)),
         ("emission_angle_rad", np.arctan2(tx_t.sin_emission[0, 0], tx_t.cos_emission[0, 0])),
-        ("incident_angle_rad", np.arctan2(rx_t.sin_incidence[0], rx_t.cos_incidence[0])),
+        ("incident_angle_rad", np.arctan2(abs(rx_t.path_cos[0]), rx_t.cos_incidence[0])),
         ("matching_angle_rad", alpha),
         ("gamma_parallel", rx_t.gamma_par[0]),
         ("gamma_perpendicular", rx_t.gamma_perp[0]),

@@ -49,9 +49,10 @@ _VERTICAL = np.array([0.0, 0.0, 1.0])
 _USER_DRAW_ROUNDS = 100_000
 _TX_PLACEMENT_ATTEMPTS = 10_000
 # Orientations per kernel call, 3 x 8,192. A process running a run of blocks
-# holds one block's temporaries at a time, about 116 bytes per orientation at
-# their peak, under 3 MB at this size; fewer, larger blocks make fewer numpy
-# calls, and each process running one holds more.
+# holds one block's temporaries at a time, at their peak about 92 bytes per
+# orientation for transmit axes and 112 for receive axes, under 3 MB at this
+# size; fewer, larger blocks make fewer numpy calls, and each process running
+# one holds more.
 _KERNEL_BLOCK = 3 << 13
 _MAP_STEP_DEG = 1.0                 # the gain map's grid step (reference_link_map)
 _PEAK_STEP_DEG = 0.25               # the peak's grid step (reference_link_peak)
@@ -492,6 +493,7 @@ def run_configuration(scenario: Scenario, config_id: int,
 
 
 def _check_configuration(config_id: int) -> None:
+    check_integer(config_id, "configuration id")   # True and 5.0 hash as 1 and 5
     if config_id not in CONFIGURATION_BLOCKS:
         raise ConfigurationError(f"configuration id must be 1..5, got {config_id}")
 
@@ -562,9 +564,9 @@ def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int, *,
 
     repetitions and the user counts (the users grid's, or user_count) are
     positive integers and seed a non-negative one (check_integer). Any of
-    them that is not, a configuration id outside CONFIGURATION_BLOCKS or a
-    resolution that quantize_angles refuses (check_resolution) raises
-    ConfigurationError before any cell runs.
+    them that is not, a configuration id that is not an integer in
+    CONFIGURATION_BLOCKS or a resolution that quantize_angles refuses
+    (check_resolution) raises ConfigurationError before any cell runs.
 
     Each (grid point, repetition) cell draws its scenario here, make_scenario
     with its own counter-derived seed and the keyword settings in `scenario`

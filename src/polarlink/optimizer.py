@@ -343,7 +343,7 @@ def _gradient(point: _Point, block: str, medium: MediumParams) -> np.ndarray:
     positions, so dH_kl = h_kl d log(rad m). A transmit axis n_l moves cos_e =
     u . n and cos_a = (r . n - cos_e (u . r)) / sin_e; a receive axis r_k moves
     cos_a and, through the Fresnel coefficients, cos_i. Both chain rules run
-    through the axes and the path directions u, never the field planes: in r,
+    through the axes, the path directions u and the receive side's u . r: in r,
     d cos_a / d r = (n - cos_e u) / sin_e; in n, as sin_e^2 = 1 - cos_e^2 on
     the sphere, d sin_e = -cos_e (u . dn) / sin_e and d cos_a / d n =
     (r - (u . r) u + cos_a cos_e u / sin_e) / sin_e up to a term along n, which
@@ -370,12 +370,11 @@ def _gradient(point: _Point, block: str, medium: MediumParams) -> np.ndarray:
     # d(m^2) / 2; across is its coefficient of d cos_a, over sin_e.
     per_m2 = weight / terms.matching**2
     across = -rx.spread[:, None] * cos_m * per_m2 / sin_e
-    path_cos = np.add.reduce(path * rx.axes, axis=-1)          # u . r
 
     if block == BLOCK_TX_ANGLES:
         # log rad = log cos(pi c / 2) - log(1 - c^2) / 2, with 1 - c^2 = sin_e^2.
         on_path = (weight * (-0.5 * np.pi * np.tan(0.5 * np.pi * cos_e) + cos_e / sin_e**2)
-                   + across * (cos_m * cos_e / sin_e - path_cos[:, None]))
+                   + across * (cos_m * cos_e / sin_e - rx.path_cos[:, None]))
         grad_axes = on_path.T @ path + across.T @ rx.axes
         axes = tx.axes
     elif block == BLOCK_RX_ANGLES:
@@ -387,7 +386,7 @@ def _gradient(point: _Point, block: str, medium: MediumParams) -> np.ndarray:
         d_cos_i = np.add.reduce(-(g_par * d_par * cos_m**2
                                   + g_perp * d_perp * (1.0 - cos_m**2)) * per_m2, axis=-1)
         # d cos_i / d r = -(u . r) u / cos_i.
-        on_path = path_cos * d_cos_i / cos_i + np.add.reduce(across * cos_e, axis=-1)
+        on_path = rx.path_cos * d_cos_i / cos_i + np.add.reduce(across * cos_e, axis=-1)
         grad_axes = across @ tx.axes - on_path[:, None] * path
         axes = rx.axes
     else:

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -144,7 +145,7 @@ def test_matching_efficiency_bounds_and_normal_incidence(medium):
     e2 = np.cross(path, e1)
     phi = np.linspace(0.0, math.pi, 7)
     terms = _links_to(np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2, medium)
-    assert np.all(terms.rx.sin_incidence < 1e-15)
+    assert np.all(np.abs(terms.rx.path_cos) < 1e-15)
     vals = terms.matching[:, 0]
     assert np.ptp(vals) < 1e-12
     g = (math.sqrt(2.0) - 1.0) / (math.sqrt(2.0) + 1.0)
@@ -154,7 +155,7 @@ def test_matching_efficiency_bounds_and_normal_incidence(medium):
 def test_matching_efficiency_zero_at_grazing(medium):
     # Receive axis along the path: grazing incidence, both coefficients 1.
     terms = _links_to(RX / RX_NORM, medium)
-    assert terms.rx.sin_incidence[0] == pytest.approx(1.0, abs=1e-15)
+    assert terms.rx.path_cos[0] == pytest.approx(1.0, abs=1e-15)
     assert terms.rx.gamma_par[0] == 1.0 and terms.rx.gamma_perp[0] == 1.0
     assert terms.matching[0, 0] == 0.0
 
@@ -294,6 +295,41 @@ def test_sin_emission_is_the_norm_of_the_field_direction(medium, users, antennas
     assert terms.sin_emission.tobytes() == expected.tobytes()
 
 
+def _decimal_cos_matching(u, n, r):
+    """(cos_a, sin_e) of one link at 40 digits, from the same double inputs:
+    f = (n - (u . n) u) / |n - (u . n) u| and cos_a = f . r."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        u, n, r = ([decimal.Decimal(float(x)) for x in v] for v in (u, n, r))
+        cos_e = sum(a * b for a, b in zip(u, n))
+        off_path = [b - cos_e * a for a, b in zip(u, n)]
+        sin_e = sum(x * x for x in off_path).sqrt()
+        return float(sum(x * y for x, y in zip(off_path, r)) / sin_e), float(sin_e)
+
+
+@pytest.mark.parametrize("sin_e", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_cos_matching_keeps_its_digits_near_the_transmit_axis(medium, sin_e):
+    # cos_a = (r . n - cos_e (u . r)) / sin_e cancels to about sin_e in the
+    # numerator, so its error is a few eps / sin_e at best; a sin_e taken as
+    # sqrt(1 - cos_e^2) would add eps / sin_e^2 and fail the bound.
+    rng = np.random.default_rng(int(-math.log10(sin_e)))
+    path = RX / RX_NORM
+    across = rng.standard_normal((40, 3))
+    across -= (across @ path)[:, None] * path
+    across /= np.linalg.norm(across, axis=1, keepdims=True)
+    tx_n = math.sqrt(1.0 - sin_e**2) * path + sin_e * across
+    tx_n /= np.linalg.norm(tx_n, axis=1, keepdims=True)
+    rx_n = rng.standard_normal((40, 3))
+    rx_n /= np.linalg.norm(rx_n, axis=1, keepdims=True)
+    terms = link_terms(np.zeros((1, 3)), tx_n, RX[None, :], rx_n, medium)
+    u = terms.geometry.path_dir[0]
+    eps = np.finfo(float).eps
+    for k in range(40):
+        for ell in range(40):
+            want, want_sin = _decimal_cos_matching(u, tx_n[ell], rx_n[k])
+            assert abs(terms.cos_matching[k, ell] - want) <= 4.0 * eps / want_sin
+
+
 @pytest.mark.parametrize("users, antennas, shared", [(8, 8, False), (3, 5, False),
                                                      (1, 1 << 14, True), (1 << 14, 1, True),
                                                      (1, 16401, True), (16401, 1, True)])
@@ -407,17 +443,24 @@ def test_link_terms_recompose_gain(seed, force_degenerate):
     assert np.allclose(np.abs(terms.gains), expected, rtol=1e-12, atol=0.0)
 
     # The cosine-form terms agree with the angle-form public functions.
-    g_par, g_perp = reflection_coefficients(np.arcsin(terms.rx.sin_incidence), medium)
+    sin_i = np.minimum(np.abs(terms.rx.path_cos), 1.0)
+    g_par, g_perp = reflection_coefficients(np.arcsin(sin_i), medium)
     assert np.allclose(terms.rx.gamma_par, g_par, rtol=0.0, atol=1e-12)
     assert np.allclose(terms.rx.gamma_perp, g_perp, rtol=0.0, atol=1e-12)
     assert np.allclose(terms.tx.sin_emission**2 + terms.tx.cos_emission**2, 1.0,
                        rtol=0.0, atol=1e-15)
-    assert np.allclose(terms.rx.cos_incidence**2 + terms.rx.sin_incidence**2, 1.0,
+    assert np.allclose(terms.rx.cos_incidence**2 + terms.rx.path_cos**2, 1.0,
                        rtol=0.0, atol=1e-15)
+    # The field direction f = (n - (n . u) u) / sin_e, built here, is a unit
+    # vector orthogonal to the path up to rounding, and cos_matching is f . r.
     regular = ~terms.tx.degenerate
-    assert np.allclose(np.linalg.norm(terms.tx.field_dir, axis=0)[regular], 1.0,
-                       rtol=0.0, atol=1e-15)
-    # The field n - (n . u) u is orthogonal to the path up to rounding.
-    across = (np.einsum("ikl,ki->kl", terms.tx.field_dir, terms.geometry.path_dir)
-              * terms.tx.sin_emission)
+    path = terms.geometry.path_dir
+    field_dir = ((tx_n[None, :, :] - terms.tx.cos_emission[:, :, None] * path[:, None, :])
+                 / terms.tx.safe_sin_emission[:, :, None])
+    assert np.allclose(np.linalg.norm(field_dir, axis=-1)[regular], 1.0, rtol=0.0, atol=1e-15)
+    across = np.einsum("kli,ki->kl", field_dir, path) * terms.tx.sin_emission
     assert np.allclose(across[regular], 0.0, rtol=0.0, atol=1e-15)
+    # Both carry an error of a few eps / sin_e, f's from its divide.
+    cos_a = np.einsum("kli,ki->kl", field_dir, rx_n)
+    assert np.all((np.abs(terms.cos_matching - cos_a) * terms.tx.sin_emission)[regular]
+                  <= 1e-15)

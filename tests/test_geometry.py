@@ -231,7 +231,7 @@ def test_emission_angle_coincident_point_raises():
 
 def test_incident_angle_reference_link():
     # Oracle: sin(theta_i) = |p . n| / |p| = 50 / sqrt(9725) = 0.50697...
-    theta_i = math.asin(_terms().rx.sin_incidence[0])
+    theta_i = math.asin(abs(_terms().rx.path_cos[0]))
     assert theta_i == pytest.approx(math.asin(50.0 / RX_NORM), abs=1e-12)
     assert theta_i == pytest.approx(0.5317240672, abs=1e-9)
 
@@ -239,12 +239,13 @@ def test_incident_angle_reference_link():
 def test_incident_angle_sign_invariance():
     up = _terms(rx_dir=[0.0, 0.0, 1.0])
     down = _terms(rx_dir=[0.0, 0.0, -1.0])
-    assert up.rx.sin_incidence[0] == down.rx.sin_incidence[0]
-    assert math.asin(down.rx.sin_incidence[0]) == pytest.approx(0.5317240672, abs=1e-9)
+    assert up.rx.path_cos[0] == -down.rx.path_cos[0]
+    assert up.rx.cos_incidence[0] == down.rx.cos_incidence[0]
+    assert math.asin(abs(down.rx.path_cos[0])) == pytest.approx(0.5317240672, abs=1e-9)
 
 
 def test_incident_angle_broadside_is_zero():
-    assert _terms(rx_pos=[10.0, 0.0, 0.0]).rx.sin_incidence[0] == 0.0
+    assert _terms(rx_pos=[10.0, 0.0, 0.0]).rx.path_cos[0] == 0.0
 
 
 def test_polarization_direction_perpendicular_to_propagation():
@@ -264,7 +265,7 @@ def test_matching_angle_equals_incident_angle_when_coplanar():
     # the receive axis, and the path share a plane, so alpha = theta_i.
     terms = _terms()
     alpha = math.acos(terms.cos_matching[0, 0])
-    assert alpha == pytest.approx(math.asin(terms.rx.sin_incidence[0]), abs=1e-9)
+    assert alpha == pytest.approx(math.asin(abs(terms.rx.path_cos[0])), abs=1e-9)
 
 
 @settings(max_examples=100, deadline=None)

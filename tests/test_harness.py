@@ -153,6 +153,10 @@ def test_run_configuration_rejects_bad_id():
     sc = make_scenario(2, seed=0)
     with pytest.raises(ConfigurationError):
         run_configuration(sc, 6, FAST)
+    # A bool or a float equal to an id is no id: True in CONFIGURATION_BLOCKS holds.
+    for config_id in (True, 1.0, 5.0):
+        with pytest.raises(ConfigurationError, match="configuration id must be a positive"):
+            run_configuration(sc, config_id, FAST)
 
 
 def test_configuration_ordering_with_shared_start():
@@ -515,6 +519,9 @@ def test_sweep_input_validation():
         sweep("users", [], repetitions=1, seed=0)
     with pytest.raises(ConfigurationError, match="configurations must be nonempty"):
         sweep("users", [1], repetitions=1, seed=0, configurations=[])
+    for configurations in ([True], [1.0], [1, 5.0]):
+        with pytest.raises(ConfigurationError, match="configuration id must be a positive"):
+            sweep("users", [1], repetitions=1, seed=0, configurations=configurations)
     # Repetitions are a positive integer and the seed a non-negative one.
     for repetitions in (0, 1.5, True):
         with pytest.raises(ConfigurationError, match="repetitions must be a positive integer"):

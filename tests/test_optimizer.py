@@ -260,10 +260,10 @@ def test_exact_gradient_grazing_incidence():
 
 
 def test_exact_gradient_broadside_kink():
-    # |rx_hat . r| has a kink at 0, but cos_i = sqrt(1 - sin_i^2) is smooth there.
+    # |u . r| has a kink at 0, but cos_i = sqrt(1 - (u . r)^2) is smooth there.
     layout = _layout(antennas=4, users=2, seed=1)
     layout.rx_angles[0] = [0.0, 0.0]
-    assert _terms(layout, [USER_LEVEL, USER_B]).rx.sin_incidence[0] == 0.0
+    assert _terms(layout, [USER_LEVEL, USER_B]).rx.path_cos[0] == 0.0
     for block in BLOCK_ORDER:
         _assert_close_to_reference(layout, block, [USER_LEVEL, USER_B])
     _assert_finite_gradient_and_ascent(layout, [USER_LEVEL, USER_B])
@@ -283,18 +283,20 @@ def test_exact_gradient_across_a_funded_set_change():
 
 
 def _field_plane_gradient(point, block, medium):
-    """_gradient's chain rules through the kernel's field planes f = (n -
-    cos_e u) / sin_e, contracted with two einsums: d cos_a / d n = (P r -
-    cos_a f) / sin_e, P the projector off the path, and d cos_a / d r = f.
-    The reference the path-direction form is checked against."""
+    """_gradient's chain rules through the field planes f = (n - cos_e u) /
+    sin_e, built here as three (K, L) planes and contracted with two einsums:
+    d cos_a / d n = (P r - cos_a f) / sin_e, P the projector off the path, and
+    d cos_a / d r = f. The reference the path-direction form is checked
+    against."""
     terms = point.terms
     gains, inverse = terms.gains, point.inverse_gram
     scale = 2.0 * point.growth * medium.noise_power / (gains.shape[0] * point.level)
     weight = (np.conj(inverse @ ((scale * point.sinr)[:, None] * (inverse @ gains)))
               * gains).real
     tx, rx = terms.tx, terms.rx
-    path, field_dir = terms.geometry.path_dir, tx.field_dir
+    path = terms.geometry.path_dir
     cos_e, cos_m, sin_e = tx.cos_emission, terms.cos_matching, tx.safe_sin_emission
+    field_dir = (tx.axes.T[:, None, :] - cos_e * path.T[:, :, None]) / sin_e
     per_m2 = weight / terms.matching**2
     d_cos_m = -rx.spread[:, None] * cos_m * per_m2
     if block == BLOCK_TX_ANGLES:
@@ -335,14 +337,6 @@ def test_gradient_matches_the_field_plane_form(users, block):
         grad = _gradient(point, block, MEDIUM)
         reference = _field_plane_gradient(point, block, MEDIUM)
         assert np.linalg.norm(grad - reference) <= 1e-12 * np.linalg.norm(reference)
-
-
-@pytest.mark.parametrize("block", BLOCK_ORDER)
-def test_gradient_reads_no_field_planes(block):
-    point = _drop_point(4, 1003)
-    planes = point.terms.tx._replace(field_dir=np.full_like(point.terms.tx.field_dir, np.nan))
-    blind = dataclasses.replace(point, terms=point.terms._replace(tx=planes))
-    assert np.array_equal(_gradient(blind, block, MEDIUM), _gradient(point, block, MEDIUM))
 
 
 def _count_calls(monkeypatch, module, names, counts, fail_on_call=None):
@@ -493,7 +487,7 @@ def test_a_trial_reusing_the_unmoved_side_is_a_fresh_build(block, edge):
                        trial.rx_orientations(), MEDIUM)
     assert fresh.tx.degenerate[0, 0] == (edge == "transmit axis along the path")
     got, want = list(_array_leaves(point.terms)), list(_array_leaves(fresh))
-    assert [name for name, _ in got] == [name for name, _ in want] and len(want) == 19
+    assert [name for name, _ in got] == [name for name, _ in want] and len(want) == 18
     for (name, got_leaf), (_, want_leaf) in zip(got, want):
         assert np.array_equal(got_leaf, want_leaf), name
     assert point.value == _point(trial, users).value
@@ -784,7 +778,7 @@ def test_optimize_single_link_is_coplanar_at_convergence():
     terms = link_terms(np.zeros((1, 3)), result.layout.tx_orientations(),
                        USER_A.position[None, :], result.layout.rx_orientations(), MEDIUM)
     alpha = math.acos(terms.cos_matching[0, 0])
-    theta_i = math.asin(terms.rx.sin_incidence[0])
+    theta_i = math.asin(abs(terms.rx.path_cos[0]))
     residual = min(abs(alpha - theta_i), abs(math.pi - alpha - theta_i))
     assert residual < 1e-3
 
