@@ -232,33 +232,30 @@ def make_scenario(user_count: int, seed: int, medium: MediumParams = MediumParam
 
 
 def _usable_cpu_count() -> int:
-    """CPUs this process may run on: the block runs' and sweep processes' count."""
+    """CPUs this process may run on: the process pool's size (_process_pool)."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _ordered_map(task: Callable, arguments: Sequence[tuple], workers: int,
+def _ordered_map(task: Callable, arguments: Sequence[tuple], *,
                  caller_first: bool = False) -> list:
     """[task(*a) for a in arguments], in order.
 
-    It runs inline when workers <= 1, or when caller_first holds and there
-    is no task but the first. Otherwise the tasks go to the process's pool of
-    `workers` worker processes (_process_pool), except that with caller_first
-    the caller runs the first task itself while the pool runs the rest. The
-    pool is forked at the first such call, reused by every later one of that
-    size and ended with the interpreter, even a killed one. Its workers run
-    the code as imported at that fork: a later patch reaches only the tasks
-    that the caller runs. The first exception in task order propagates after
-    every task of the call has ended. A worker that dies during the call
-    raises BrokenProcessPool and drops the pool; one that died before the
-    call only drops it.
+    It runs inline when there is one task or one usable CPU. Otherwise the
+    tasks go to the process pool (_process_pool), except that with
+    caller_first the caller runs the first task itself while the pool runs
+    the rest. Its workers run the code as imported at the pool's fork: a
+    later patch reaches only the tasks that the caller runs. The first
+    exception in task order propagates after every task of the call has
+    ended. A worker that dies during the call raises BrokenProcessPool and
+    drops the pool; one that died before the call only drops it.
     """
-    if workers <= 1 or (caller_first and len(arguments) <= 1):
+    if len(arguments) <= 1 or _usable_cpu_count() <= 1:
         return [task(*a) for a in arguments]
     import concurrent.futures
     from concurrent.futures.process import BrokenProcessPool
-    pool, futures = _process_pool(workers), []
+    pool, futures = _process_pool(), []
     try:
         for a in arguments[1:] if caller_first else arguments:
             futures.append(pool.submit(task, *a))
@@ -278,36 +275,39 @@ def _ordered_map(task: Callable, arguments: Sequence[tuple], workers: int,
         if futures:
             raise
         # It broke before this call (a worker killed while idle): none of ours ran.
-        return _ordered_map(task, arguments, workers, caller_first)
+        return _ordered_map(task, arguments, caller_first=caller_first)
     finally:                       # an interrupted wait (Ctrl-C) leaves no task queued
         for f in futures:
             f.cancel()
     return [f.result() for f in futures]
 
 
-# The sweeps' and block runs' worker processes: (pid that made them, count, pool,
-# its exit finalizer).
+# The sweeps' and block runs' worker processes: (pid that made them, usable CPU
+# count then, pool, its exit finalizer).
 _POOL: Optional[tuple] = None
 
 
-def _process_pool(workers: int):
-    """The process pool of `workers` processes that this process made at its
-    first multi-worker call, or a new one if that count differs or the pool
-    belongs to the process this one was forked from (its workers are not our
-    children).
+def _process_pool():
+    """This process's pool of one worker per usable CPU, the only place that
+    sizes a pool. It is forked at the first pooled call and reused by every
+    later one; a new one replaces it if the usable CPU count has changed or
+    it belongs to the process this one was forked from (its workers are not
+    our children).
 
     concurrent.futures' interpreter-exit hook ends the pool. A multiprocessing
     child joins its children before that hook runs, so a finalizer ranked
-    above its queues' (exitpriority 10) ends the pool there first.
+    above its queues' (exitpriority 10) ends the pool there first. Its
+    workers end with the interpreter, even a killed one (_end_with_parent).
     """
     global _POOL
-    if _POOL is not None and _POOL[:2] != (os.getpid(), workers):
+    key = (os.getpid(), _usable_cpu_count())
+    if _POOL is not None and _POOL[:2] != key:
         _retire_process_pool()
     if _POOL is None:
         import concurrent.futures
         from multiprocessing.util import Finalize
-        pool = concurrent.futures.ProcessPoolExecutor(workers, initializer=_end_with_parent)
-        _POOL = (os.getpid(), workers, pool, Finalize(None, pool.shutdown, exitpriority=20))
+        pool = concurrent.futures.ProcessPoolExecutor(key[1], initializer=_end_with_parent)
+        _POOL = (*key, pool, Finalize(None, pool.shutdown, exitpriority=20))
     return _POOL[2]
 
 
@@ -342,15 +342,14 @@ def _map_blocks(task: Callable, args: tuple, size: int, block: int = _KERNEL_BLO
     The blocks are split into min(usable CPUs, blocks) contiguous runs, in
     block order. The caller runs the first run and the process pool the
     others (_ordered_map), one task per run, not per block, and each run's
-    blocks go in order. A pooled task is pickled, so task is a module-level
-    function and args are picklable.
+    blocks go in order; one run runs inline. A pooled task is pickled, so
+    task is a module-level function and args are picklable.
     """
     bounds = [(start, min(start + block, size)) for start in range(0, size, block)]
-    cpus = _usable_cpu_count()
-    count = min(cpus, len(bounds))
+    count = min(_usable_cpu_count(), len(bounds))
     runs = [(task, args, bounds[len(bounds) * r // count:len(bounds) * (r + 1) // count])
             for r in range(count)]
-    return [result for run in _ordered_map(_run_blocks, runs, cpus, caller_first=True)
+    return [result for run in _ordered_map(_run_blocks, runs, caller_first=True)
             for result in run]
 
 
@@ -454,16 +453,16 @@ def monte_carlo_half_energy(scenario_kind: str, samples: int, seed: int,
     check_integer(samples, "samples")
     samples = int(samples)                     # PCG64.advance takes no numpy integer
     _rng(seed, 1)                              # a bad seed fails before the grid
-    peak = reference_link_peak(scenario_kind, medium, grid_step_deg)
-    threshold = 0.5 * peak**2
+    # |h| >= peak / sqrt 2: half the peak's power, compared as amplitudes.
+    threshold = reference_link_peak(scenario_kind, medium, grid_step_deg) * math.sqrt(0.5)
     hits = _map_blocks(_block_hits, (scenario_kind, seed, samples, threshold, medium), samples)
     return sum(hits) / samples
 
 
 def _block_hits(kind: str, seed: int, samples: int, threshold: float, medium: MediumParams,
                 start: int, stop: int) -> int:
-    """How many of a `samples`-sample call's samples start..stop reach
-    threshold (see monte_carlo_half_energy)."""
+    """How many of a `samples`-sample call's samples start..stop have an |h|
+    of at least threshold (see monte_carlo_half_energy)."""
     rng = _rng(seed, 1)
     rng.bit_generator.advance(start)
     polar = rng.random(stop - start)
@@ -474,7 +473,7 @@ def _block_hits(kind: str, seed: int, samples: int, threshold: float, medium: Me
     axes = angles_to_unit(polar, azimuthal)
     del polar, azimuthal
     mags = _block_magnitudes(kind, axes, medium)
-    return int(np.count_nonzero(np.square(mags, out=mags) >= threshold))
+    return int(np.count_nonzero(mags >= threshold))
 
 
 def run_configuration(scenario: Scenario, config_id: int,
@@ -562,28 +561,28 @@ def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int, *,
                  resolution and re-evaluated. It runs configuration 5
                  whatever `configurations` holds.
 
-    repetitions and the user counts (the users grid's, or user_count) are
-    positive integers and seed a non-negative one (check_integer). Any of
-    them that is not, a configuration id that is not an integer in
-    CONFIGURATION_BLOCKS or a resolution that quantize_angles refuses
-    (check_resolution) raises ConfigurationError before any cell runs.
+    repetitions, workers and the user counts (the users grid's, or
+    user_count) are positive integers and seed a non-negative one
+    (check_integer). Any of them that is not, a configuration id that is not
+    an integer in CONFIGURATION_BLOCKS or a resolution that quantize_angles
+    refuses (check_resolution) raises ConfigurationError before any cell runs.
 
     Each (grid point, repetition) cell draws its scenario here, make_scenario
     with its own counter-derived seed and the keyword settings in `scenario`
     (a power grid point replaces total_power; an unknown setting raises
-    TypeError before any cell runs). The cells run through _ordered_map on at
-    most `workers` processes, never more than there are cells. Those workers
-    are forked at the process's first multi-worker sweep, Monte Carlo or grid
-    and reused by later ones of that size; they run the code as imported at
-    that fork, so patch harness internals only with workers=1, and they end
-    with the interpreter, even a killed one. Records come back in cell order,
-    so the output is independent of the worker count.
+    TypeError before any cell runs). With workers=1 the cells run inline;
+    with more they run on the process's one pool (_ordered_map), whose size
+    is the usable CPU count, whatever `workers` is. Its workers run the code
+    as imported at its fork, so patch harness internals only with workers=1.
+    Records come back in cell order, so the output is independent of the
+    worker count.
     """
     if kind not in SWEEP_KINDS:
         raise ConfigurationError(f"unknown sweep kind {kind!r}")
     if len(grid) == 0:
         raise ConfigurationError("sweep grid must be nonempty")
     check_integer(repetitions, "repetitions")
+    check_integer(workers, "workers")
     check_integer(seed, "seed", 0)  # _mix would turn any other into valid cell seeds
     if configurations is None:
         configurations = (1, 2, 3, 4, 5) if kind == "users" else (1, 5)
@@ -607,8 +606,8 @@ def sweep(kind: str, grid: Sequence[float], repetitions: int, seed: int, *,
     cell = functools.partial(_sweep_cell, kind=kind, grid=tuple(grid),
                              optimizer_config=optimizer_config,
                              config_ids=tuple(configurations))
-    return [rec for records in _ordered_map(cell, cells, min(workers, len(cells)))
-            for rec in records]
+    cell_records = [cell(*c) for c in cells] if workers == 1 else _ordered_map(cell, cells)
+    return [rec for records in cell_records for rec in records]
 
 
 def quantized_record(scenario: Scenario, result: OptimizeResult,

@@ -295,10 +295,11 @@ SMALL_SWEEP = dict(grid=[1, 2], repetitions=1, seed=3, optimizer_config=FAST,
                    configurations=(1,))
 
 
-def test_sweep_pool_never_outnumbers_its_cells(monkeypatch):
+def test_sweep_pool_never_outnumbers_the_usable_cpus(monkeypatch):
     # A stand-in pool that starts no process records its size and runs each
-    # cell inline: a 2-cell sweep asks for 2 workers, whatever `workers` is,
-    # and the next sweep that needs 2 reuses that pool.
+    # cell inline: an 8-cell sweep on 3 usable CPUs gets a pool of 3, whatever
+    # `workers` is, and the next pooled sweep reuses that pool. On one usable
+    # CPU it gets none, and a changed count gets a pool of the new size.
     sizes = []
 
     class RecordingPool:
@@ -313,16 +314,25 @@ def test_sweep_pool_never_outnumbers_its_cells(monkeypatch):
         def shutdown(self, wait=True):
             pass
 
+    kwargs = dict(SMALL_SWEEP, repetitions=4)
     monkeypatch.setattr(harness, "_POOL", None)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    pooled = sweep("users", workers=10_000, **SMALL_SWEEP)
-    assert sizes == [2]
-    assert pooled == sweep("users", **SMALL_SWEEP)
-    assert sweep("users", workers=2, **SMALL_SWEEP) == pooled
-    assert sizes == [2]
+    _with_workers(monkeypatch, 1)
+    inline = sweep("users", workers=10_000, **kwargs)
+    assert sizes == [] and len(inline) == 8
+    _with_workers(monkeypatch, 3)
+    assert sweep("users", workers=10_000, **kwargs) == inline
+    assert sizes == [3]
+    assert sweep("users", workers=2, **kwargs) == inline
+    assert sweep("users", **kwargs) == inline
+    assert sizes == [3]
+    _with_workers(monkeypatch, 2)
+    assert sweep("users", workers=2, **kwargs) == inline
+    assert sizes == [3, 2]
 
 
-def test_consecutive_sweeps_share_one_pool():
+def test_consecutive_sweeps_share_one_pool(monkeypatch):
+    _with_workers(monkeypatch, 2)              # a pool, also on a 1-CPU host
     kwargs = dict(grid=[1, 2], repetitions=1, seed=5, optimizer_config=FAST,
                   configurations=(1, 3))
     serial = sweep("users", **kwargs)
@@ -331,7 +341,37 @@ def test_consecutive_sweeps_share_one_pool():
     assert sweep("users", workers=2, **kwargs) == serial
     assert harness._POOL[2] is pool
     assert {p.pid for p in multiprocessing.active_children()} == pids
-    assert len(pids) == 2
+    assert len(pids) == harness._usable_cpu_count()
+
+
+def test_sweeps_and_monte_carlo_calls_share_one_pool(monkeypatch):
+    # A process that alternates small sweeps with Monte Carlo calls forks one
+    # pool, of one worker per usable CPU, and reuses it at every switch; the
+    # peak's grid (built afresh here) runs on it too. Every value is the
+    # inline run's.
+    def rounds():
+        monkeypatch.setattr(harness, "_grid_peak",
+                            functools.cache(harness._grid_peak.__wrapped__))
+        return [(sweep("users", workers=4, **SMALL_SWEEP),
+                 monte_carlo_half_energy("tx_random", 200_000, seed))
+                for seed in (1, 2, 3)]
+
+    _with_workers(monkeypatch, 1)
+    inline = rounds()
+    built = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    if harness._POOL is not None:
+        harness._retire_process_pool()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    _with_workers(monkeypatch, 4)
+    assert rounds() == inline
+    assert len(built) == 1
+    assert harness._POOL[1] == 4
 
 
 def _leave_a_file_or_raise(directory, index):
@@ -347,14 +387,15 @@ def _exit_at_once(index):
     os._exit(1)
 
 
-def test_pooled_error_propagates_after_every_task_of_the_call(tmp_path):
+def test_pooled_error_propagates_after_every_task_of_the_call(tmp_path, monkeypatch):
+    _with_workers(monkeypatch, 2)
     arguments = [(tmp_path, i) for i in range(4)]
     with pytest.raises(LookupError, match="cell 0"):
-        harness._ordered_map(_leave_a_file_or_raise, arguments, 2)
+        harness._ordered_map(_leave_a_file_or_raise, arguments)
     assert sorted(f.name for f in tmp_path.iterdir()) == ["1", "2", "3"]
     pool = harness._POOL[2]
     arguments = [(tmp_path, 4), (tmp_path, 5)]
-    assert harness._ordered_map(_leave_a_file_or_raise, arguments, 2) == [4, 5]
+    assert harness._ordered_map(_leave_a_file_or_raise, arguments) == [4, 5]
     assert harness._POOL[2] is pool
 
 
@@ -364,24 +405,28 @@ def test_an_interrupted_call_leaves_no_task_queued(tmp_path, monkeypatch):
     def interrupted(futures):
         raise KeyboardInterrupt
 
+    _with_workers(monkeypatch, 2)
     arguments = [(tmp_path, i) for i in range(1, 9)]
     with monkeypatch.context() as patch:
         patch.setattr(concurrent.futures, "wait", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            harness._ordered_map(_leave_a_file_or_raise, arguments, 2)
+            harness._ordered_map(_leave_a_file_or_raise, arguments)
     time.sleep(1.0)                                  # all 8 would be done by now
     assert len(list(tmp_path.iterdir())) < len(arguments)
-    assert harness._ordered_map(_leave_a_file_or_raise, arguments[:2], 2) == [1, 2]
+    assert harness._ordered_map(_leave_a_file_or_raise, arguments[:2]) == [1, 2]
 
 
-def test_a_dead_worker_fails_its_call_and_the_next_sweep_gets_a_new_pool():
+def test_a_dead_worker_fails_its_call_and_the_next_sweep_gets_a_new_pool(monkeypatch):
+    # On one usable CPU the task would run inline and end this process.
+    _with_workers(monkeypatch, 2)
     with pytest.raises(BrokenProcessPool):
-        harness._ordered_map(_exit_at_once, [(0,), (1,)], 2)
+        harness._ordered_map(_exit_at_once, [(0,), (1,)])
     assert harness._POOL is None
     assert sweep("users", workers=2, **SMALL_SWEEP) == sweep("users", **SMALL_SWEEP)
 
 
-def test_a_worker_that_died_idle_fails_no_sweep():
+def test_a_worker_that_died_idle_fails_no_sweep(monkeypatch):
+    _with_workers(monkeypatch, 2)              # a pool, also on a 1-CPU host
     records = sweep("users", workers=2, **SMALL_SWEEP)
     pool = harness._POOL[2]
     os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
@@ -435,9 +480,11 @@ def _sweep_then_wait(conn):
     time.sleep(60)
 
 
-def test_pool_workers_end_with_a_killed_parent():
+def test_pool_workers_end_with_a_killed_parent(monkeypatch):
     # The child's workers inherit its end of the pipe, so ours reads EOF only
-    # once the child and both its workers have ended.
+    # once the child and both its workers have ended. The child inherits the
+    # patch: two usable CPUs, so a pool of two on any host.
+    _with_workers(monkeypatch, 2)
     child, ours = _fork_child(_sweep_then_wait)
     assert ours.poll(30)
     workers = ours.recv()
@@ -529,6 +576,10 @@ def test_sweep_input_validation():
     for seed in (1.5, True):
         with pytest.raises(ConfigurationError, match="seed must be a non-negative integer"):
             sweep("users", [1], repetitions=1, seed=seed)
+    # workers is a count: a positive integer.
+    for workers in (0, -3, 2.5, True, 1.0):
+        with pytest.raises(ConfigurationError, match="workers must be a positive integer"):
+            sweep("users", [1], repetitions=1, seed=0, workers=workers)
     # A user count, as a users grid entry or as user_count, is a positive integer.
     for grid in ([1.5], [0], [True], [2, -1]):
         with pytest.raises(ConfigurationError, match="user count must be a positive integer"):
@@ -763,9 +814,9 @@ def test_pool_size_does_not_change_any_value(monkeypatch, kind):
     ordered_map = harness._ordered_map
     submit = ProcessPoolExecutor.submit
 
-    def recorded(task, arguments, workers, caller_first=False):
+    def recorded(task, arguments, *, caller_first=False):
         calls.append([run for _, _, run in arguments])
-        return ordered_map(task, arguments, workers, caller_first)
+        return ordered_map(task, arguments, caller_first=caller_first)
 
     def counted(pool, *args, **kwargs):
         posted.append(1)
